@@ -284,21 +284,3 @@ class LogisticObjective(Objective):
         hess = np.asarray((wz.T @ self._Z).todense()) / self._n
         hess += self.reg_mu * np.eye(self.info.dim)
         return hess
-
-
-# Operation-style wrappers used by tests and downstream modules.
-
-def eval_value_grad(obj: Objective, x) -> tuple[float, np.ndarray]:
-    return obj.value_grad(x)
-
-
-def hess_vec(obj: Objective, x, v) -> np.ndarray:
-    return obj.hess_vec(x, v)
-
-
-def hess_column(obj: Objective, x, i: int) -> np.ndarray:
-    return obj.hess_column(x, i)
-
-
-def weighted_norm(obj: Objective, x, v) -> float:
-    return obj.weighted_norm(x, v)

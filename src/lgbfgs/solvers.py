@@ -1,14 +1,20 @@
-"""Iteration drivers producing uniform traces.
+"""The solver loop ``run`` and the step of each method it runs.
 
 Methods: gradient descent, classic limited-memory BFGS (difference pairs,
 FIFO eviction), dense BFGS, dense greedy BFGS (full-basis selection with
 optional correction scaling), and the limited-memory greedy method combining
-basis selection, correction scaling, and pair aggregation.
+basis selection, correction scaling, and pair aggregation.  Each method is a
+step object.  ``run``, the single entry point, owns what they share: the warm
+start, one value/gradient evaluation per iterate, the stop rule, the
+divergence guard, the dense diagnostics and the trace; its observer receives
+a ``StepSnapshot`` after each ``lg_bfgs`` step.
 
 Every run is strictly sequential, owns its state, and is deterministic for a
-given configuration; traces carry one record per visited iterate.  A
-divergence guard stops any run whose objective value grows for too many
-consecutive iterations or turns non-finite.
+given configuration; traces carry one record per evaluated iterate.  For every
+method and diagnostics setting, the guard stops the run as ``diverged`` when
+its value grows for too many consecutive iterations or its value, gradient or
+iterate turns non-finite; iterates are checked before the objective sees them,
+and diagnostics are computed only for rows that pass the guard.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .correction import CorrectionConfig, apply_scaling, scale_factor, weighted_
 from .errors import CurvatureError
 from .greedy import SubsetPolicy, greedy_pair, subset_indices
 from .objectives import Objective
-from .pairs import CaseTag, CurvaturePair, PairStore
+from .pairs import CurvaturePair, PairStore
 
 GD = "gd"
 LBFGS = "lbfgs"
@@ -118,239 +124,50 @@ class StepSnapshot:
     store_after: PairStore
 
 
-def _alpha(cfg: SolverConfig, obj: Objective) -> float:
-    if cfg.alpha is not None:
-        return cfg.alpha
-    return 1.0 / obj.info.lipschitz_L if cfg.method == GD else 1.0
+class _Step:
+    """One method's state between iterates; the base class is gradient descent.
 
+    From an iterate x with gradient g, ``run`` moves to
+    x_next = x + alpha * direction(t, x, g).  When x_next is finite, ``run``
+    calls ``curvature(t, x, x_next)``, which returns the record fields of the
+    step, then evaluates x_next and hands the gradient there to ``update``.
+    ``pair_count`` is the memory in use after the step.
+    """
 
-def _h0(cfg: SolverConfig, obj: Objective) -> float:
-    return cfg.h0_scale if cfg.h0_scale is not None else 1.0 / obj.info.lipschitz_L
+    pair_count = 0
 
-
-class _RunLog:
-    """Record bookkeeping, stopping rules, and the divergence guard."""
-
-    def __init__(self, cfg: SolverConfig):
+    def __init__(self, obj: Objective, cfg: SolverConfig, observer=None):
+        self.obj = obj
         self.cfg = cfg
-        self.records: list[IterationRecord] = []
-        self.start = time.perf_counter()
-        self.f_prev = np.inf
-        self.increases = 0
-        self.stop_reason: str | None = None
+        self.observer = observer
+        self.tau = cfg.tau
+        L = obj.info.lipschitz_L
+        self.alpha = cfg.alpha if cfg.alpha is not None else (1.0 / L if cfg.method == GD else 1.0)
+        self.h0 = cfg.h0_scale if cfg.h0_scale is not None else 1.0 / L
 
-    def check_state(self, x: np.ndarray, f: float, g: np.ndarray) -> bool:
-        """Update the guard; True when the run must stop as diverged."""
-        if not (np.isfinite(f) and np.all(np.isfinite(g)) and np.all(np.isfinite(x))):
-            self.stop_reason = "diverged"
-            return True
-        if f > self.f_prev:
-            self.increases += 1
-            if self.increases >= self.cfg.divergence_patience:
-                self.stop_reason = "diverged"
-                return True
-        else:
-            self.increases = 0
-        self.f_prev = f
-        return False
+    def direction(self, t: int, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Search direction at x."""
+        return -g
 
-    def add(self, t: int, f: float, gnorm: float, pair_count: int, **extra) -> IterationRecord:
-        rec = IterationRecord(
-            t=t,
-            f_value=float(f),
-            grad_norm=float(gnorm),
-            pair_count=pair_count,
-            wall_time_s=time.perf_counter() - self.start,
-            **extra,
-        )
-        self.records.append(rec)
-        return rec
+    def curvature(self, t: int, x: np.ndarray, x_next: np.ndarray) -> dict:
+        """Learn the curvature at x_next before it is evaluated."""
+        return {}
+
+    def update(self, x, g, x_next, g_next) -> None:
+        """Learn from the gradient at x_next."""
+
+    def dense_B(self) -> np.ndarray | None:
+        """Dense Hessian approximation for the ``sigma`` diagnostic, if tracked."""
+        return None
 
 
-def _maybe_start(obj: Objective, x0, cfg: SolverConfig) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    if cfg.warm_start_k0 > 0:
-        return warm_start(obj, x0, cfg.warm_start_k0, h0_scale=cfg.h0_scale)
-    return x0
+class _SecantStep(_Step):
+    """Methods keeping the difference pair of a step when its curvature is positive."""
 
-
-def run_lg_bfgs(
-    obj: Objective,
-    x0,
-    cfg: SolverConfig,
-    observer: Optional[Callable[[StepSnapshot], None]] = None,
-) -> Trace:
-    """Limited-memory greedy run: two-loop step, correction scaling, greedy
-    pair selection over the policy subset, and C1/C2/C3 retention."""
-    if cfg.method != LG_BFGS:
-        raise ValueError(f"config method is {cfg.method!r}, expected {LG_BFGS!r}")
-    if cfg.subset_policy.mode == greedy.FIXED_PREFIX and cfg.tau > obj.info.dim:
-        raise ValueError("fixed_prefix policy requires tau <= dim")
-    x = _maybe_start(obj, x0, cfg)
-    alpha = _alpha(cfg, obj)
-    store = PairStore(dim=obj.info.dim, tau=min(cfg.tau, obj.info.dim),
-                      h0_scale=_h0(cfg, obj))
-    cm = obj.info.self_concordant_CM
-    log = _RunLog(cfg)
-    want_diags = cfg.record_dense_diags
-
-    for t in range(cfg.max_iters + 1):
-        f, g = obj.value_grad(x)
-        gnorm = float(np.linalg.norm(g))
-        diags = {}
-        if want_diags:
-            diags["lambda_f"] = diagnostics.newton_decrement(obj, x)
-            diags["sigma"] = diagnostics.trace_metric(
-                obj, x, kernels.dense_B_from_pairs(store)
-            )
-        if log.check_state(x, f, g):
-            log.add(t, f, gnorm, store.size, **diags)
-            break
-        if gnorm <= cfg.grad_tol or t == cfg.max_iters:
-            log.add(t, f, gnorm, store.size, **diags)
-            log.stop_reason = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
-            break
-
-        store_before = store.snapshot() if (observer or want_diags) else None
-        direction = kernels.two_loop_direction(store, g)
-        x_next = x + alpha * direction
-        phi = weighted_step_norm(obj, x, x_next)
-        psi = scale_factor(phi, cfg.correction, cm, t)
-        apply_scaling(store, psi)
-        candidates = subset_indices(cfg.subset_policy, store, obj.info.dim)
-        index, r = greedy_pair(obj, x_next, store, candidates)
-        if want_diags:
-            err = psi * kernels.dense_B_from_pairs(store_before) - obj.hess_matrix(x_next)
-            _, diags["beta_tau"] = diagnostics.relative_condition_numbers(
-                err, candidates, degenerate="inf"
-            )
-        tag = store.classify(index)
-        new_pair = CurvaturePair(index, r)
-        if tag.kind == "C1":
-            store.insert_c1(new_pair)
-        elif tag.kind == "C2":
-            store.replace_c2(new_pair)
-        else:
-            aggregation.aggregate_c3(store, tag.j, new_pair, tol=cfg.aggregation_tol)
-        if observer is not None:
-            observer(
-                StepSnapshot(
-                    t=t,
-                    x=x.copy(),
-                    x_next=x_next.copy(),
-                    psi=psi,
-                    candidates=list(candidates),
-                    store_before=store_before,
-                    store_after=store.snapshot(),
-                )
-            )
-        log.add(t, f, gnorm, store.size, case_tag=tag.kind, **diags)
-        x = x_next
-    return Trace(LG_BFGS, store.tau, log.records, log.stop_reason, x)
-
-
-def lg_bfgs_step(
-    obj: Objective, x: np.ndarray, store: PairStore, cfg: SolverConfig, t: int = 0
-) -> tuple[np.ndarray, CaseTag, IterationRecord]:
-    """One limited-memory greedy step, mutating ``store``; returns the new
-    iterate, the retention case applied, and a record of the departed state."""
-    x = np.asarray(x, dtype=float)
-    f, g = obj.value_grad(x)
-    start = time.perf_counter()
-    alpha = _alpha(cfg, obj)
-    direction = kernels.two_loop_direction(store, g)
-    x_next = x + alpha * direction
-    phi = weighted_step_norm(obj, x, x_next)
-    psi = scale_factor(phi, cfg.correction, obj.info.self_concordant_CM, t)
-    apply_scaling(store, psi)
-    candidates = subset_indices(cfg.subset_policy, store, obj.info.dim)
-    index, r = greedy_pair(obj, x_next, store, candidates)
-    tag = store.classify(index)
-    new_pair = CurvaturePair(index, r)
-    if tag.kind == "C1":
-        store.insert_c1(new_pair)
-    elif tag.kind == "C2":
-        store.replace_c2(new_pair)
-    else:
-        aggregation.aggregate_c3(store, tag.j, new_pair, tol=cfg.aggregation_tol)
-    record = IterationRecord(
-        t=t,
-        f_value=float(f),
-        grad_norm=float(np.linalg.norm(g)),
-        pair_count=store.size,
-        wall_time_s=time.perf_counter() - start,
-        case_tag=tag.kind,
-    )
-    return x_next, tag, record
-
-
-def _greedy_bfgs_impl(obj: Objective, x0, cfg: SolverConfig) -> Trace:
-    """Dense greedy baseline: full-basis selection, optional correction."""
-    x = _maybe_start(obj, x0, cfg)
-    d = obj.info.dim
-    alpha = _alpha(cfg, obj)
-    B = np.eye(d) / _h0(cfg, obj)
-    cm = obj.info.self_concordant_CM
-    log = _RunLog(cfg)
-    full_basis = list(range(d))
-    for t in range(cfg.max_iters + 1):
-        f, g = obj.value_grad(x)
-        gnorm = float(np.linalg.norm(g))
-        diags = {}
-        if cfg.record_dense_diags:
-            diags["lambda_f"] = diagnostics.newton_decrement(obj, x)
-            diags["sigma"] = diagnostics.trace_metric(obj, x, B)
-        if log.check_state(x, f, g):
-            log.add(t, f, gnorm, 0, **diags)
-            break
-        if gnorm <= cfg.grad_tol or t == cfg.max_iters:
-            log.add(t, f, gnorm, 0, **diags)
-            log.stop_reason = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
-            break
-        try:
-            direction = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(B), g)
-        except scipy.linalg.LinAlgError as exc:
-            raise CurvatureError(f"dense approximation lost definiteness: {exc}") from exc
-        x_next = x + alpha * direction
-        phi = weighted_step_norm(obj, x, x_next)
-        psi = scale_factor(phi, cfg.correction, cm, t)
-        B_hat = psi * B
-        numer = np.diag(B_hat)
-        denom = obj.hess_diag(x_next, full_basis)
-        index = int(np.argmax(numer / denom))
-        r = obj.hess_column(x_next, index)
-        if cfg.record_dense_diags:
-            _, diags["beta_tau"] = diagnostics.relative_condition_numbers(
-                B_hat - obj.hess_matrix(x_next), full_basis, degenerate="inf"
-            )
-        s = np.zeros(d)
-        s[index] = 1.0
-        B = kernels.dense_bfgs_update(B_hat, s, r)
-        log.add(t, f, gnorm, 0, **diags)
-        x = x_next
-    return Trace(GREEDY_BFGS, cfg.tau, log.records, log.stop_reason, x)
-
-
-def _gd_impl(obj: Objective, x0, cfg: SolverConfig) -> Trace:
-    x = _maybe_start(obj, x0, cfg)
-    alpha = _alpha(cfg, obj)
-    log = _RunLog(cfg)
-    for t in range(cfg.max_iters + 1):
-        f, g = obj.value_grad(x)
-        gnorm = float(np.linalg.norm(g))
-        diags = {}
-        if cfg.record_dense_diags:
-            diags["lambda_f"] = diagnostics.newton_decrement(obj, x)
-        if log.check_state(x, f, g):
-            log.add(t, f, gnorm, 0, **diags)
-            break
-        if gnorm <= cfg.grad_tol or t == cfg.max_iters:
-            log.add(t, f, gnorm, 0, **diags)
-            log.stop_reason = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
-            break
-        log.add(t, f, gnorm, 0, **diags)
-        x = x - alpha * g
-    return Trace(GD, cfg.tau, log.records, log.stop_reason, x)
+    def update(self, x, g, x_next, g_next):
+        s, r = x_next - x, g_next - g
+        if float(s @ r) > 0.0:
+            self.absorb(s, r)
 
 
 def _two_loop_dense(pairs, h0: float, g: np.ndarray) -> np.ndarray:
@@ -369,90 +186,173 @@ def _two_loop_dense(pairs, h0: float, g: np.ndarray) -> np.ndarray:
     return q
 
 
-def _lbfgs_impl(obj: Objective, x0, cfg: SolverConfig) -> Trace:
-    x = _maybe_start(obj, x0, cfg)
-    alpha = _alpha(cfg, obj)
-    base_h0 = _h0(cfg, obj)
-    pairs: deque = deque(maxlen=cfg.tau)
-    log = _RunLog(cfg)
-    f, g = obj.value_grad(x)
-    for t in range(cfg.max_iters + 1):
-        gnorm = float(np.linalg.norm(g))
-        diags = {}
-        if cfg.record_dense_diags:
-            diags["lambda_f"] = diagnostics.newton_decrement(obj, x)
-        if log.check_state(x, f, g):
-            log.add(t, f, gnorm, len(pairs), **diags)
-            break
-        if gnorm <= cfg.grad_tol or t == cfg.max_iters:
-            log.add(t, f, gnorm, len(pairs), **diags)
-            log.stop_reason = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
-            break
-        h0 = base_h0
-        if cfg.lbfgs_scaling == "latest_pair" and pairs:
-            s_last, r_last = pairs[-1]
+class _Lbfgs(_SecantStep):
+    """Classic limited-memory BFGS: difference pairs, FIFO eviction."""
+
+    def __init__(self, obj, cfg, observer=None):
+        super().__init__(obj, cfg, observer)
+        self.pairs: deque = deque(maxlen=cfg.tau)
+
+    def direction(self, t, x, g):
+        h0 = self.h0
+        if self.cfg.lbfgs_scaling == "latest_pair" and self.pairs:
+            s_last, r_last = self.pairs[-1]
             h0 = float(s_last @ r_last) / float(r_last @ r_last)
-        direction = -_two_loop_dense(list(pairs), h0, g)
-        x_next = x + alpha * direction
-        f_next, g_next = obj.value_grad(x_next)
-        s = x_next - x
-        r = g_next - g
-        if float(s @ r) > 0.0:
-            pairs.append((s, r))
-        log.add(t, f, gnorm, len(pairs), **diags)
-        x, f, g = x_next, f_next, g_next
-    return Trace(LBFGS, cfg.tau, log.records, log.stop_reason, x)
+        return -_two_loop_dense(list(self.pairs), h0, g)
+
+    def absorb(self, s, r):
+        self.pairs.append((s, r))
+        self.pair_count = len(self.pairs)
 
 
-def _bfgs_dense_impl(obj: Objective, x0, cfg: SolverConfig) -> Trace:
-    x = _maybe_start(obj, x0, cfg)
-    alpha = _alpha(cfg, obj)
-    H = _h0(cfg, obj) * np.eye(obj.info.dim)
-    log = _RunLog(cfg)
-    f, g = obj.value_grad(x)
-    for t in range(cfg.max_iters + 1):
-        gnorm = float(np.linalg.norm(g))
-        diags = {}
+class _BfgsDense(_SecantStep):
+    """Dense BFGS on the inverse Hessian approximation."""
+
+    def __init__(self, obj, cfg, observer=None):
+        super().__init__(obj, cfg, observer)
+        self.H = self.h0 * np.eye(obj.info.dim)
+
+    def direction(self, t, x, g):
+        return -(self.H @ g)
+
+    def absorb(self, s, r):
+        self.H = kernels.dense_inv_bfgs_update(self.H, s, r)
+
+
+class _GreedyBfgs(_Step):
+    """Dense greedy baseline: full-basis selection, optional correction."""
+
+    def __init__(self, obj, cfg, observer=None):
+        super().__init__(obj, cfg, observer)
+        self.B = np.eye(obj.info.dim) / self.h0
+        self.full_basis = list(range(obj.info.dim))
+
+    def dense_B(self):
+        return self.B
+
+    def direction(self, t, x, g):
+        try:
+            return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.B), g)
+        except scipy.linalg.LinAlgError as exc:
+            raise CurvatureError(f"dense approximation lost definiteness: {exc}") from exc
+
+    def curvature(self, t, x, x_next):
+        phi = weighted_step_norm(self.obj, x, x_next)
+        psi = scale_factor(phi, self.cfg.correction, self.obj.info.self_concordant_CM, t)
+        B_hat = psi * self.B
+        denom = self.obj.hess_diag(x_next, self.full_basis)
+        index = int(np.argmax(np.diag(B_hat) / denom))
+        r = self.obj.hess_column(x_next, index)
+        extra = {}
+        if self.cfg.record_dense_diags:
+            _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
+                B_hat - self.obj.hess_matrix(x_next), self.full_basis, degenerate="inf"
+            )
+        s = np.zeros(self.obj.info.dim)
+        s[index] = 1.0
+        self.B = kernels.dense_bfgs_update(B_hat, s, r)
+        return extra
+
+
+class _LgBfgs(_Step):
+    """Limited-memory greedy step: two-loop direction, correction scaling,
+    greedy pair selection over the policy subset, and C1/C2/C3 retention."""
+
+    def __init__(self, obj, cfg, observer=None):
+        if cfg.subset_policy.mode == greedy.FIXED_PREFIX and cfg.tau > obj.info.dim:
+            raise ValueError("fixed_prefix policy requires tau <= dim")
+        super().__init__(obj, cfg, observer)
+        self.store = PairStore(dim=obj.info.dim, tau=min(cfg.tau, obj.info.dim),
+                               h0_scale=self.h0)
+        self.tau = self.store.tau
+
+    def dense_B(self):
+        return kernels.dense_B_from_pairs(self.store)
+
+    def direction(self, t, x, g):
+        return kernels.two_loop_direction(self.store, g)
+
+    def curvature(self, t, x, x_next):
+        obj, store, cfg = self.obj, self.store, self.cfg
+        store_before = store.snapshot() if self.observer or cfg.record_dense_diags else None
+        phi = weighted_step_norm(obj, x, x_next)
+        psi = scale_factor(phi, cfg.correction, obj.info.self_concordant_CM, t)
+        apply_scaling(store, psi)
+        candidates = subset_indices(cfg.subset_policy, store, obj.info.dim)
+        index, r = greedy_pair(obj, x_next, store, candidates)
+        extra = {}
         if cfg.record_dense_diags:
-            diags["lambda_f"] = diagnostics.newton_decrement(obj, x)
-        if log.check_state(x, f, g):
-            log.add(t, f, gnorm, 0, **diags)
-            break
-        if gnorm <= cfg.grad_tol or t == cfg.max_iters:
-            log.add(t, f, gnorm, 0, **diags)
-            log.stop_reason = "grad_tol" if gnorm <= cfg.grad_tol else "max_iters"
-            break
-        x_next = x - alpha * (H @ g)
-        f_next, g_next = obj.value_grad(x_next)
-        s = x_next - x
-        r = g_next - g
-        if float(s @ r) > 0.0:
-            H = kernels.dense_inv_bfgs_update(H, s, r)
-        log.add(t, f, gnorm, 0, **diags)
-        x, f, g = x_next, f_next, g_next
-    return Trace(BFGS_DENSE, cfg.tau, log.records, log.stop_reason, x)
+            err = psi * kernels.dense_B_from_pairs(store_before) - obj.hess_matrix(x_next)
+            _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
+                err, candidates, degenerate="inf"
+            )
+        tag = store.classify(index)
+        new_pair = CurvaturePair(index, r)
+        if tag.kind == "C1":
+            store.insert_c1(new_pair)
+        elif tag.kind == "C2":
+            store.replace_c2(new_pair)
+        else:
+            aggregation.aggregate_c3(store, tag.j, new_pair, tol=cfg.aggregation_tol)
+        if self.observer is not None:
+            self.observer(StepSnapshot(
+                t=t, x=x.copy(), x_next=x_next.copy(), psi=psi, candidates=list(candidates),
+                store_before=store_before, store_after=store.snapshot()))
+        self.pair_count = store.size
+        extra["case_tag"] = tag.kind
+        return extra
 
 
-_BASELINES = {
-    GD: _gd_impl,
-    LBFGS: _lbfgs_impl,
-    BFGS_DENSE: _bfgs_dense_impl,
-    GREEDY_BFGS: _greedy_bfgs_impl,
+_STEPS = {
+    GD: _Step,
+    LBFGS: _Lbfgs,
+    BFGS_DENSE: _BfgsDense,
+    GREEDY_BFGS: _GreedyBfgs,
+    LG_BFGS: _LgBfgs,
 }
 
 
-def run_baseline(obj: Objective, x0, cfg: SolverConfig) -> Trace:
-    """Run one of the non-aggregating methods (gd, lbfgs, bfgs_dense, greedy_bfgs)."""
-    if cfg.method not in _BASELINES:
-        raise ValueError(f"{cfg.method!r} is not a baseline method")
-    return _BASELINES[cfg.method](obj, x0, cfg)
-
-
-def run(obj: Objective, x0, cfg: SolverConfig, observer=None) -> Trace:
-    """Run any configured method from x0."""
-    if cfg.method == LG_BFGS:
-        return run_lg_bfgs(obj, x0, cfg, observer=observer)
-    return run_baseline(obj, x0, cfg)
+def run(obj: Objective, x0, cfg: SolverConfig,
+        observer: Optional[Callable[[StepSnapshot], None]] = None) -> Trace:
+    """Run the configured method from x0, after ``cfg.warm_start_k0`` warm-start
+    steps; ``observer`` receives a ``StepSnapshot`` after each ``lg_bfgs`` step."""
+    method = _STEPS[cfg.method](obj, cfg, observer)
+    x = np.asarray(x0, dtype=float)
+    if cfg.warm_start_k0 > 0:
+        x = warm_start(obj, x, cfg.warm_start_k0, h0_scale=cfg.h0_scale)
+    records: list[IterationRecord] = []
+    start = time.perf_counter()
+    f_prev, increases = np.inf, 0
+    f, g = obj.value_grad(x)
+    for t in range(cfg.max_iters + 1):
+        f_t, gnorm = float(f), float(np.linalg.norm(g))
+        finite = np.isfinite(f_t) and np.all(np.isfinite(g))
+        increases = increases + 1 if f_t > f_prev else 0
+        diverged = not finite or (f_t > f_prev and increases >= cfg.divergence_patience)
+        f_prev = f_t
+        fields = {}
+        if cfg.record_dense_diags and not diverged:
+            fields["lambda_f"] = diagnostics.newton_decrement(obj, x)
+            B = method.dense_B()
+            if B is not None:
+                fields["sigma"] = diagnostics.trace_metric(obj, x, B)
+        stop_reason = ("diverged" if diverged else "grad_tol" if gnorm <= cfg.grad_tol
+                       else "max_iters" if t == cfg.max_iters else None)
+        if stop_reason is None:
+            x_next = x + method.alpha * method.direction(t, x, g)
+            if np.all(np.isfinite(x_next)):
+                fields.update(method.curvature(t, x, x_next))
+                f, g_next = obj.value_grad(x_next)
+                method.update(x, g, x_next, g_next)
+                g = g_next
+            else:
+                stop_reason = "diverged"
+            x = x_next
+        records.append(IterationRecord(t, f_t, gnorm, method.pair_count,
+                                       time.perf_counter() - start, **fields))
+        if stop_reason is not None:
+            break
+    return Trace(cfg.method, method.tau, records, stop_reason, x)
 
 
 def warm_start(obj: Objective, x0, k0: int, alpha: float = 1.0,
@@ -460,9 +360,8 @@ def warm_start(obj: Objective, x0, k0: int, alpha: float = 1.0,
     """Iterate the dense greedy baseline k0 times from x0 and return the result."""
     if k0 < 0:
         raise ValueError(f"k0 must be >= 0, got {k0}")
-    x0 = np.asarray(x0, dtype=float)
     if k0 == 0:
-        return x0.copy()
+        return np.array(x0, dtype=float)
     cfg = SolverConfig(
         method=GREEDY_BFGS,
         alpha=alpha,
@@ -471,4 +370,4 @@ def warm_start(obj: Objective, x0, k0: int, alpha: float = 1.0,
         h0_scale=h0_scale,
         correction=CorrectionConfig(mode="off"),
     )
-    return _greedy_bfgs_impl(obj, x0, cfg).x_final
+    return run(obj, x0, cfg).x_final

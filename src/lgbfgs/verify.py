@@ -18,7 +18,7 @@ from .correction import CorrectionConfig
 from .data import synth_problem
 from .greedy import SubsetPolicy
 from .pairs import CurvaturePair, PairStore
-from .solvers import SolverConfig, run, run_lg_bfgs, warm_start
+from .solvers import SolverConfig, run, warm_start
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def check_contraction_inequality(seed: int = 8) -> CheckResult:
 
     cfg = SolverConfig(method="lg_bfgs", tau=3, max_iters=100, grad_tol=0.0,
                        correction=CorrectionConfig("basic"))
-    run_lg_bfgs(obj, np.ones(d), cfg, observer=observer)
+    run(obj, np.ones(d), cfg, observer=observer)
     worst = -min(residuals)
     return CheckResult("contraction_inequality", worst <= 1e-9, worst, 1e-9)
 

@@ -27,7 +27,7 @@ from lgbfgs.kernels import (
     two_loop_direction,
 )
 from lgbfgs.pairs import CurvaturePair, PairStore
-from lgbfgs.solvers import SolverConfig, run, run_lg_bfgs, warm_start
+from lgbfgs.solvers import SolverConfig, run, warm_start
 
 
 def report(criterion, ok, detail):
@@ -170,7 +170,7 @@ class TestAcceptance:
 
         cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=100, grad_tol=0.0,
                            correction=CorrectionConfig("basic"))
-        run_lg_bfgs(obj, np.ones(d), cfg, observer=observer)
+        run(obj, np.ones(d), cfg, observer=observer)
         worst = min(residuals)
         ok = worst >= -1e-9 and len(residuals) == 100
         line = report(5, ok, f"d={d}: min residual {worst:.2e} over "
@@ -259,12 +259,10 @@ class TestAcceptance:
         for method, tau in [("lbfgs", 25), ("lg_bfgs", 25),
                             ("lg_bfgs", 50), ("greedy_bfgs", 50)]:
             cfg = SolverConfig(method=method, tau=tau, max_iters=100, grad_tol=0.0)
+            snaps = []
+            trace = run(obj, x_warm, cfg, observer=snaps.append)
             if method == "lg_bfgs" and tau == k:
-                snaps = []
-                trace = run_lg_bfgs(obj, x_warm, cfg, observer=snaps.append)
                 stored = sorted(snaps[-1].store_after.indices)
-            else:
-                trace = run(obj, x_warm, cfg)
             out[(method, tau)] = trace.final_grad_norm
         elapsed = time.perf_counter() - start
         ratio_half = out[("lbfgs", 25)] / out[("lg_bfgs", 25)]
@@ -297,13 +295,8 @@ class TestAcceptance:
                     stores = []
                     cfg = SolverConfig(method=method, tau=tau, max_iters=50,
                                        grad_tol=0.0)
-                    if method == "lg_bfgs":
-                        trace = run_lg_bfgs(
-                            obj, np.zeros(d), cfg,
-                            observer=lambda s: stores.append(s.store_after),
-                        )
-                    else:
-                        trace = run(obj, np.zeros(d), cfg)
+                    trace = run(obj, np.zeros(d), cfg,
+                                observer=lambda s: stores.append(s.store_after))
                     if any(r.pair_count > tau for r in trace.records):
                         violations += 1
                     for store in stores:

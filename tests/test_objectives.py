@@ -5,15 +5,7 @@ import pytest
 
 from lgbfgs.data import synth_logistic_dataset, synth_problem
 from lgbfgs.errors import CurvatureError
-from lgbfgs.objectives import (
-    LogisticObjective,
-    ObjectiveInfo,
-    QuadraticObjective,
-    eval_value_grad,
-    hess_column,
-    hess_vec,
-    weighted_norm,
-)
+from lgbfgs.objectives import LogisticObjective, ObjectiveInfo, QuadraticObjective
 
 
 def fd_gradient(obj, x, eps=1e-6):
@@ -56,7 +48,7 @@ class TestObjectiveInfo:
 class TestQuadratic:
     def test_value_grad_closed_form(self):
         obj = QuadraticObjective(np.array([1.0, 2.0]))
-        value, grad = eval_value_grad(obj, np.array([1.0, 1.0]))
+        value, grad = obj.value_grad(np.array([1.0, 1.0]))
         assert value == pytest.approx(1.5)
         np.testing.assert_allclose(grad, [1.0, 2.0])
 
@@ -66,15 +58,15 @@ class TestQuadratic:
 
     def test_hess_column(self):
         obj = QuadraticObjective(np.array([1.0, 2.0]))
-        np.testing.assert_allclose(hess_column(obj, np.zeros(2), 1), [0.0, 2.0])
+        np.testing.assert_allclose(obj.hess_column(np.zeros(2), 1), [0.0, 2.0])
 
     def test_weighted_norm_diag(self):
         obj = QuadraticObjective(np.array([1.0, 4.0]))
-        assert weighted_norm(obj, np.zeros(2), np.ones(2)) == pytest.approx(np.sqrt(5))
+        assert obj.weighted_norm(np.zeros(2), np.ones(2)) == pytest.approx(np.sqrt(5))
 
     def test_zero_vector_norm(self):
         obj = QuadraticObjective(np.array([1.0, 4.0]))
-        assert weighted_norm(obj, np.zeros(2), np.zeros(2)) == 0.0
+        assert obj.weighted_norm(np.zeros(2), np.zeros(2)) == 0.0
 
     def test_minimizer(self):
         rng = np.random.default_rng(0)
@@ -183,7 +175,7 @@ class TestDerivativeOracles:
         for _ in range(10):
             x = rng.standard_normal(5)
             v = rng.standard_normal(5)
-            hv = hess_vec(obj, x, v)
+            hv = obj.hess_vec(x, v)
             fd = fd_hess_vec(obj, x, v)
             np.testing.assert_allclose(hv, fd, rtol=1e-5, atol=1e-8)
 
@@ -210,7 +202,7 @@ class TestDerivativeOracles:
             nsq = float(v @ v)
             assert mu * nsq <= quad * (1 + 1e-12)
             assert quad <= L * nsq * (1 + 1e-12)
-            wn = weighted_norm(obj, x, v)
+            wn = obj.weighted_norm(x, v)
             assert np.sqrt(mu) * np.sqrt(nsq) <= wn * (1 + 1e-12)
             assert wn <= np.sqrt(L) * np.sqrt(nsq) * (1 + 1e-12)
 

@@ -1,5 +1,7 @@
 """Solver drivers: step correctness, stopping rules, traces, equivalences."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,7 @@ from lgbfgs.correction import CorrectionConfig
 from lgbfgs.data import synth_problem
 from lgbfgs.greedy import SubsetPolicy
 from lgbfgs.objectives import QuadraticObjective
-from lgbfgs.pairs import PairStore
-from lgbfgs.solvers import (
-    METHODS,
-    SolverConfig,
-    lg_bfgs_step,
-    run,
-    run_baseline,
-    run_lg_bfgs,
-    warm_start,
-)
+from lgbfgs.solvers import GREEDY_BFGS, LG_BFGS, METHODS, SolverConfig, run, warm_start
 
 
 def quad_problem(d=6, lo=1.0, hi=10.0, seed=0, rotate=True):
@@ -63,6 +56,45 @@ class TestStoppingRules:
         assert trace.stop_reason == "diverged"
         assert len(trace.records) < 500
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("h0_scale", [None, 4.0])
+    @pytest.mark.parametrize("record_dense_diags", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_step_stops_as_diverged(self, method, record_dense_diags, h0_scale):
+        """A step that overflows is caught before the objective or the
+        diagnostics see the non-finite iterate, value or gradient.  With the
+        default seed scale 1/L only gd overflows the iterate itself (the other
+        methods overflow the gradient); with seed scale 4 every method does."""
+        obj = QuadraticObjective(np.array([1.0, 2.0]))
+        cfg = SolverConfig(method=method, alpha=1e308, max_iters=50, grad_tol=0.0,
+                           h0_scale=h0_scale, record_dense_diags=record_dense_diags)
+        trace = run(obj, np.ones(2), cfg)
+        assert trace.stop_reason == "diverged"
+        assert len(trace.records) <= 2
+        assert (trace.records[0].lambda_f is not None) == record_dense_diags
+
+
+class TestObjectiveCallCounts:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_evaluation_per_iterate(self, method):
+        """One value_grad per record; one Hessian diagonal, column and
+        product per step of the greedy methods and none for the others."""
+        obj = synth_problem("logistic", d=8, n=60, mu=1e-2, seed=0)
+        calls = Counter()
+        for name in ("value_grad", "hess_diag", "hess_column", "hess_vec"):
+            def counted(*args, _name=name, _fn=getattr(obj, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            setattr(obj, name, counted)
+        cfg = SolverConfig(method=method, tau=4, max_iters=12, grad_tol=0.0)
+        trace = run(obj, np.zeros(8), cfg)
+        steps = len(trace.records) - 1
+        assert trace.stop_reason == "max_iters"
+        assert calls["value_grad"] == len(trace.records)
+        per_step = 1 if method in (GREEDY_BFGS, LG_BFGS) else 0
+        for name in ("hess_diag", "hess_column", "hess_vec"):
+            assert calls[name] == per_step * steps, name
+
 
 class TestClassicLbfgs:
     def test_pair_count_bounded(self):
@@ -101,11 +133,12 @@ class TestLgBfgsStep:
     def test_first_direction_is_scaled_gradient(self):
         """Empty store: the step is minus the seed scale times the gradient."""
         obj = QuadraticObjective(np.array([1.0, 2.0]))
-        store = PairStore(dim=2, tau=2, h0_scale=0.5)
         x0 = np.array([1.0, 1.0])
-        x1, tag, record = lg_bfgs_step(obj, x0, store, SolverConfig(method="lg_bfgs", tau=2))
-        np.testing.assert_allclose(x1, x0 - 0.5 * np.array([1.0, 2.0]))
-        assert tag.kind == "C1"
+        cfg = SolverConfig(method="lg_bfgs", tau=2, max_iters=1, h0_scale=0.5)
+        trace = run(obj, x0, cfg)
+        np.testing.assert_allclose(trace.x_final, x0 - 0.5 * np.array([1.0, 2.0]))
+        record = trace.records[0]
+        assert record.case_tag == "C1"
         assert record.pair_count == 1
 
     def test_quadratic_correction_is_noop(self):
@@ -159,7 +192,7 @@ class TestWarmStart:
         x1 = warm_start(obj, x0, 1)
         cfg = SolverConfig(method="greedy_bfgs", max_iters=1, grad_tol=0.0,
                            correction=CorrectionConfig("off"))
-        trace = run_baseline(obj, x0, cfg)
+        trace = run(obj, x0, cfg)
         np.testing.assert_allclose(x1, trace.x_final)
 
     def test_descends_on_convex_problems(self):
@@ -208,7 +241,7 @@ class TestDiagnosticsRecording:
         obj = quad_problem(d=4, seed=11)
         snaps = []
         cfg = SolverConfig(method="lg_bfgs", tau=2, max_iters=5, grad_tol=0.0)
-        run_lg_bfgs(obj, np.ones(4), cfg, observer=snaps.append)
+        run(obj, np.ones(4), cfg, observer=snaps.append)
         assert len(snaps) == 5
         assert all(s.store_after.size <= 2 for s in snaps)
         assert all(s.psi == 1.0 for s in snaps)  # quadratic: no correction
@@ -224,7 +257,7 @@ class TestCorrectedRunProperties:
         snaps = []
         cfg = SolverConfig(method="lg_bfgs", tau=4, max_iters=40, grad_tol=0.0,
                            correction=CorrectionConfig("basic"))
-        run_lg_bfgs(obj, np.ones(6), cfg, observer=snaps.append)
+        run(obj, np.ones(6), cfg, observer=snaps.append)
         for snap in snaps:
             scaled = snap.psi * dense_B_from_pairs(snap.store_before)
             numer = np.diag(scaled)[snap.candidates]
@@ -242,7 +275,7 @@ class TestCorrectedRunProperties:
         snaps = []
         cfg = SolverConfig(method="lg_bfgs", tau=4, max_iters=30, grad_tol=0.0,
                            correction=CorrectionConfig("basic"))
-        run_lg_bfgs(obj, x0, cfg, observer=snaps.append)
+        run(obj, x0, cfg, observer=snaps.append)
         for snap in snaps:
             phi = weighted_step_norm(obj, snap.x, snap.x_next)
             lam = newton_decrement(obj, snap.x)
@@ -256,7 +289,7 @@ class TestCorrectedRunProperties:
         cfg = SolverConfig(method="lg_bfgs", tau=3, max_iters=40, grad_tol=0.0,
                            correction=CorrectionConfig("delta", delta0=0.05,
                                                        decay=0.5))
-        trace = run_lg_bfgs(obj, np.ones(5), cfg, observer=snaps.append)
+        trace = run(obj, np.ones(5), cfg, observer=snaps.append)
         assert all(s.psi > 1.0 for s in snaps)
         h0s = [s.store_after.h0_scale for s in snaps]
         assert all(b < a for a, b in zip(h0s, h0s[1:]))
