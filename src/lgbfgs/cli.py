@@ -72,7 +72,11 @@ EXIT_BAD_TAU = 4
 
 
 class ConfigError(ValueError):
-    pass
+    """A malformed run config, problem or output path (exit 2)."""
+
+
+class TauError(ConfigError):
+    """A memory size tau the solver cannot use (exit 4)."""
 
 
 @dataclass
@@ -114,6 +118,12 @@ class ExperimentConfig:
 
 def _build_objective(problem: dict, seed: int) -> Objective:
     kind = problem.get("kind")
+
+    def required(name: str):
+        if name not in problem:
+            raise ConfigError(f"{kind} problem requires a {name!r} field")
+        return problem[name]
+
     if kind == "libsvm":
         path = problem.get("path")
         if not path:
@@ -130,15 +140,15 @@ def _build_objective(problem: dict, seed: int) -> Objective:
     if kind == "synth_logistic":
         return synth_problem(
             "logistic",
-            d=int(problem["d"]),
-            n=int(problem["n"]),
+            d=int(required("d")),
+            n=int(required("n")),
             mu=float(problem.get("mu", 1e-4)),
             seed=seed,
         )
     if kind == "synth_quadratic":
         return synth_problem(
             "quadratic",
-            d=int(problem["d"]),
+            d=int(required("d")),
             spectrum=problem.get("spectrum", (1.0, 100.0)),
             seed=seed,
             rotate=bool(problem.get("rotate", True)),
@@ -158,7 +168,7 @@ def _solver_cells(cfg: ExperimentConfig) -> list[SolverConfig]:
         for tau in taus:
             tau = int(tau)
             if tau < 1:
-                raise ConfigError(f"invalid tau {tau} for solver {method}")
+                raise TauError(f"invalid tau {tau} for solver {method}")
             correction = entry.get("correction", "off")
             cells.append(
                 SolverConfig(
@@ -196,7 +206,7 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> str:
     for cell in cells:
         if cell.method == "lg_bfgs" and cell.subset_policy.mode == "fixed_prefix" \
                 and cell.tau > obj.info.dim:
-            raise ConfigError(
+            raise TauError(
                 f"invalid tau {cell.tau}: exceeds dimension {obj.info.dim} "
                 "under the fixed_prefix policy"
             )
@@ -244,11 +254,8 @@ def _cmd_run(args) -> int:
             cfg.output = args.output
         run_experiment(cfg, parallel=args.parallel)
     except ConfigError as exc:
-        msg = str(exc)
-        print(f"error: {msg}", file=sys.stderr)
-        if "tau" in msg:
-            return EXIT_BAD_TAU
-        return EXIT_BAD_CONFIG
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_TAU if isinstance(exc, TauError) else EXIT_BAD_CONFIG
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATASET

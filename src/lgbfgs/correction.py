@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, Point
 from .pairs import CurvaturePair, PairStore
 
 OFF = "off"
@@ -39,9 +39,16 @@ class CorrectionConfig:
                 raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
 
 
-def weighted_step_norm(obj: Objective, x: np.ndarray, x_next: np.ndarray) -> float:
-    """Step length weighted by the Hessian at the departure point."""
-    return obj.weighted_norm(x, np.asarray(x_next, dtype=float) - np.asarray(x, dtype=float))
+def weighted_step_norm(obj: Objective, x, x_next) -> float:
+    """Step length weighted by the Hessian at the departure point.
+
+    Either point may be an array or a ``Point`` of ``obj``; the curvature at
+    a departure ``Point`` is reused, not recomputed.
+    """
+    def coords(p):
+        return p.x if isinstance(p, Point) else np.asarray(p, dtype=float)
+
+    return obj.weighted_norm(x, coords(x_next) - coords(x))
 
 
 def scale_factor(phi: float, cfg: CorrectionConfig, cm: float, t: int) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CurvatureError
 from .kernels import compact_B_diag
-from .objectives import Objective
+from .objectives import Objective, Point
 from .pairs import PairStore
 
 FIXED_PREFIX = "fixed_prefix"
@@ -49,7 +49,7 @@ def subset_indices(policy: SubsetPolicy, store: PairStore, d: int) -> list[int]:
 
 def greedy_pair(
     obj: Objective,
-    x_next: np.ndarray,
+    x_next: np.ndarray | Point,
     store: PairStore,
     candidates,
 ) -> tuple[int, np.ndarray]:
@@ -58,7 +58,8 @@ def greedy_pair(
     Maximizes e_i'Be_i / e_i'hess(x_next)e_i over the candidates; numerators
     come from the compact representation, denominators from fused Hessian
     diagonal entries.  The returned column is the gradient variation of the
-    new pair.
+    new pair.  Passing x_next as a ``Point`` lets both Hessian reads share its
+    curvature weights.
     """
     cand = sorted(int(i) for i in candidates)
     if not cand:

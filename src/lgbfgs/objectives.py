@@ -5,6 +5,11 @@ Hessian-column products, fused Hessian diagonal entries, and a curvature-weighte
 norm.  Hessians are never materialized outside of the diagnostic helper
 ``hess_matrix``.  Instances are immutable after construction and safe to share
 across concurrent runs.
+
+``obj.at(x)`` evaluates what every method needs from x alone once and returns
+it as an immutable ``Point``; each method accepts such a point wherever it
+takes x, and turns an array x into one on entry.  A run that builds one point
+per iterate computes the logistic margins ``Z @ x`` once per iterate.
 """
 
 from __future__ import annotations
@@ -56,41 +61,69 @@ class ObjectiveInfo:
         return self.hess_lip_CL / self.mu**1.5
 
 
+@dataclass(frozen=True, eq=False)
+class Point:
+    """An iterate x of one objective plus what that objective derives from x alone.
+
+    Made by ``Objective.at``; its arrays are read-only.  ``margins`` (Z @ x)
+    and ``weights`` (the sigmoid curvature weights) are set by the logistic
+    objective only.
+    """
+
+    objective: "Objective"
+    x: np.ndarray
+    margins: np.ndarray | None = None
+    weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        for a in (self.x, self.margins, self.weights):
+            if a is not None:
+                a.flags.writeable = False
+
+
 class Objective:
-    """Base class: value/gradient, Hessian products, and weighted norms."""
+    """Base class: value/gradient, Hessian products, and weighted norms.
+
+    Every method takes its point x as an array or as a ``Point`` made by
+    this objective's ``at``.
+    """
 
     info: ObjectiveInfo
 
     # -- contract surface ---------------------------------------------------
 
-    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def at(self, x) -> Point:
+        """The point x, checked, with what the methods derive from x alone."""
+        return Point(self, np.array(self._check_point(x)))
+
+    def value_grad(self, x) -> tuple[float, np.ndarray]:
         raise NotImplementedError
 
-    def hess_vec(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def hess_vec(self, x, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def hess_column(self, x: np.ndarray, i: int) -> np.ndarray:
+    def hess_column(self, x, i: int) -> np.ndarray:
         raise NotImplementedError
 
-    def hess_diag(self, x: np.ndarray, indices: Sequence[int]) -> np.ndarray:
+    def hess_diag(self, x, indices: Sequence[int]) -> np.ndarray:
         """Diagonal Hessian entries for the given indices (fused where possible)."""
-        x = self._check_point(x)
+        p = self._point(x)
         return np.array(
-            [self.hess_column(x, int(i))[int(i)] for i in indices], dtype=float
+            [self.hess_column(p, int(i))[int(i)] for i in indices], dtype=float
         )
 
-    def hess_matrix(self, x: np.ndarray) -> np.ndarray:
+    def hess_matrix(self, x) -> np.ndarray:
         """Dense Hessian.  Diagnostics and tests only; O(d^2) storage."""
-        x = self._check_point(x)
+        p = self._point(x)
         return np.column_stack(
-            [self.hess_column(x, i) for i in range(self.info.dim)]
+            [self.hess_column(p, i) for i in range(self.info.dim)]
         )
 
-    def weighted_norm(self, x: np.ndarray, v: np.ndarray) -> float:
+    def weighted_norm(self, x, v: np.ndarray) -> float:
         """sqrt(v' * hess(x) * v); zero iff v = 0 under strong convexity."""
-        x = self._check_point(x)
+        p = self._point(x)
         v = self._check_vector(v)
-        rad = float(v @ self.hess_vec(x, v))
+        rad = float(v @ self.hess_vec(p, v))
         if rad < -1e-12 * max(1.0, float(v @ v)):
             raise CurvatureError(
                 f"negative curvature radicand {rad:.3e}; Hessian contract broken"
@@ -98,6 +131,14 @@ class Objective:
         return float(np.sqrt(max(rad, 0.0)))
 
     # -- validation helpers -------------------------------------------------
+
+    def _point(self, x) -> Point:
+        """x as a point of this objective; an array goes through ``at``."""
+        if not isinstance(x, Point):
+            return self.at(x)
+        if x.objective is not self:
+            raise ValueError("point was made by another objective")
+        return x
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -122,6 +163,13 @@ class Objective:
         if not 0 <= i < self.info.dim:
             raise IndexError(f"basis index {i} out of range [0, {self.info.dim})")
         return i
+
+    def _check_indices(self, indices) -> np.ndarray:
+        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        bad = idx[(idx < 0) | (idx >= self.info.dim)]
+        if bad.size:
+            self._check_index(bad[0])
+        return idx
 
 
 class QuadraticObjective(Objective):
@@ -160,20 +208,20 @@ class QuadraticObjective(Objective):
             raise ValueError("offset length must match the Hessian dimension")
 
     def value_grad(self, x):
-        x = self._check_point(x)
-        ax = self.hess_vec(x, x)
-        value = 0.5 * float(x @ ax) - float(self.offset @ x)
+        p = self._point(x)
+        ax = self.hess_vec(p, p.x)
+        value = 0.5 * float(p.x @ ax) - float(self.offset @ p.x)
         return value, ax - self.offset
 
     def hess_vec(self, x, v):
-        self._check_point(x)
+        self._point(x)
         v = self._check_vector(v)
         if self._diag is not None:
             return self._diag * v
         return self._full @ v
 
     def hess_column(self, x, i):
-        self._check_point(x)
+        self._point(x)
         i = self._check_index(i)
         if self._diag is not None:
             col = np.zeros(self.info.dim)
@@ -182,14 +230,14 @@ class QuadraticObjective(Objective):
         return self._full[:, i].copy()
 
     def hess_diag(self, x, indices):
-        self._check_point(x)
-        idx = [self._check_index(i) for i in indices]
+        self._point(x)
+        idx = self._check_indices(indices)
         if self._diag is not None:
             return self._diag[idx].astype(float)
         return self._full.diagonal()[idx].astype(float)
 
     def hess_matrix(self, x):
-        self._check_point(x)
+        self._point(x)
         if self._diag is not None:
             return np.diag(self._diag)
         return self._full.copy()
@@ -218,9 +266,10 @@ class LogisticObjective(Objective):
         self.reg_mu = float(reg_mu)
         self._Z = sp.csr_matrix(dataset.features, dtype=float)
         self._Zc = self._Z.tocsc()
-        z2 = self._Zc.copy()
-        z2.data = z2.data**2
-        self._Z2c = z2
+        # entrywise square of Z, sharing Z's sparsity arrays
+        self._Z2 = sp.csr_matrix(
+            (self._Z.data**2, self._Z.indices, self._Z.indptr), shape=self._Z.shape
+        )
         self._y = np.asarray(dataset.labels, dtype=float)
         n, d = self._Z.shape
         if self._y.shape != (n,):
@@ -235,52 +284,46 @@ class LogisticObjective(Objective):
         )
         self._n = n
 
-    def _sigmoid_weights(self, x: np.ndarray) -> np.ndarray:
-        """sigma(m)(1 - sigma(m)) per sample, overflow-safe; independent of labels."""
-        m = self._Z @ x
-        a = np.exp(-np.abs(m))
-        return a / (1.0 + a) ** 2
+    def at(self, x) -> Point:
+        x = np.array(self._check_point(x))
+        margins = self._Z @ x
+        # sigma(m)(1 - sigma(m)) per sample, overflow-safe; independent of labels
+        a = np.exp(-np.abs(margins))
+        return Point(self, x, margins, a / (1.0 + a) ** 2)
 
     def value_grad(self, x):
-        x = self._check_point(x)
-        margins = self._y * (self._Z @ x)
+        p = self._point(x)
+        margins = self._y * p.margins
         value = float(np.mean(np.logaddexp(0.0, -margins)))
-        value += 0.5 * self.reg_mu * float(x @ x)
+        value += 0.5 * self.reg_mu * float(p.x @ p.x)
         # d/dm log(1 + e^-m) = -sigma(-m)
         coeff = -self._y * expit(-margins)
-        grad = np.asarray(self._Z.T @ coeff).ravel() / self._n + self.reg_mu * x
+        grad = np.asarray(self._Z.T @ coeff).ravel() / self._n + self.reg_mu * p.x
         return value, grad
 
     def hess_vec(self, x, v):
-        x = self._check_point(x)
+        p = self._point(x)
         v = self._check_vector(v)
-        w = self._sigmoid_weights(x)
         zv = self._Z @ v
-        return np.asarray(self._Z.T @ (w * zv)).ravel() / self._n + self.reg_mu * v
+        return np.asarray(self._Z.T @ (p.weights * zv)).ravel() / self._n + self.reg_mu * v
 
     def hess_column(self, x, i):
-        x = self._check_point(x)
+        p = self._point(x)
         i = self._check_index(i)
-        w = self._sigmoid_weights(x)
         zi = np.asarray(self._Zc[:, [i]].todense()).ravel()
-        col = np.asarray(self._Z.T @ (w * zi)).ravel() / self._n
+        col = np.asarray(self._Z.T @ (p.weights * zi)).ravel() / self._n
         col[i] += self.reg_mu
         return col
 
     def hess_diag(self, x, indices):
-        x = self._check_point(x)
-        idx = [self._check_index(i) for i in indices]
-        w = self._sigmoid_weights(x)
-        out = np.empty(len(idx))
-        for k, i in enumerate(idx):
-            zi2 = np.asarray(self._Z2c[:, [i]].todense()).ravel()
-            out[k] = float(w @ zi2) / self._n + self.reg_mu
-        return out
+        p = self._point(x)
+        idx = self._check_indices(indices)
+        diag = np.asarray(self._Z2.T @ p.weights).ravel() / self._n + self.reg_mu
+        return diag[idx]
 
     def hess_matrix(self, x):
-        x = self._check_point(x)
-        w = self._sigmoid_weights(x)
-        wz = self._Z.multiply(w[:, None])
+        p = self._point(x)
+        wz = self._Z.multiply(p.weights[:, None])
         hess = np.asarray((wz.T @ self._Z).todense()) / self._n
         hess += self.reg_mu * np.eye(self.info.dim)
         return hess

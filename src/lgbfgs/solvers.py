@@ -7,7 +7,9 @@ basis selection, correction scaling, and pair aggregation.  Each method is a
 step object.  ``run``, the single entry point, owns what they share: the warm
 start, one value/gradient evaluation per iterate, the stop rule, the
 divergence guard, the dense diagnostics and the trace; its observer receives
-a ``StepSnapshot`` after each ``lg_bfgs`` step.
+a ``StepSnapshot`` after each ``lg_bfgs`` step.  ``run`` builds one objective
+``Point`` per iterate (``obj.at``) and passes it to every objective read at
+that iterate, so what the objective derives from x alone is computed once.
 
 Every run is strictly sequential, owns its state, and is deterministic for a
 given configuration; traces carry one record per evaluated iterate.  For every
@@ -31,7 +33,7 @@ from . import aggregation, diagnostics, greedy, kernels
 from .correction import CorrectionConfig, apply_scaling, scale_factor, weighted_step_norm
 from .errors import CurvatureError
 from .greedy import SubsetPolicy, greedy_pair, subset_indices
-from .objectives import Objective
+from .objectives import Objective, Point
 from .pairs import CurvaturePair, PairStore
 
 GD = "gd"
@@ -129,9 +131,10 @@ class _Step:
 
     From an iterate x with gradient g, ``run`` moves to
     x_next = x + alpha * direction(t, x, g).  When x_next is finite, ``run``
-    calls ``curvature(t, x, x_next)``, which returns the record fields of the
-    step, then evaluates x_next and hands the gradient there to ``update``.
-    ``pair_count`` is the memory in use after the step.
+    calls ``curvature(t, point, point_next)`` with the objective points of x
+    and x_next, which returns the record fields of the step, then evaluates
+    x_next and hands the gradient there to ``update``.  ``pair_count`` is the
+    memory in use after the step.
     """
 
     pair_count = 0
@@ -149,7 +152,7 @@ class _Step:
         """Search direction at x."""
         return -g
 
-    def curvature(self, t: int, x: np.ndarray, x_next: np.ndarray) -> dict:
+    def curvature(self, t: int, point: Point, point_next: Point) -> dict:
         """Learn the curvature at x_next before it is evaluated."""
         return {}
 
@@ -236,17 +239,17 @@ class _GreedyBfgs(_Step):
         except scipy.linalg.LinAlgError as exc:
             raise CurvatureError(f"dense approximation lost definiteness: {exc}") from exc
 
-    def curvature(self, t, x, x_next):
-        phi = weighted_step_norm(self.obj, x, x_next)
+    def curvature(self, t, point, point_next):
+        phi = weighted_step_norm(self.obj, point, point_next)
         psi = scale_factor(phi, self.cfg.correction, self.obj.info.self_concordant_CM, t)
         B_hat = psi * self.B
-        denom = self.obj.hess_diag(x_next, self.full_basis)
+        denom = self.obj.hess_diag(point_next, self.full_basis)
         index = int(np.argmax(np.diag(B_hat) / denom))
-        r = self.obj.hess_column(x_next, index)
+        r = self.obj.hess_column(point_next, index)
         extra = {}
         if self.cfg.record_dense_diags:
             _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
-                B_hat - self.obj.hess_matrix(x_next), self.full_basis, degenerate="inf"
+                B_hat - self.obj.hess_matrix(point_next), self.full_basis, degenerate="inf"
             )
         s = np.zeros(self.obj.info.dim)
         s[index] = 1.0
@@ -272,17 +275,17 @@ class _LgBfgs(_Step):
     def direction(self, t, x, g):
         return kernels.two_loop_direction(self.store, g)
 
-    def curvature(self, t, x, x_next):
+    def curvature(self, t, point, point_next):
         obj, store, cfg = self.obj, self.store, self.cfg
         store_before = store.snapshot() if self.observer or cfg.record_dense_diags else None
-        phi = weighted_step_norm(obj, x, x_next)
+        phi = weighted_step_norm(obj, point, point_next)
         psi = scale_factor(phi, cfg.correction, obj.info.self_concordant_CM, t)
         apply_scaling(store, psi)
         candidates = subset_indices(cfg.subset_policy, store, obj.info.dim)
-        index, r = greedy_pair(obj, x_next, store, candidates)
+        index, r = greedy_pair(obj, point_next, store, candidates)
         extra = {}
         if cfg.record_dense_diags:
-            err = psi * kernels.dense_B_from_pairs(store_before) - obj.hess_matrix(x_next)
+            err = psi * kernels.dense_B_from_pairs(store_before) - obj.hess_matrix(point_next)
             _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
                 err, candidates, degenerate="inf"
             )
@@ -296,7 +299,8 @@ class _LgBfgs(_Step):
             aggregation.aggregate_c3(store, tag.j, new_pair, tol=cfg.aggregation_tol)
         if self.observer is not None:
             self.observer(StepSnapshot(
-                t=t, x=x.copy(), x_next=x_next.copy(), psi=psi, candidates=list(candidates),
+                t=t, x=point.x.copy(), x_next=point_next.x.copy(), psi=psi,
+                candidates=list(candidates),
                 store_before=store_before, store_after=store.snapshot()))
         self.pair_count = store.size
         extra["case_tag"] = tag.kind
@@ -323,7 +327,8 @@ def run(obj: Objective, x0, cfg: SolverConfig,
     records: list[IterationRecord] = []
     start = time.perf_counter()
     f_prev, increases = np.inf, 0
-    f, g = obj.value_grad(x)
+    point = obj.at(x)
+    f, g = obj.value_grad(point)
     for t in range(cfg.max_iters + 1):
         f_t, gnorm = float(f), float(np.linalg.norm(g))
         finite = np.isfinite(f_t) and np.all(np.isfinite(g))
@@ -341,10 +346,11 @@ def run(obj: Objective, x0, cfg: SolverConfig,
         if stop_reason is None:
             x_next = x + method.alpha * method.direction(t, x, g)
             if np.all(np.isfinite(x_next)):
-                fields.update(method.curvature(t, x, x_next))
-                f, g_next = obj.value_grad(x_next)
+                point_next = obj.at(x_next)
+                fields.update(method.curvature(t, point, point_next))
+                f, g_next = obj.value_grad(point_next)
                 method.update(x, g, x_next, g_next)
-                g = g_next
+                point, g = point_next, g_next
             else:
                 stop_reason = "diverged"
             x = x_next

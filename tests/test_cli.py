@@ -99,6 +99,18 @@ class TestRunExperiment:
         path, _ = write_config(tmp_path, solvers=[{"method": "lg_bfgs", "taus": [0]}])
         assert main(["run", str(path)]) == EXIT_BAD_TAU
 
+    def test_fixed_prefix_tau_above_dimension_exit_code(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path, solvers=[
+            {"method": "lg_bfgs", "taus": [9], "subset_policy": "fixed_prefix"}])
+        assert main(["run", str(path)]) == EXIT_BAD_TAU
+        assert "exceeds dimension 8" in capsys.readouterr().err
+
+    def test_exit_code_follows_error_type_not_message(self, tmp_path, capsys):
+        """An unwritable output whose path names tau is a config error."""
+        path, _ = write_config(tmp_path, output=str(tmp_path / "no_dir" / "tau.csv"))
+        assert main(["run", str(path)]) == EXIT_BAD_CONFIG
+        assert "tau.csv" in capsys.readouterr().err
+
     def test_libsvm_problem_roundtrip(self, tmp_path):
         data = tmp_path / "train.txt"
         with open(data, "w") as fh:
@@ -177,6 +189,15 @@ class TestConfigParsing:
         path.write_text(json.dumps({"seed": 0}))
         with pytest.raises(Exception):
             ExperimentConfig.from_json(str(path))
+
+    @pytest.mark.parametrize("kind, field", [
+        ("synth_logistic", "d"), ("synth_logistic", "n"), ("synth_quadratic", "d")])
+    def test_missing_problem_field_is_config_error(self, tmp_path, capsys, kind, field):
+        problem = {"kind": kind, "n": 40, "d": 8}
+        del problem[field]
+        path, _ = write_config(tmp_path, problem=problem)
+        assert main(["run", str(path)]) == EXIT_BAD_CONFIG
+        assert f"requires a {field!r} field" in capsys.readouterr().err
 
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,9 +1,15 @@
-"""Objective contracts: values, gradients, Hessian products, weighted norms."""
+"""Objective contracts: values, gradients, Hessian products, weighted norms, points."""
 
+import dataclasses
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
 
-from lgbfgs.data import synth_logistic_dataset, synth_problem
+from lgbfgs.data import Dataset, synth_logistic_dataset, synth_problem
 from lgbfgs.errors import CurvatureError
 from lgbfgs.objectives import LogisticObjective, ObjectiveInfo, QuadraticObjective
 
@@ -214,3 +220,101 @@ class TestDerivativeOracles:
         obj = Broken(np.array([1.0, 2.0]))
         with pytest.raises(CurvatureError):
             obj.weighted_norm(np.zeros(2), np.ones(2))
+
+
+@st.composite
+def logistic_problems(draw):
+    """A logistic objective on a small sparse dataset with an all-zero column
+    and an all-zero row, plus a point in its domain."""
+    n, d = draw(st.integers(2, 7)), draw(st.integers(2, 6))
+    entries = draw(hnp.arrays(float, (n, d), elements=st.one_of(
+        st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False))))
+    entries[:, draw(st.integers(0, d - 1))] = 0.0
+    entries[draw(st.integers(0, n - 1)), :] = 0.0
+    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    mu = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
+    obj = LogisticObjective(Dataset(sp.csr_matrix(entries), labels), reg_mu=mu)
+    return obj, draw(hnp.arrays(float, d, elements=st.floats(-5.0, 5.0)))
+
+
+@st.composite
+def quadratic_problems(draw):
+    d = draw(st.integers(1, 5))
+    a = draw(hnp.arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
+    hess = np.diag(a[0] ** 2 + 1.0) if draw(st.booleans()) else a @ a.T + np.eye(d)
+    return QuadraticObjective(hess), draw(hnp.arrays(float, d, elements=st.floats(-5.0, 5.0)))
+
+
+def method_results(obj, x, v, i, indices):
+    """Every objective method at x, as byte strings (bit-for-bit comparison)."""
+    f, g = obj.value_grad(x)
+    out = [np.float64(f), g, obj.hess_vec(x, v), obj.hess_column(x, i),
+           obj.hess_diag(x, indices), obj.hess_matrix(x), np.float64(obj.weighted_norm(x, v))]
+    return [np.asarray(a).tobytes() for a in out]
+
+
+class TestPoints:
+    """``obj.at(x)`` is an immutable point; every method accepts it for x."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=logistic_problems(), data=st.data())
+    def test_hess_diag_matches_dense_diagonal(self, problem, data):
+        obj, x = problem
+        d = obj.info.dim
+        indices = data.draw(st.lists(st.integers(0, d - 1), max_size=3 * d))
+        full = obj.hess_matrix(x).diagonal()
+        np.testing.assert_allclose(obj.hess_diag(x, range(d)), full, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(obj.hess_diag(x, indices), full[indices], rtol=1e-14, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=st.one_of(logistic_problems(), quadratic_problems()), data=st.data())
+    def test_point_and_array_give_identical_bits(self, problem, data):
+        obj, x = problem
+        d = obj.info.dim
+        v = data.draw(hnp.arrays(float, d, elements=st.floats(-3.0, 3.0)))
+        i = data.draw(st.integers(0, d - 1))
+        indices = data.draw(st.lists(st.integers(0, d - 1), max_size=2 * d))
+        assert method_results(obj, obj.at(x), v, i, indices) == \
+            method_results(obj, x, v, i, indices)
+
+    @settings(max_examples=30, deadline=None)
+    @given(problem=logistic_problems(), other=st.one_of(logistic_problems(), quadratic_problems()))
+    def test_point_of_another_objective_rejected(self, problem, other):
+        obj, x = problem
+        # same data, different instance: still another objective
+        twin = LogisticObjective(obj.dataset, reg_mu=obj.reg_mu)
+        for foreign in (twin.at(x), other[0].at(other[1])):
+            for call in (lambda p: obj.value_grad(p),
+                         lambda p: obj.hess_vec(p, x),
+                         lambda p: obj.hess_column(p, 0),
+                         lambda p: obj.hess_diag(p, [0]),
+                         lambda p: obj.hess_matrix(p),
+                         lambda p: obj.weighted_norm(p, x)):
+                with pytest.raises(ValueError, match="another objective"):
+                    call(foreign)
+
+    def test_point_is_immutable_and_owns_its_arrays(self):
+        obj = synth_problem("logistic", d=4, n=10, mu=1e-3, seed=0)
+        x = np.ones(4)
+        p = obj.at(x)
+        x[0] = 7.0
+        assert p.x[0] == 1.0
+        for a in (p.x, p.margins, p.weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.x = x
+
+    def test_at_checks_the_point(self):
+        obj = QuadraticObjective(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            obj.at(np.zeros(3))
+        with pytest.raises(ValueError):
+            obj.at(np.array([np.inf, 0.0]))
+
+    def test_hess_diag_index_out_of_range(self):
+        obj = synth_problem("logistic", d=4, n=10, mu=1e-3, seed=0)
+        with pytest.raises(IndexError, match="basis index 4"):
+            obj.hess_diag(np.zeros(4), [0, 4])
+        with pytest.raises(IndexError, match="basis index -1"):
+            obj.hess_diag(np.zeros(4), [-1])

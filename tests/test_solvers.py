@@ -77,11 +77,12 @@ class TestStoppingRules:
 class TestObjectiveCallCounts:
     @pytest.mark.parametrize("method", METHODS)
     def test_one_evaluation_per_iterate(self, method):
-        """One value_grad per record; one Hessian diagonal, column and
-        product per step of the greedy methods and none for the others."""
+        """One point and one value_grad per record; one Hessian diagonal,
+        column and product per step of the greedy methods and none for the
+        others."""
         obj = synth_problem("logistic", d=8, n=60, mu=1e-2, seed=0)
         calls = Counter()
-        for name in ("value_grad", "hess_diag", "hess_column", "hess_vec"):
+        for name in ("at", "value_grad", "hess_diag", "hess_column", "hess_vec"):
             def counted(*args, _name=name, _fn=getattr(obj, name)):
                 calls[_name] += 1
                 return _fn(*args)
@@ -91,6 +92,7 @@ class TestObjectiveCallCounts:
         steps = len(trace.records) - 1
         assert trace.stop_reason == "max_iters"
         assert calls["value_grad"] == len(trace.records)
+        assert calls["at"] == len(trace.records)
         per_step = 1 if method in (GREEDY_BFGS, LG_BFGS) else 0
         for name in ("hess_diag", "hess_column", "hess_vec"):
             assert calls[name] == per_step * steps, name
