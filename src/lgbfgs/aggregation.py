@@ -5,57 +5,33 @@ slot), pair j is dropped and the gradient variations of the pairs after it are
 rewritten so that the implicit inverse operator built from the shortened
 history equals the one built from the full history plus the new pair.
 
-Production path: the stale pair is bubbled to the end of the history by
-adjacent transpositions.  Swapping two consecutive pairs rests on two facts
-about the inverse-form update: the most recent pair of any fold satisfies the
-fold's secant equation (pinning the trailing pair of the swapped order in
-closed form), and matching the remaining defect costs one scalar quadratic
-whose canonical branch preserves the rewritten pair's curvature.  Once the
-stale direction is last, appending the new same-direction pair erases it
-exactly.  Cost per event is O(tau^2 d + tau^4).
+The stale pair is bubbled to the end of the history by adjacent
+transpositions.  Swapping two consecutive pairs rests on two facts about the
+inverse-form update: the most recent pair of any fold satisfies the fold's
+secant equation (pinning the trailing pair of the swapped order in closed
+form), and matching the remaining defect costs one scalar quadratic whose
+canonical branch preserves the rewritten pair's curvature.  The quadratic's
+coefficients are read off a 4 x 4 Gram matrix in closed form, since the
+rewritten variation is affine in the unknown.  Once the stale direction is
+last, appending the new same-direction pair erases it exactly.  Cost per event
+is O(tau^2 d + tau^4).
 
-Coefficient path: the rewrite is parametrized by a coefficient matrix/vector
-pair over the affine family spanned by the prefix-inverse applied to the
-block's variations and the dropped pair's gradient variation, solved
-numerically against the fold-equivalence residual (a per-column sweep with a
-joint least-squares fallback).  This path backs the public coefficient
-operation and serves as the fallback for the bubble path.
-
-All solves evaluate the equivalence in a reduced subspace containing every
-vector either fold can touch, so the reduced defect norm equals the true
-full-space Frobenius defect at a cost independent of the ambient dimension.
-Every event is gated: if the final defect exceeds the tolerance, or a
-rewritten pair loses positive curvature, the event raises
-``AggregationError`` instead of continuing with a wrong operator.
+Every event is gated on the exact defect between the rewritten and the
+full-history fold, evaluated in a reduced subspace containing every vector
+either fold can touch, so the reduced defect norm equals the true full-space
+Frobenius defect at a cost independent of the ambient dimension.  If a swap
+has no admissible root or the defect exceeds the tolerance, the event raises
+``AggregationError`` and leaves the store unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
-from scipy.optimize import least_squares
 
 from .errors import AggregationError
 from .kernels import apply_inverse_hessian, compact_B_column
 from .pairs import CurvaturePair, PairStore
-
-_CURV_FLOOR = 1e-300
-
-
-@dataclass
-class AggregationWorkspace:
-    """Solved aggregation data: block layout, coefficients, prefix handle."""
-
-    prefix: PairStore
-    sigma_indices: list[int]
-    r_block: np.ndarray
-    x_block: np.ndarray
-    a_coef: np.ndarray
-    b_coef: np.ndarray
-    residual: float
-    scale: float
 
 
 def _reduced_basis(e_cols: np.ndarray, w: np.ndarray, sigma_set) -> np.ndarray:
@@ -76,350 +52,6 @@ def _reduced_basis(e_cols: np.ndarray, w: np.ndarray, sigma_set) -> np.ndarray:
         norms = np.abs(np.diag(r3))
         q2 = q3[:, norms > 1e-10]
     return np.hstack([e_cols, q2])
-
-
-class _ReducedFold:
-    """Exact reduced-coordinate workspace for comparing two update folds.
-
-    Both folds start from the same prefix operator; only the difference from
-    it is tracked, as a symmetric matrix in an orthonormal basis Q spanning
-    the block's basis vectors (placed first, the repeated direction at
-    coordinate 0) and the prefix images of all gradient variations.
-    """
-
-    def __init__(self, store: PairStore, j: int, new_pair: CurvaturePair):
-        self.m = store.size - j
-        m = self.m
-        d = store.dim
-        self.prefix = store.prefix(j)
-        self.sigma_indices = store.indices[j:]
-        rho = np.column_stack(
-            [store.pairs[j + k].r for k in range(m)] + [new_pair.r]
-        )
-        self.rho = rho
-        # prefix-inverse applied to the block's variations, in block order
-        # (pairs after j first, the repeated direction last)
-        self.block_positions = list(range(1, m)) + [0]
-        idx_block = [self.sigma_indices[p] for p in self.block_positions]
-        self.x_block = np.column_stack(
-            [compact_B_column(self.prefix, i) for i in idx_block]
-        )
-        w = np.column_stack(
-            [apply_inverse_hessian(self.prefix, rho[:, k]) for k in range(m + 1)]
-        )
-
-        # orthonormal basis: block basis vectors, then independent W residuals
-        e_cols = np.zeros((d, m))
-        for k, i in enumerate(self.sigma_indices):
-            e_cols[i, k] = 1.0
-        self.q_mat = _reduced_basis(e_cols, w, self.sigma_indices)
-        self.q = self.q_mat.shape[1]
-
-        # coordinate tables; everything downstream is d-independent
-        self.qt_w = self.q_mat.T @ w
-        self.qt_rho = self.q_mat.T @ rho
-        self.qt_x = self.q_mat.T @ self.x_block
-        self.rho_w = rho.T @ w
-        self.x_w = self.x_block.T @ w
-        self.rho_at_sigma = rho[self.sigma_indices, :]
-        self.x_at_sigma = self.x_block[self.sigma_indices, :]
-        self.sb_x = self.x_block[idx_block, :]
-        self.rho_at_block = rho[idx_block, :]
-        self.h0 = store.h0_scale
-
-        self.theta_b = self._target_fold()
-        self.scale = max(
-            float(np.linalg.norm(self.theta_b[-1])),
-            np.sqrt(d) * self.h0,
-            1e-30,
-        )
-
-    # -- fold steps -----------------------------------------------------------
-
-    def _update(self, theta, pos, rc, pc, curv, rho_ph_rho):
-        """One inverse-form update in reduced coordinates."""
-        c = 1.0 / curv
-        hw = pc + theta @ rc
-        rho_h_rho = rho_ph_rho + float(rc @ theta @ rc)
-        out = theta.copy()
-        out[pos, :] -= c * hw
-        out[:, pos] -= c * hw
-        out[pos, pos] += c * c * rho_h_rho + c
-        return out
-
-    def _stored_pair_args(self, pos, k):
-        """Update arguments for an unmodified pair (sigma at pos, rho column k)."""
-        return (
-            pos,
-            self.qt_rho[:, k],
-            self.qt_w[:, k],
-            float(self.rho_at_sigma[pos, k]),
-            float(self.rho_w[k, k]),
-        )
-
-    def _target_fold(self):
-        """Fold of the full history plus the new pair; snapshots per step."""
-        theta = np.zeros((self.q, self.q))
-        snaps = [theta]
-        for k in range(self.m):
-            theta = self._update(theta, *self._stored_pair_args(k, k))
-            snaps.append(theta)
-        theta = self._update(theta, *self._stored_pair_args(0, self.m))
-        snaps.append(theta)
-        return snaps
-
-    def _modified_pair_args(self, k, alpha, b):
-        """Update arguments for rewritten pair k with coefficients (alpha, b)."""
-        rc = self.qt_x @ alpha + b * self.qt_rho[:, 0] + self.qt_rho[:, k]
-        pc = np.zeros(self.q)
-        pc[self.block_positions] += alpha
-        pc += b * self.qt_w[:, 0] + self.qt_w[:, k]
-        curv = float(
-            self.x_at_sigma[k, :] @ alpha
-            + b * self.rho_at_sigma[k, 0]
-            + self.rho_at_sigma[k, k]
-        )
-        # rho_hat' (prefix applied to rho_hat), all from precomputed tables
-        s_part = float(
-            alpha @ (self.sb_x @ alpha)
-            + b * (self.rho_at_block[:, 0] @ alpha)
-            + self.rho_at_block[:, k] @ alpha
-        )
-        w_part = float(
-            alpha @ (b * self.x_w[:, 0] + self.x_w[:, k])
-            + b * b * self.rho_w[0, 0]
-            + b * self.rho_w[0, k]
-            + b * self.rho_w[k, 0]
-            + self.rho_w[k, k]
-        )
-        return rc, pc, curv, s_part + w_part
-
-    # -- residuals --------------------------------------------------------------
-
-    @staticmethod
-    def _sym_flatten(mat):
-        iu = np.triu_indices(mat.shape[0])
-        weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-        return mat[iu] * weights
-
-    def full_residual(self, a_mat, b_vec):
-        """Unmasked defect of the complete rewritten fold (exact Frobenius)."""
-        theta = np.zeros((self.q, self.q))
-        for k in range(1, self.m):
-            rc, pc, curv, rpr = self._modified_pair_args(
-                k, a_mat[:, k - 1], b_vec[k - 1]
-            )
-            if curv <= _CURV_FLOOR:
-                return np.full(self.q * (self.q + 1) // 2, 1e3)
-            theta = self._update(theta, k, rc, pc, curv, rpr)
-        theta = self._update(theta, *self._stored_pair_args(0, self.m))
-        return self._sym_flatten(theta - self.theta_b[-1]) / self.scale
-
-    def rewritten_r(self, k, alpha, b):
-        return self.x_block @ alpha + b * self.rho[:, 0] + self.rho[:, k]
-
-
-class _SweepSolver:
-    """One-sweep exact solve of the per-column equivalence conditions.
-
-    Tracks the rewritten-vs-target defect through its per-column increments.
-    For column k, with g the scaled difference of the two update vectors, the
-    conditions are: g vanishes on the non-basis coordinates, the diagonal
-    surplus matches 2 g[k], and g[l] cancels the transposed entry left by each
-    earlier column l.  Clearing the curvature denominator makes all but the
-    diagonal condition linear; the remaining scalar quadratic is solved on the
-    null space of the linear system.
-    """
-
-    def __init__(self, ws: _ReducedFold):
-        self.ws = ws
-        m, q = ws.m, ws.q
-        # base defect: the target side is one update (the dropped pair) ahead,
-        # so the starting defect is minus that update, still of increment form
-        c0 = 1.0 / float(ws.rho_at_sigma[0, 0])
-        h0 = ws.qt_w[:, 0]
-        self.g0 = -c0 * h0
-        self.gamma0 = -(c0 * c0 * float(ws.rho_w[0, 0]) + c0)
-        self.g_cols = np.zeros((q, m))  # column k holds g_k (k >= 1)
-        self.gammas = np.zeros(m)
-        self.g_cols[:, 0] = self.g0
-        self.gammas[0] = self.gamma0
-
-    def _defect_apply(self, upto, vec):
-        """D_(upto) @ vec with D assembled from the per-column increments."""
-        ws = self.ws
-        out = np.zeros(ws.q)
-        for l in range(upto + 1):
-            g = self.g_cols[:, l]
-            gamma = self.gammas[l]
-            out -= g * vec[l]
-            out[l] += -float(g @ vec) + gamma * vec[l]
-        return out
-
-    def solve_column(self, k, a_mat, b_vec):
-        """Solve column k given earlier columns; returns False when stuck."""
-        ws = self.ws
-        m, q = ws.m, ws.q
-        theta_bk = ws.theta_b[k]
-        qtrho_k = ws.qt_rho[:, k]
-        # affine maps: rc = R x + rc0, pc = P x + pc0, curv = vc.x + cc
-        R = np.column_stack([ws.qt_x, ws.qt_rho[:, 0]])
-        P = np.zeros((q, m + 1))
-        P[ws.block_positions, np.arange(m)] = 1.0
-        P[:, m] = ws.qt_w[:, 0]
-        pc0 = ws.qt_w[:, k]
-        vc = np.concatenate([ws.x_at_sigma[k, :], [ws.rho_at_sigma[k, 0]]])
-        cc = float(ws.rho_at_sigma[k, k])
-        # target-side update vector and constants for this column
-        h_k = ws.qt_w[:, k] + theta_bk @ qtrho_k
-        c_k = 1.0 / cc
-        kappa_k = float(ws.rho_w[k, k]) + float(qtrho_k @ theta_bk @ qtrho_k)
-
-        # curv * g = M x + u, with theta and defect applied to the affine rc
-        TR = theta_bk @ R
-        DR = np.column_stack(
-            [self._defect_apply(k - 1, R[:, c]) for c in range(m + 1)]
-        )
-        M = P + TR + DR - np.outer(c_k * h_k, vc)
-        u = pc0 + theta_bk @ qtrho_k + self._defect_apply(k - 1, qtrho_k)
-        u = u - cc * c_k * h_k
-
-        # linear conditions: rows at non-basis coordinates vanish; rows at
-        # earlier basis coordinates cancel the transposed defect entries
-        rows = [M[m:, :]]
-        rhs = [-u[m:]]
-        for l in range(1, k):
-            target = -self.g_cols[k, l]  # g_l[k]
-            rows.append(M[l, :][None, :] - target * vc[None, :])
-            rhs.append(np.array([-u[l] + target * cc]))
-        L = np.vstack(rows)
-        r = np.concatenate(rhs)
-        row_scale = np.maximum(np.linalg.norm(L, axis=1), 1e-30)
-        Ls = L / row_scale[:, None]
-        rs = r / row_scale
-        x_p = np.linalg.lstsq(Ls, rs, rcond=1e-12)[0]
-        _, sv, vt = np.linalg.svd(Ls, full_matrices=True)
-        tol = max(Ls.shape) * (sv[0] if sv.size else 0.0) * 1e-13
-        null = vt[int(np.sum(sv > tol)):].T  # (m+1, dof)
-
-        def diag_surplus(x):
-            """curv^2 * (gamma - 2 g[k]); zero enforces the diagonal condition."""
-            rc = R @ x + qtrho_k
-            curv = float(vc @ x) + cc
-            _, _, _, rpr = ws._modified_pair_args(k, x[:-1], x[-1])
-            kappa_hat = rpr + float(
-                rc @ (theta_bk @ rc) + rc @ self._defect_apply(k - 1, rc)
-            )
-            gk_scaled = M @ x + u  # curv * g
-            return (
-                kappa_hat
-                + curv
-                - curv * curv * (c_k * c_k * kappa_k + c_k)
-                - 2.0 * curv * gk_scaled[k]
-            ), curv
-
-        solution = None
-        if null.shape[1] == 0:
-            f0, curv = diag_surplus(x_p)
-            if abs(f0) <= 1e-8 * ws.scale**2 and curv > _CURV_FLOOR:
-                solution = x_p
-        else:
-            # quadratic in t along each null direction; prefer the root
-            # closest to the min-norm point with positive curvature
-            for dcol in range(null.shape[1]):
-                n = null[:, dcol]
-                f0, _ = diag_surplus(x_p)
-                f1, _ = diag_surplus(x_p + n)
-                fm1, _ = diag_surplus(x_p - n)
-                a = 0.5 * (f1 + fm1) - f0
-                bq = 0.5 * (f1 - fm1)
-                roots = []
-                if abs(a) > 1e-30:
-                    disc = bq * bq - 4.0 * a * f0
-                    if disc >= 0.0:
-                        sq = np.sqrt(disc)
-                        roots = [(-bq + sq) / (2 * a), (-bq - sq) / (2 * a)]
-                elif abs(bq) > 1e-30:
-                    roots = [-f0 / bq]
-                for t in sorted(roots, key=abs):
-                    x_try = x_p + t * n
-                    f_try, curv = diag_surplus(x_try)
-                    if curv > _CURV_FLOOR and abs(f_try) <= 1e-7 * ws.scale**2:
-                        solution = x_try
-                        break
-                if solution is not None:
-                    break
-            if solution is None and null.shape[1] > 1:
-                # search the whole null space for a root of the quadratic
-                sol = least_squares(
-                    lambda y: np.array([diag_surplus(x_p + null @ y)[0]]) / ws.scale**2,
-                    np.zeros(null.shape[1]),
-                    method="trf",
-                    xtol=1e-15,
-                    ftol=1e-15,
-                    gtol=1e-15,
-                )
-                x_try = x_p + null @ sol.x
-                f_try, curv = diag_surplus(x_try)
-                if curv > _CURV_FLOOR and abs(f_try) <= 1e-7 * ws.scale**2:
-                    solution = x_try
-        if solution is None:
-            return False
-
-        a_mat[:, k - 1] = solution[:-1]
-        b_vec[k - 1] = solution[-1]
-        gk = (M @ solution + u) / (float(vc @ solution) + cc)
-        _, curv = diag_surplus(solution)
-        rc = R @ solution + qtrho_k
-        _, _, _, rpr = self.ws._modified_pair_args(k, solution[:-1], solution[-1])
-        kappa_hat = rpr + float(
-            rc @ (theta_bk @ rc) + rc @ self._defect_apply(k - 1, rc)
-        )
-        c_hat = 1.0 / curv
-        self.g_cols[:, k] = gk
-        self.gammas[k] = (
-            c_hat * c_hat * kappa_hat + c_hat - c_k * c_k * kappa_k - c_k
-        )
-        return True
-
-
-def _sweep_solve(ws: _ReducedFold):
-    m = ws.m
-    a_mat = np.zeros((m, m - 1))
-    b_vec = np.zeros(m - 1)
-    solver = _SweepSolver(ws)
-    for k in range(1, m):
-        if not solver.solve_column(k, a_mat, b_vec):
-            return None
-    return a_mat, b_vec
-
-
-def _joint_solve(ws: _ReducedFold, init=None):
-    """Least-squares fit of all coefficients against the full fold defect."""
-    m = ws.m
-    n_a = m * (m - 1)
-
-    def joint(p):
-        return ws.full_residual(p[:n_a].reshape(m, m - 1), p[n_a:])
-
-    best = None
-    inits = []
-    if init is not None:
-        inits.append(np.concatenate([init[0].ravel(), init[1]]))
-    inits.append(np.zeros(n_a + m - 1))
-    n_res = ws.q * (ws.q + 1) // 2
-    n_params = n_a + m - 1
-    for x0 in inits:
-        method = "lm" if n_res >= x0.size else "trf"
-        sol = least_squares(
-            joint, x0, method=method, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=60 * (n_params + 1),
-        )
-        if best is None or sol.cost < best.cost:
-            best = sol
-        if np.linalg.norm(best.fun) < 1e-12:
-            break
-    return best.x[:n_a].reshape(m, m - 1), best.x[n_a:]
 
 
 def _fold_defect(
@@ -489,7 +121,7 @@ def _swap_adjacent(
 
     The trailing pair is pinned by the fold's secant equation; the leading one
     is the canonical curvature-preserving branch of a scalar quadratic.
-    Returns None when that branch has no real root (caller falls back).
+    Returns None when no root keeps both rewritten curvatures positive.
     """
     ia, ib = pair_a.basis_index, pair_b.basis_index
     rho_a, rho_b = pair_a.r, pair_b.r
@@ -523,18 +155,20 @@ def _swap_adjacent(
         return None
     rhs_lin = c_a * p_ab * p_ba
 
-    def f_of(x3: float) -> float:
-        x4 = (rhs_lin - x3 * beta_ab) / beta_bb
-        xi = np.array([lam1, 1.0, x3, x4])
-        quad = float(xi @ gram @ xi)
-        return quad + kappa_b - k_target * kappa_b * kappa_b - 2.0 * kappa_b * x4
-
-    f0, f1, fm1 = f_of(0.0), f_of(1.0), f_of(-1.0)
-    a2 = 0.5 * (f1 + fm1) - f0
-    a1 = 0.5 * (f1 - fm1)
-    # roots of the interpolated quadratic; a near-double root can push the
-    # discriminant slightly negative, so the vertex serves as a candidate and
-    # the event-level defect gate has the final say
+    # xi = [lam1, 1, x3, x4] is affine in x3, so the quadratic
+    # f(x3) = xi'G xi + kappa_b - k_target kappa_b^2 - 2 kappa_b x4 has exact
+    # coefficients (interpolating f loses them to cancellation)
+    x4_0 = rhs_lin / beta_bb
+    xi0 = np.array([lam1, 1.0, 0.0, x4_0])
+    dxi = np.array([0.0, 0.0, 1.0, -beta_ab / beta_bb])
+    g_xi0 = gram @ xi0
+    a2 = float(dxi @ gram @ dxi)
+    a1 = 2.0 * float(dxi @ g_xi0) + 2.0 * kappa_b * beta_ab / beta_bb
+    f0 = float(xi0 @ g_xi0) + kappa_b - k_target * kappa_b * kappa_b \
+        - 2.0 * kappa_b * x4_0
+    # a near-double root can push the discriminant slightly negative, so the
+    # vertex serves as a candidate and the event-level defect gate has the
+    # final say
     roots: list[float] = []
     if abs(a2) > 1e-300:
         disc = a1 * a1 - 4.0 * a2 * f0
@@ -557,15 +191,14 @@ def _swap_adjacent(
     if rho_b_new is None:
         return None
 
-    # trailing pair: secant equation of the two-pair fold pins it exactly
-    both = PairStore(
-        dim=prefix.dim,
-        tau=max(1, prefix.size + 2),
-        h0_scale=prefix.h0_scale,
-        validate=False,
-        pairs=prefix.pairs + [pair_a, pair_b],
-    )
-    rho_a_new = compact_B_column(both, ia)
+    # trailing pair: the secant equation pins it to B_2 e_a, where B_1 is the
+    # direct prefix operator updated with pair a and B_2 is B_1 updated with
+    # pair b; v_b = B_1 e_b.  Building it from the prefix columns, not from a
+    # compact column of the two-pair store, avoids cancelling the 1/h0 seed
+    # term, which dwarfs the curvatures when h0 is tiny
+    v_b = u_b + (p_ba * c_a) * rho_a - (beta_ab / u_a[ia]) * u_a
+    v_bb = float(v_b[ib])
+    rho_a_new = rho_a + (p_ab * c_b) * rho_b - (p_ba / v_bb) * v_b
     if rho_a_new[ia] <= 0.0:
         return None
     return CurvaturePair(ib, rho_b_new), CurvaturePair(ia, rho_a_new)
@@ -599,64 +232,6 @@ def _check_c3(store: PairStore, j: int, new_pair: CurvaturePair) -> None:
         )
 
 
-def _solve(store: PairStore, j: int, new_pair: CurvaturePair, tol: float):
-    _check_c3(store, j, new_pair)
-    ws = _ReducedFold(store, j, new_pair)
-
-    coeffs = _sweep_solve(ws)
-    residual = (
-        float(np.linalg.norm(ws.full_residual(*coeffs))) if coeffs else np.inf
-    )
-    if residual > tol:
-        coeffs = _joint_solve(ws, init=coeffs)
-        residual = float(np.linalg.norm(ws.full_residual(*coeffs)))
-    if residual > tol:
-        raise AggregationError(
-            f"aggregation residual {residual:.3e} exceeds tolerance {tol:.1e} "
-            f"(block size {ws.m}, dropped slot {j})"
-        )
-    a_mat, b_vec = coeffs
-    return AggregationWorkspace(
-        prefix=ws.prefix,
-        sigma_indices=ws.sigma_indices,
-        r_block=ws.rho,
-        x_block=ws.x_block,
-        a_coef=a_mat,
-        b_coef=b_vec,
-        residual=residual,
-        scale=ws.scale,
-    ), ws
-
-
-def solve_aggregation_coeffs(
-    store: PairStore, j: int, new_pair: CurvaturePair, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients rewriting the post-j gradient variations.
-
-    Returns (A, b) with A of shape (size-j, size-j-1) and b of length
-    size-j-1: column k of A and entry k of b define the rewrite of stored
-    pair j+1+k.  Raises ``AggregationError`` when the fold-equivalence
-    residual cannot be driven below ``tol`` (relative Frobenius).
-    """
-    result, _ = _solve(store, j, new_pair, tol)
-    return result.a_coef, result.b_coef
-
-
-def _coefficient_suffix(store: PairStore, j: int, new_pair: CurvaturePair, tol: float):
-    """Suffix pairs from the coefficient path, with curvature checks."""
-    result, ws = _solve(store, j, new_pair, tol)
-    rewritten = []
-    for k in range(1, ws.m):
-        r_hat = ws.rewritten_r(k, result.a_coef[:, k - 1], result.b_coef[k - 1])
-        idx = ws.sigma_indices[k]
-        if r_hat[idx] <= 0.0:
-            raise AggregationError(
-                f"rewritten pair at index {idx} has curvature {r_hat[idx]:.3e} <= 0"
-            )
-        rewritten.append(CurvaturePair(idx, r_hat))
-    return rewritten + [new_pair]
-
-
 def aggregate_c3(
     store: PairStore, j: int, new_pair: CurvaturePair, tol: float = 1e-8
 ) -> None:
@@ -664,32 +239,26 @@ def aggregate_c3(
 
     Mutates the store in place; size and index-distinctness are preserved and
     the implicit inverse operator matches the full-history one within ``tol``
-    (relative, gated on the exact reduced defect).  Tries the bubble path
-    first, then the coefficient path; raises ``AggregationError`` when neither
-    meets the tolerance or a rewritten pair loses positive curvature.
+    (relative, gated on the exact reduced defect).  Raises
+    ``AggregationError``, leaving the store unchanged, when the event is not
+    C3 at slot j, a swap has no admissible root, or the defect exceeds
+    ``tol``.
     """
     _check_c3(store, j, new_pair)
-    target = store.pairs[j:] + [new_pair]
-    prefix_pairs = store.pairs[:j]
-
     suffix = _bubble_rewrite(store, j, new_pair)
-    if suffix is not None:
-        defect, scale = _fold_defect(
-            store.dim, store.h0_scale, prefix_pairs, suffix, target
+    if suffix is None:
+        raise AggregationError(
+            "an adjacent swap has no root with positive curvature "
+            f"(block size {store.size - j}, dropped slot {j})"
         )
-        if defect <= tol * scale:
-            store.pairs[:] = prefix_pairs + suffix
-            store._check()
-            return
-
-    suffix = _coefficient_suffix(store, j, new_pair, tol)
+    prefix_pairs = store.pairs[:j]
     defect, scale = _fold_defect(
-        store.dim, store.h0_scale, prefix_pairs, suffix, target
+        store.dim, store.h0_scale, prefix_pairs, suffix, store.pairs[j:] + [new_pair]
     )
     if defect > tol * scale:
         raise AggregationError(
-            f"aggregation defect {defect:.3e} exceeds {tol:.1e} * scale after "
-            f"both solve paths (block size {store.size - j}, dropped slot {j})"
+            f"aggregation defect {defect:.3e} exceeds {tol:.1e} * scale "
+            f"{scale:.3e} (block size {store.size - j}, dropped slot {j})"
         )
     store.pairs[:] = prefix_pairs + suffix
     store._check()

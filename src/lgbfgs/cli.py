@@ -137,22 +137,27 @@ def _build_objective(problem: dict, seed: int) -> Objective:
         if problem.get("normalize", True):
             ds = normalize_rows(ds)
         return LogisticObjective(ds, reg_mu=float(problem.get("mu", 1e-4)))
-    if kind == "synth_logistic":
-        return synth_problem(
-            "logistic",
-            d=int(required("d")),
-            n=int(required("n")),
-            mu=float(problem.get("mu", 1e-4)),
-            seed=seed,
-        )
-    if kind == "synth_quadratic":
-        return synth_problem(
-            "quadratic",
-            d=int(required("d")),
-            spectrum=problem.get("spectrum", (1.0, 100.0)),
-            seed=seed,
-            rotate=bool(problem.get("rotate", True)),
-        )
+    try:
+        if kind == "synth_logistic":
+            return synth_problem(
+                "logistic",
+                d=int(required("d")),
+                n=int(required("n")),
+                mu=float(problem.get("mu", 1e-4)),
+                seed=seed,
+            )
+        if kind == "synth_quadratic":
+            return synth_problem(
+                "quadratic",
+                d=int(required("d")),
+                spectrum=problem.get("spectrum", (1.0, 100.0)),
+                seed=seed,
+                rotate=bool(problem.get("rotate", True)),
+            )
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {kind} problem: {exc}") from exc
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 

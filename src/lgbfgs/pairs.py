@@ -110,18 +110,6 @@ class PairStore:
             pairs=[CurvaturePair(p.basis_index, p.r.copy()) for p in self.pairs],
         )
 
-    def prefix(self, j: int) -> "PairStore":
-        """Copy holding only the first ``j`` pairs (same seed scale)."""
-        if not 0 <= j <= self.size:
-            raise IndexError(f"prefix length {j} out of range")
-        return PairStore(
-            dim=self.dim,
-            tau=self.tau,
-            h0_scale=self.h0_scale,
-            validate=self.validate,
-            pairs=[CurvaturePair(p.basis_index, p.r.copy()) for p in self.pairs[:j]],
-        )
-
     # -- classification and mutation ------------------------------------------
 
     def classify(self, new_index: int) -> CaseTag:

@@ -16,6 +16,7 @@ import numpy as np
 from . import aggregation, diagnostics, kernels
 from .correction import CorrectionConfig
 from .data import synth_problem
+from .errors import AggregationError
 from .greedy import SubsetPolicy
 from .pairs import CurvaturePair, PairStore
 from .solvers import SolverConfig, run, warm_start
@@ -121,6 +122,39 @@ def check_aggregation_equivalence(cases: int = 100, seed: int = 3) -> CheckResul
         worst = max(worst, float(np.linalg.norm(got - target))
                     / float(np.linalg.norm(target)))
     return CheckResult("aggregation_dense_equivalence", worst <= 1e-8, worst, 1e-8)
+
+
+def _ill_conditioned_spd(rng, d, cond) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eigs = np.exp(rng.uniform(0.0, np.log(cond), d))
+    eigs[:2] = 1.0, cond
+    return (q * eigs) @ q.T
+
+
+def check_aggregation_stress(cases: int = 1500, seed: int = 11) -> CheckResult:
+    """Aggregation meets its gate on ill-conditioned pair histories.
+
+    Every pair comes from its own Hessian, with condition number log-uniform
+    up to 1e8, and the seed scale is log-uniform in [1e-4, 10].  Reports the
+    number of events that raised ``AggregationError``.
+    """
+    rng = np.random.default_rng(seed)
+    failures = 0
+    for _ in range(cases):
+        d = int(rng.integers(3, 13))
+        size = int(rng.integers(2, min(d, 6) + 1))
+        cond = 10.0 ** rng.uniform(0.0, 8.0)
+        store = PairStore(dim=d, tau=size, h0_scale=10.0 ** rng.uniform(-4.0, 1.0))
+        for i in rng.permutation(d)[:size]:
+            store.insert_c1(CurvaturePair(int(i), _ill_conditioned_spd(rng, d, cond)[:, i]))
+        j = int(rng.integers(0, size - 1))
+        idx = store.indices[j]
+        new = CurvaturePair(idx, _ill_conditioned_spd(rng, d, cond)[:, idx])
+        try:
+            aggregation.aggregate_c3(store, j, new)
+        except AggregationError:
+            failures += 1
+    return CheckResult("aggregation_stress", failures == 0, float(failures), 0.0)
 
 
 def check_store_invariants_fuzz(ops: int = 1000, seed: int = 4) -> CheckResult:
@@ -275,6 +309,7 @@ SCOPES: dict[str, list[Callable[[], CheckResult]]] = {
     ],
     "aggregation": [
         check_aggregation_equivalence,
+        check_aggregation_stress,
         check_store_invariants_fuzz,
     ],
     "theory": [

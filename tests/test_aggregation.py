@@ -1,13 +1,10 @@
-"""Aggregation: fold equivalence, structure preservation, coefficient shapes."""
+"""Aggregation: fold equivalence, structure preservation, failure handling."""
 
 import numpy as np
 import pytest
 
-from lgbfgs.aggregation import (
-    AggregationError,
-    aggregate_c3,
-    solve_aggregation_coeffs,
-)
+from lgbfgs import verify
+from lgbfgs.aggregation import AggregationError, aggregate_c3
 from lgbfgs.kernels import dense_H_from_pairs
 from lgbfgs.pairs import CurvaturePair, PairStore
 
@@ -34,23 +31,13 @@ def augmented_oracle(store, new_pair):
 
 
 class TestCoefficientShapes:
-    def test_declared_dimensions(self):
-        rng = np.random.default_rng(0)
-        store = random_store(rng, 5, 3)
-        idx = store.indices[0]
-        new = CurvaturePair(idx, random_spd(rng, 5)[:, idx].copy())
-        a_mat, b_vec = solve_aggregation_coeffs(store, 0, new)
-        assert a_mat.shape == (3, 2)
-        assert b_vec.shape == (2,)
-
     def test_coefficients_reproduce_oracle(self):
-        """Applying the solved coefficients yields the augmented-history fold."""
+        """The aggregated store yields the augmented-history fold."""
         rng = np.random.default_rng(1)
         store = random_store(rng, 3, 2, h0=1.0)
         idx = store.indices[0]
         new = CurvaturePair(idx, random_spd(rng, 3)[:, idx].copy())
         target = augmented_oracle(store, new)
-        solve_aggregation_coeffs(store, 0, new)  # must not raise
         aggregate_c3(store, 0, new)
         rel = np.linalg.norm(dense_H_from_pairs(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-8
@@ -61,7 +48,7 @@ class TestCoefficientShapes:
         idx = store.indices[0]
         new = CurvaturePair(idx, random_spd(rng, 5)[:, idx].copy())
         with pytest.raises(AggregationError):
-            solve_aggregation_coeffs(store, 1, new)
+            aggregate_c3(store, 1, new)
 
     def test_c2_event_rejected(self):
         rng = np.random.default_rng(3)
@@ -69,7 +56,26 @@ class TestCoefficientShapes:
         idx = store.indices[-1]
         new = CurvaturePair(idx, random_spd(rng, 5)[:, idx].copy())
         with pytest.raises(AggregationError):
-            solve_aggregation_coeffs(store, 2, new)
+            aggregate_c3(store, 2, new)
+
+
+class TestFailureAtomicity:
+    @pytest.mark.parametrize("slot, j, tol", [
+        (1, 1, 0.0),  # valid event, unreachable tolerance
+        (0, 1, 1e-8),  # wrong slot
+        (3, 3, 1e-8),  # C2 event
+    ])
+    def test_failed_event_leaves_store_unchanged(self, slot, j, tol):
+        rng = np.random.default_rng(12)
+        store = random_store(rng, 6, 4)
+        idx = store.indices[slot]
+        new = CurvaturePair(idx, random_spd(rng, 6)[:, idx].copy())
+        indices = store.indices
+        r_bytes = [p.r.tobytes() for p in store.pairs]
+        with pytest.raises(AggregationError):
+            aggregate_c3(store, j, new, tol=tol)
+        assert store.indices == indices
+        assert [p.r.tobytes() for p in store.pairs] == r_bytes
 
 
 class TestAggregateStructure:
@@ -186,3 +192,8 @@ class TestFoldEquivalence:
         aggregate_c3(store, 0, new)
         rel = np.linalg.norm(dense_H_from_pairs(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-10
+
+    def test_ill_conditioned_stress_fuzz(self):
+        """1500 histories with pair condition numbers up to 1e8: no failure."""
+        result = verify.check_aggregation_stress()
+        assert result.passed, result.render()

@@ -142,6 +142,11 @@ class TestVerifySuite:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == len(verify.SCOPES["kernels"])
 
+    def test_aggregation_scope_passes(self, capsys):
+        assert main(["verify", "aggregation"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == len(verify.SCOPES["aggregation"])
+
     def test_report_line_count_matches_registry(self, capsys):
         results, _ = verify.run_suite("all")
         expected = sum(len(v) for v in verify.SCOPES.values())
@@ -198,6 +203,18 @@ class TestConfigParsing:
         path, _ = write_config(tmp_path, problem=problem)
         assert main(["run", str(path)]) == EXIT_BAD_CONFIG
         assert f"requires a {field!r} field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem, message", [
+        ({"kind": "synth_logistic", "n": 0, "d": 5}, "n >= 1"),
+        ({"kind": "synth_logistic", "n": 40, "d": "x"}, "invalid literal"),
+        ({"kind": "synth_quadratic", "d": 5, "spectrum": [0, 1]}, "strictly positive"),
+    ])
+    def test_bad_problem_value_is_config_error(self, tmp_path, capsys, problem, message):
+        path, _ = write_config(tmp_path, problem=problem)
+        assert main(["run", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -164,6 +164,15 @@ class TestLgBfgsStep:
             trace = run(obj, np.zeros(d), cfg)
             assert all(r.pair_count <= tau for r in trace.records)
 
+    def test_ill_conditioned_c3_events_complete(self):
+        """A delta-corrected run whose C3 events are ill-conditioned runs out."""
+        obj = synth_problem("logistic", d=30, n=300, mu=1e-3, seed=4)
+        cfg = SolverConfig(method="lg_bfgs", tau=6, max_iters=40, grad_tol=0.0,
+                           correction=CorrectionConfig("delta"))
+        trace = run(obj, np.ones(30), cfg)
+        assert trace.stop_reason == "max_iters"
+        assert "C3" in {r.case_tag for r in trace.records}
+
 
 class TestFullMemoryEquivalence:
     def test_matches_dense_greedy_iterates(self):
