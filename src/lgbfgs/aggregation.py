@@ -13,8 +13,21 @@ form), and matching the remaining defect costs one scalar quadratic whose
 canonical branch preserves the rewritten pair's curvature.  The quadratic's
 coefficients are read off a 4 x 4 Gram matrix in closed form, since the
 rewritten variation is affine in the unknown.  Once the stale direction is
-last, appending the new same-direction pair erases it exactly.  Cost per event
-is O(tau^2 d + tau^4).
+last, appending the new same-direction pair erases it exactly.
+
+The swaps share one prefix state instead of rebuilding it.  The variations
+sit in one d x m array, m the store size, whose first p columns are the
+prefix grown so far.  The inverse images H_p rho of the variations still to
+be swapped are carried: one batched two-loop over the untouched prefix starts
+them; the images of the two rewritten variations follow from H_p B_p e_i =
+e_i, since both are combinations of the old variations and the direct
+columns B_p e_ia, B_p e_ib; and the inverse update moves the rest to H_{p+1}
+in O(m d).  The two direct columns are instead re-solved at every swap from
+the compact representation, one 2p x 2p solve with two right-hand sides.
+Carried by rank-two direct updates they would drift: by 4e-11 relative on
+a stress history with pair condition numbers near 1e8, which the swaps
+amplify into a relative defect of 1.3e-8 against the 1e-8 gate, where
+re-solved columns give 8e-10.  Cost per swap is O(m d + m^3), per event O(m^2 d + m^4).
 
 Every event is gated on the exact defect between the rewritten and the
 full-history fold, evaluated in a reduced subspace containing every vector
@@ -30,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AggregationError
-from .kernels import apply_inverse_hessian, compact_B_column
+from .kernels import _compact_columns, apply_inverse_hessian
 from .pairs import CurvaturePair, PairStore
 
 
@@ -55,9 +68,7 @@ def _reduced_basis(e_cols: np.ndarray, w: np.ndarray, sigma_set) -> np.ndarray:
 
 
 def _fold_defect(
-    dim: int,
-    h0_scale: float,
-    prefix_pairs: list[CurvaturePair],
+    prefix: PairStore,
     pairs_a: list[CurvaturePair],
     pairs_b: list[CurvaturePair],
 ) -> tuple[float, float]:
@@ -68,20 +79,12 @@ def _fold_defect(
     of every suffix gradient variation, where it is exact.
     Returns (defect, scale).
     """
-    prefix = PairStore(
-        dim=dim,
-        tau=max(1, len(prefix_pairs)),
-        h0_scale=h0_scale,
-        validate=False,
-        pairs=prefix_pairs,
-    )
+    dim, h0_scale = prefix.dim, prefix.h0_scale
     sigma_set = sorted({p.basis_index for p in pairs_a + pairs_b})
     pos = {i: k for k, i in enumerate(sigma_set)}
     n_sigma = len(sigma_set)
     rho = np.column_stack([p.r for p in pairs_a + pairs_b])
-    w = np.column_stack(
-        [apply_inverse_hessian(prefix, rho[:, k]) for k in range(rho.shape[1])]
-    )
+    w = apply_inverse_hessian(prefix, rho)
     e_cols = np.zeros((dim, n_sigma))
     for k, i in enumerate(sigma_set):
         e_cols[i, k] = 1.0
@@ -115,22 +118,21 @@ def _fold_defect(
 
 
 def _swap_adjacent(
-    prefix: PairStore, pair_a: CurvaturePair, pair_b: CurvaturePair
-) -> tuple[CurvaturePair, CurvaturePair] | None:
-    """Rewrite ((sa, ra), (sb, rb)) as ((sb, rb'), (sa, ra')) with the same fold.
+    ia: int, ib: int, rho: np.ndarray, u: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Rewrite ((e_ia, rho_a), (e_ib, rho_b)) as ((e_ib, rho_b'), (e_ia, rho_a')).
 
-    The trailing pair is pinned by the fold's secant equation; the leading one
-    is the canonical curvature-preserving branch of a scalar quadratic.
-    Returns None when no root keeps both rewritten curvatures positive.
+    ``rho``, ``u`` and ``w`` are d x 2: the variations [rho_a, rho_b], the
+    prefix direct columns [B e_ia, B e_ib] and the prefix inverse images
+    [H rho_a, H rho_b].  The trailing pair is pinned by the fold's secant
+    equation; the leading one is the canonical curvature-preserving branch of
+    a scalar quadratic.  Returns (rho_b', rho_a', H rho_b', H rho_a'), or None
+    when no root keeps both rewritten curvatures positive.
     """
-    ia, ib = pair_a.basis_index, pair_b.basis_index
-    rho_a, rho_b = pair_a.r, pair_b.r
-    u_a = compact_B_column(prefix, ia)
-    u_b = compact_B_column(prefix, ib)
-    w_a = apply_inverse_hessian(prefix, rho_a)
-    w_b = apply_inverse_hessian(prefix, rho_b)
-    kappa_a = pair_a.curvature
-    kappa_b = pair_b.curvature
+    rho_a, rho_b = rho.T
+    u_a, u_b = u.T
+    w_a, w_b = w.T
+    kappa_a, kappa_b = float(rho_a[ia]), float(rho_b[ib])
     c_a, c_b = 1.0 / kappa_a, 1.0 / kappa_b
     beta_ab, beta_bb = float(u_b[ia]), float(u_b[ib])
     p_ab, p_ba = float(rho_b[ia]), float(rho_a[ib])
@@ -201,27 +203,49 @@ def _swap_adjacent(
     rho_a_new = rho_a + (p_ab * c_b) * rho_b - (p_ba / v_bb) * v_b
     if rho_a_new[ia] <= 0.0:
         return None
-    return CurvaturePair(ib, rho_b_new), CurvaturePair(ia, rho_a_new)
+
+    # both rewritten variations are combinations of rho_a, rho_b, u_a, u_b,
+    # and H u_a = e_ia, H u_b = e_ib, so their images need no two-loop
+    h_b = lam1 * w_a + w_b
+    h_b[ia] += x3
+    h_b[ib] += x4
+    h_vb = (p_ba * c_a) * w_a
+    h_vb[ib] += 1.0
+    h_vb[ia] -= beta_ab / u_a[ia]
+    h_a = w_a + (p_ab * c_b) * w_b - (p_ba / v_bb) * h_vb
+    return rho_b_new, rho_a_new, h_b, h_a
 
 
 def _bubble_rewrite(
-    store: PairStore, j: int, new_pair: CurvaturePair
+    store: PairStore, prefix: PairStore, j: int, new_pair: CurvaturePair
 ) -> list[CurvaturePair] | None:
-    """Rewritten suffix pairs via adjacent transpositions, or None on failure."""
-    work = [CurvaturePair(p.basis_index, p.r.copy()) for p in store.pairs]
-    for p in range(j, store.size - 1):
-        prefix = PairStore(
-            dim=store.dim,
-            tau=max(1, p),
-            h0_scale=store.h0_scale,
-            validate=False,
-            pairs=work[:p],
-        )
-        swapped = _swap_adjacent(prefix, work[p], work[p + 1])
+    """Rewritten suffix pairs via adjacent transpositions, or None on failure.
+
+    ``prefix`` holds the first j pairs of ``store``.  While the stale pair sits
+    at slot p, R[:, :p] is the grown prefix, R[:, p] the stale variation and
+    R[:, p + 1:] the pairs still to pass; W[:, p:] holds the images of
+    R[:, p:] under the inverse operator H_p of the grown prefix.
+    """
+    m, h0 = store.size, store.h0_scale
+    idx = store.indices
+    R = np.array([p.r for p in store.pairs]).T
+    W = np.zeros_like(R)
+    W[:, j:] = apply_inverse_hessian(prefix, R[:, j:])
+    for p in range(j, m - 1):
+        ia, ib = idx[p], idx[p + 1]
+        u = _compact_columns(R[:, :p], idx[:p], h0, [ia, ib])
+        swapped = _swap_adjacent(ia, ib, R[:, p:p + 2], u, W[:, p:p + 2])
         if swapped is None:
             return None
-        work[p], work[p + 1] = swapped
-    return work[j : store.size - 1] + [new_pair]
+        R[:, p], R[:, p + 1], W[:, p], W[:, p + 1] = swapped
+        idx[p], idx[p + 1] = ib, ia
+        # H_{p+1} y = z + e_ib (y[ib] - r'z) / r[ib], z = H_p y - (y[ib] / r[ib]) H_p r
+        r, y_ib, hy = R[:, p], R[ib, p + 1:], W[:, p + 1:]
+        hy -= np.outer(W[:, p], y_ib / r[ib])
+        hy[ib] += (y_ib - r @ hy) / r[ib]
+    return [
+        CurvaturePair(idx[k], R[:, k].copy()) for k in range(j, m - 1)
+    ] + [new_pair]
 
 
 def _check_c3(store: PairStore, j: int, new_pair: CurvaturePair) -> None:
@@ -245,20 +269,24 @@ def aggregate_c3(
     ``tol``.
     """
     _check_c3(store, j, new_pair)
-    suffix = _bubble_rewrite(store, j, new_pair)
+    prefix = PairStore(
+        dim=store.dim,
+        tau=max(1, j),
+        h0_scale=store.h0_scale,
+        validate=False,
+        pairs=store.pairs[:j],
+    )
+    suffix = _bubble_rewrite(store, prefix, j, new_pair)
     if suffix is None:
         raise AggregationError(
             "an adjacent swap has no root with positive curvature "
             f"(block size {store.size - j}, dropped slot {j})"
         )
-    prefix_pairs = store.pairs[:j]
-    defect, scale = _fold_defect(
-        store.dim, store.h0_scale, prefix_pairs, suffix, store.pairs[j:] + [new_pair]
-    )
+    defect, scale = _fold_defect(prefix, suffix, store.pairs[j:] + [new_pair])
     if defect > tol * scale:
         raise AggregationError(
             f"aggregation defect {defect:.3e} exceeds {tol:.1e} * scale "
             f"{scale:.3e} (block size {store.size - j}, dropped slot {j})"
         )
-    store.pairs[:] = prefix_pairs + suffix
+    store.pairs[:] = prefix.pairs + suffix
     store._check()

@@ -10,8 +10,8 @@ Subcommands:
   format.
 
 Exit codes: 0 success, 1 verification failure, 2 unknown solver or malformed
-config, 3 unreadable dataset, 4 invalid memory size.  The environment
-variable ``LGBFGS_LOG`` sets the log level.
+config, 3 unreadable or malformed dataset, 4 invalid memory size.  The
+environment variable ``LGBFGS_LOG`` sets the log level.
 
 Config files are JSON.  A run config looks like::
 
@@ -79,6 +79,10 @@ class TauError(ConfigError):
     """A memory size tau the solver cannot use (exit 4)."""
 
 
+class DatasetError(ValueError):
+    """A dataset file that is not valid LIBSVM text (exit 3)."""
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: a problem, a solver/tau grid, and run parameters."""
@@ -134,10 +138,13 @@ def _build_objective(problem: dict, seed: int) -> Objective:
             ds = parse_libsvm(path)
         except OSError as exc:
             raise FileNotFoundError(f"cannot read dataset {path!r}: {exc}") from exc
+        except ValueError as exc:
+            raise DatasetError(f"malformed dataset {path!r}: {exc}") from exc
         if problem.get("normalize", True):
             ds = normalize_rows(ds)
-        return LogisticObjective(ds, reg_mu=float(problem.get("mu", 1e-4)))
     try:
+        if kind == "libsvm":
+            return LogisticObjective(ds, reg_mu=float(problem.get("mu", 1e-4)))
         if kind == "synth_logistic":
             return synth_problem(
                 "logistic",
@@ -261,7 +268,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_TAU if isinstance(exc, TauError) else EXIT_BAD_CONFIG
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATASET
     return 0

@@ -2,10 +2,11 @@
 
 Dense rank-two updates (direct and inverse form) act as oracles and drive the
 dense baselines.  The two-loop recursion and the compact representation are the
-production paths: they work off a :class:`~lgbfgs.pairs.PairStore` and never
-materialize a d x d matrix.  Folding the inverse update over a store in storage
-order from ``h0_scale * I`` defines the implicit operator every equivalence
-test refers back to.
+production paths: they work off a :class:`~lgbfgs.pairs.PairStore`, or its
+variations stacked in a d x m array, and never materialize a d x d matrix.
+Folding the inverse update over a store in storage order from
+``h0_scale * I`` defines the implicit operator every equivalence test refers
+back to.
 """
 
 from __future__ import annotations
@@ -63,12 +64,17 @@ def dense_B_from_pairs(store: PairStore) -> np.ndarray:
 
 
 def apply_inverse_hessian(store: PairStore, v: np.ndarray) -> np.ndarray:
-    """Two-loop recursion: the implicit inverse operator applied to v, O(size*d)."""
+    """Two-loop recursion: the implicit inverse operator applied to v, O(size*d).
+
+    ``v`` is a vector or a d x k matrix whose columns are mapped in one pass.
+    """
     q = np.asarray(v, dtype=float).copy()
-    if q.shape != (store.dim,):
-        raise ValueError(f"vector has shape {q.shape}, expected ({store.dim},)")
+    if q.ndim not in (1, 2) or q.shape[0] != store.dim:
+        raise ValueError(
+            f"input has shape {q.shape}, expected ({store.dim},) or ({store.dim}, k)"
+        )
     pairs = store.pairs
-    alphas = np.empty(len(pairs))
+    alphas = np.empty((len(pairs),) + q.shape[1:])
     rhos = np.empty(len(pairs))
     for k in range(len(pairs) - 1, -1, -1):
         p = pairs[k]
@@ -77,10 +83,10 @@ def apply_inverse_hessian(store: PairStore, v: np.ndarray) -> np.ndarray:
             raise CurvatureError(f"stored pair {k} has curvature {cur:.3e} <= 0")
         rhos[k] = 1.0 / cur
         alphas[k] = rhos[k] * q[p.basis_index]
-        q -= alphas[k] * p.r
+        q -= np.multiply.outer(p.r, alphas[k])
     q *= store.h0_scale
     for k, p in enumerate(pairs):
-        beta = rhos[k] * float(p.r @ q)
+        beta = rhos[k] * (p.r @ q)
         q[p.basis_index] += alphas[k] - beta
     return q
 
@@ -90,37 +96,56 @@ def two_loop_direction(store: PairStore, g: np.ndarray) -> np.ndarray:
     return -apply_inverse_hessian(store, g)
 
 
-def _compact_middle(store: PairStore) -> tuple[np.ndarray, np.ndarray]:
-    """Middle matrix of B = B0 - [B0 S, R] M^-1 [B0 S, R]' and the row-slice R[idx, :].
+def _compact_solve(
+    R: np.ndarray, stored, h0: float, cols
+) -> tuple[np.ndarray, np.ndarray]:
+    """Compact solve for the pairs (e_stored[k], R[:, k]) and columns e_i, i in cols.
 
-    With basis variations and distinct indices, S'B0S = (1/h0) I and the
-    strictly-lower / diagonal parts of S'R come straight from R's rows at the
-    stored indices.
+    Returns the right-hand sides W = [B0 S, R]' [e_i ...] and Z = M^-1 W, where
+    M is the middle matrix of B = B0 - [B0 S, R] M^-1 [B0 S, R]'.  With basis
+    variations and distinct indices, S'B0S = (1/h0) I and the strictly-lower /
+    diagonal parts of S'R come straight from R's rows at the stored indices.
     """
-    m = store.size
-    R = np.column_stack([p.r for p in store.pairs])
-    sr = R[store.indices, :]
+    m = len(stored)
+    sr = R[stored, :]
     lower = np.tril(sr, k=-1)
-    diag = np.diag(np.diag(sr))
-    middle = np.block(
-        [
-            [np.eye(m) / store.h0_scale, lower],
-            [lower.T, -diag],
-        ]
-    )
-    return middle, sr
+    middle = np.empty((2 * m, 2 * m))
+    middle[:m, :m] = np.eye(m) / h0
+    middle[:m, m:] = lower
+    middle[m:, :m] = lower.T
+    middle[m:, m:] = -np.diag(np.diag(sr))
+    W = np.empty((2 * m, len(cols)))
+    W[:m] = np.equal.outer(stored, cols) / h0
+    W[m:] = R[cols, :].T
+    try:
+        Z = np.linalg.solve(middle, W)
+    except np.linalg.LinAlgError as exc:
+        raise CurvatureError(f"singular compact middle matrix: {exc}") from exc
+    return W, Z
 
 
-def _compact_rhs(store: PairStore, indices) -> np.ndarray:
-    """Stack [B0 S, R]' e_i column-wise for the requested basis indices."""
-    m = store.size
-    R = np.column_stack([p.r for p in store.pairs])
-    stored = np.array(store.indices)
-    W = np.zeros((2 * m, len(indices)))
-    for col, i in enumerate(indices):
-        W[:m, col] = (stored == i) / store.h0_scale
-        W[m:, col] = R[i, :]
-    return W
+def _compact_columns(R: np.ndarray, stored, h0: float, cols) -> np.ndarray:
+    """Direct columns B e_i, i in ``cols``, for the pairs (e_stored[k], R[:, k]).
+
+    Keeping the pairs as one d x m array lets a caller grow them column by
+    column without rebuilding a store.
+    """
+    out = np.zeros((R.shape[0], len(cols)))
+    out[cols, np.arange(len(cols))] = 1.0 / h0
+    m = len(stored)
+    if m == 0:
+        return out
+    _, Z = _compact_solve(R, stored, h0, cols)
+    out[stored, :] -= Z[:m] / h0
+    out -= R @ Z[m:]
+    return out
+
+
+def _stacked(store: PairStore) -> np.ndarray:
+    """The stored gradient variations as the columns of a d x size matrix."""
+    if not store.pairs:
+        return np.zeros((store.dim, 0))
+    return np.column_stack([p.r for p in store.pairs])
 
 
 def compact_B_column(store: PairStore, i: int) -> np.ndarray:
@@ -128,21 +153,7 @@ def compact_B_column(store: PairStore, i: int) -> np.ndarray:
     i = int(i)
     if not 0 <= i < store.dim:
         raise IndexError(f"basis index {i} out of range [0, {store.dim})")
-    col = np.zeros(store.dim)
-    col[i] = 1.0 / store.h0_scale
-    if store.size == 0:
-        return col
-    middle, _ = _compact_middle(store)
-    w = _compact_rhs(store, [i])[:, 0]
-    try:
-        z = np.linalg.solve(middle, w)
-    except np.linalg.LinAlgError as exc:
-        raise CurvatureError(f"singular compact middle matrix: {exc}") from exc
-    m = store.size
-    R = np.column_stack([p.r for p in store.pairs])
-    col[store.indices] -= z[:m] / store.h0_scale
-    col -= R @ z[m:]
-    return col
+    return _compact_columns(_stacked(store), store.indices, store.h0_scale, [i])[:, 0]
 
 
 def compact_B_diag(store: PairStore, indices) -> np.ndarray:
@@ -154,10 +165,5 @@ def compact_B_diag(store: PairStore, indices) -> np.ndarray:
     base = np.full(len(indices), 1.0 / store.h0_scale)
     if store.size == 0:
         return base
-    middle, _ = _compact_middle(store)
-    W = _compact_rhs(store, indices)
-    try:
-        Z = np.linalg.solve(middle, W)
-    except np.linalg.LinAlgError as exc:
-        raise CurvatureError(f"singular compact middle matrix: {exc}") from exc
+    W, Z = _compact_solve(_stacked(store), store.indices, store.h0_scale, indices)
     return base - np.sum(W * Z, axis=0)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from lgbfgs import verify
+from lgbfgs import aggregation, verify
 from lgbfgs.aggregation import AggregationError, aggregate_c3
-from lgbfgs.kernels import dense_H_from_pairs
+from lgbfgs.kernels import apply_inverse_hessian, compact_B_column, dense_H_from_pairs
 from lgbfgs.pairs import CurvaturePair, PairStore
 
 
@@ -126,6 +126,46 @@ class TestAggregateStructure:
             aggregate_c3(store, j, new)
             for p in store.pairs:
                 assert p.curvature > 0.0
+
+
+class TestCarriedPrefix:
+    def test_swap_inputs_match_the_grown_prefix(self, monkeypatch):
+        """Each swap's direct columns and carried inverse images equal a compact
+        column and a two-loop on the prefix grown by the pairs rewritten so far."""
+        swaps = []
+        swap = aggregation._swap_adjacent
+
+        def recording(ia, ib, rho, u, w):
+            out = swap(ia, ib, rho, u, w)
+            swaps.append((ia, ib, rho.copy(), u.copy(), w.copy(), out[0].copy()))
+            return out
+
+        monkeypatch.setattr(aggregation, "_swap_adjacent", recording)
+        rng = np.random.default_rng(13)
+        worst = 0.0
+        for _ in range(40):
+            d = int(rng.integers(3, 16))
+            size = int(rng.integers(2, min(d, 8) + 1))
+            store = random_store(rng, d, size)
+            j = int(rng.integers(0, size - 1))
+            idx = store.indices[j]
+            new = CurvaturePair(idx, random_spd(rng, d)[:, idx].copy())
+            grown = PairStore(dim=d, tau=size, h0_scale=store.h0_scale,
+                              pairs=store.pairs[:j])
+            swaps.clear()
+            aggregate_c3(store, j, new)
+            assert len(swaps) == size - 1 - j
+            for ia, ib, rho, u, w, rho_b_new in swaps:
+                for k, i in enumerate((ia, ib)):
+                    col = compact_B_column(grown, i)
+                    image = apply_inverse_hessian(grown, rho[:, k])
+                    worst = max(
+                        worst,
+                        np.linalg.norm(u[:, k] - col) / np.linalg.norm(col),
+                        np.linalg.norm(w[:, k] - image) / np.linalg.norm(image),
+                    )
+                grown.insert_c1(CurvaturePair(ib, rho_b_new))
+        assert worst <= 1e-10
 
 
 class TestFoldEquivalence:

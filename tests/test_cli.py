@@ -216,6 +216,22 @@ class TestConfigParsing:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text, mu, code, message", [
+        ("1 2:x\n", 1e-3, EXIT_BAD_DATASET, "malformed feature token"),
+        ("1 1:0.5 2:1.0\n-1 1:1.0\n", "x", EXIT_BAD_CONFIG, "could not convert"),
+    ], ids=["malformed_line", "non_numeric_mu"])
+    def test_bad_libsvm_problem_exit_code(self, tmp_path, capsys, text, mu, code,
+                                          message):
+        data = tmp_path / "train.txt"
+        data.write_text(text)
+        path, _ = write_config(
+            tmp_path, problem={"kind": "libsvm", "path": str(data), "mu": mu}
+        )
+        assert main(["run", str(path)]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

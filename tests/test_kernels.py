@@ -24,6 +24,42 @@ def random_spd(rng, d, shift=None):
     return a @ a.T + (shift if shift is not None else d) * np.eye(d)
 
 
+def reference_two_loop(store, v):
+    """The one-vector two-loop recursion, loop by loop, as the reference."""
+    q = np.asarray(v, dtype=float).copy()
+    alphas = np.empty(store.size)
+    rhos = np.empty(store.size)
+    for k in range(store.size - 1, -1, -1):
+        p = store.pairs[k]
+        rhos[k] = 1.0 / p.curvature
+        alphas[k] = rhos[k] * q[p.basis_index]
+        q -= alphas[k] * p.r
+    q *= store.h0_scale
+    for k, p in enumerate(store.pairs):
+        beta = rhos[k] * float(p.r @ q)
+        q[p.basis_index] += alphas[k] - beta
+    return q
+
+
+def reference_compact_diag(store, indices):
+    """e_i' B e_i with the middle matrix and right-hand sides built entry by entry."""
+    m = store.size
+    R = np.column_stack([p.r for p in store.pairs])
+    sr = R[store.indices, :]
+    lower = np.tril(sr, k=-1)
+    middle = np.block([
+        [np.eye(m) / store.h0_scale, lower],
+        [lower.T, -np.diag(np.diag(sr))],
+    ])
+    stored = np.array(store.indices)
+    W = np.zeros((2 * m, len(indices)))
+    for col, i in enumerate(indices):
+        W[:m, col] = (stored == i) / store.h0_scale
+        W[m:, col] = R[i, :]
+    Z = np.linalg.solve(middle, W)
+    return np.full(len(indices), 1.0 / store.h0_scale) - np.sum(W * Z, axis=0)
+
+
 def random_store(rng, d, size, h0=None):
     store = PairStore(dim=d, tau=max(size, 1),
                       h0_scale=h0 or float(rng.uniform(0.5, 2.0)))
@@ -146,6 +182,38 @@ class TestTwoLoop:
                         / max(np.linalg.norm(dense), 1e-300))
         assert worst <= 1e-10
 
+    def test_vector_input_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            d = int(rng.integers(2, 30))
+            size = int(rng.integers(0, min(d, 12) + 1))
+            store = random_store(rng, d, size, h0=10.0 ** rng.uniform(-6.0, 2.0))
+            g = rng.standard_normal(d)
+            expected = reference_two_loop(store, g)
+            np.testing.assert_array_equal(apply_inverse_hessian(store, g), expected)
+            np.testing.assert_array_equal(two_loop_direction(store, g), -expected)
+
+    def test_matrix_input_matches_columns(self):
+        """A d x k input maps each column as a separate call would."""
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            d = int(rng.integers(2, 30))
+            size = int(rng.integers(0, min(d, 12) + 1))
+            store = random_store(rng, d, size)
+            V = rng.standard_normal((d, int(rng.integers(1, 6))))
+            by_column = np.column_stack(
+                [apply_inverse_hessian(store, V[:, c]) for c in range(V.shape[1])]
+            )
+            got = apply_inverse_hessian(store, V)
+            assert got.shape == V.shape
+            assert np.linalg.norm(got - by_column) <= 1e-14 * np.linalg.norm(by_column)
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 2, 1), (4, 0, 2)])
+    def test_rejects_wrong_shape(self, shape):
+        store = random_store(np.random.default_rng(16), 4, 2)
+        with pytest.raises(ValueError):
+            apply_inverse_hessian(store, np.ones(shape))
+
     def test_apply_is_positive_definite_form(self):
         rng = np.random.default_rng(7)
         store = random_store(rng, 6, 3)
@@ -197,6 +265,19 @@ class TestCompactRepresentation:
         diag = compact_B_diag(store, idx)
         for k, i in enumerate(idx):
             assert diag[k] == pytest.approx(compact_B_column(store, i)[i], rel=1e-10)
+
+    def test_diag_matches_reference_bit_for_bit(self):
+        """Sliced middle matrix and vectorised right-hand sides hold the same values."""
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            d = int(rng.integers(2, 30))
+            size = int(rng.integers(1, min(d, 12) + 1))
+            store = random_store(rng, d, size, h0=10.0 ** rng.uniform(-6.0, 2.0))
+            # unsorted, repeated, stored and unstored candidates
+            idx = [int(i) for i in rng.integers(0, d, size=int(rng.integers(1, 2 * d)))]
+            np.testing.assert_array_equal(
+                compact_B_diag(store, idx), reference_compact_diag(store, idx)
+            )
 
     def test_out_of_range(self):
         store = PairStore(dim=3, tau=2)
