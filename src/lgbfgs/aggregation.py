@@ -104,11 +104,10 @@ def _fold_defect(
             rhr = float(rho_w[col, col]) + float(
                 qt_rho[:, col] @ theta @ qt_rho[:, col]
             )
-            out = theta.copy()
-            out[spos, :] -= c * hw
-            out[:, spos] -= c * hw
-            out[spos, spos] += c * c * rhr + c
-            theta = out
+            # hw and rhr are read before theta changes, so it is updated in place
+            theta[spos, :] -= c * hw
+            theta[:, spos] -= c * hw
+            theta[spos, spos] += c * c * rhr + c
         return theta
 
     theta_a = fold(pairs_a, 0)

@@ -1,9 +1,12 @@
 """Dataset ingestion (LIBSVM text format), row normalization, synthetic problems.
 
 Parsing is strict: every line is ``label idx:val idx:val ...`` with 1-based,
-strictly usable feature indices and labels mappable to +-1 (0/1 or +-1).
-Malformed input raises ``ValueError`` carrying the offending line number.
-Gzip-compressed files are accepted by ``.gz`` extension sniffing.
+strictly usable feature indices, finite values and labels mappable to +-1
+(0/1 or +-1).  Malformed input raises ``ValueError`` carrying the offending
+line number.  Gzip-compressed files are accepted by ``.gz`` extension sniffing.
+
+Features are a dense 2-D ndarray or a CSR matrix.  Parsed LIBSVM data is CSR;
+synthetic Gaussian data is dense and never passes through CSR.
 """
 
 from __future__ import annotations
@@ -11,27 +14,33 @@ from __future__ import annotations
 import gzip
 import io
 import logging
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .objectives import LogisticObjective, QuadraticObjective
+from .objectives import LogisticObjective, QuadraticObjective, row_sums
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sparse row-major samples with +-1 labels."""
+    """Row-major samples, a dense 2-D ndarray or CSR, with +-1 labels."""
 
-    features: sp.csr_matrix
+    features: np.ndarray | sp.csr_matrix
     labels: np.ndarray
 
     def __post_init__(self):
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("label count does not match the sample count")
+        values = self.features.data if sp.issparse(self.features) else self.features
+        if not np.all(np.isfinite(values)):
+            raise ValueError("features have non-finite entries")
         bad = np.setdiff1d(np.unique(self.labels), [-1.0, 1.0])
         if bad.size:
             raise ValueError(f"labels must be +-1, found {bad.tolist()}")
@@ -45,8 +54,8 @@ class Dataset:
         return self.features.shape[1]
 
     def row_norms(self) -> np.ndarray:
-        sq = np.asarray(self.features.multiply(self.features).sum(axis=1)).ravel()
-        return np.sqrt(sq)
+        f = self.features
+        return np.sqrt(row_sums(f.multiply(f) if sp.issparse(f) else f * f))
 
 
 def _map_label(token: str, lineno: int) -> float:
@@ -104,6 +113,8 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
                     raise ValueError(
                         f"line {lineno}: malformed feature token {tok!r}"
                     ) from None
+                if not math.isfinite(val):
+                    raise ValueError(f"line {lineno}: non-finite feature value {tok!r}")
                 if idx < 1:
                     raise ValueError(f"line {lineno}: index {idx} is not 1-based")
                 if idx - 1 in seen:
@@ -135,7 +146,7 @@ def serialize_libsvm(ds: Dataset, stream=None) -> str | None:
     """Write a Dataset back to LIBSVM text; values use shortest round-trip repr."""
     own = stream is None
     out = io.StringIO() if own else stream
-    csr = ds.features.copy()
+    csr = sp.csr_matrix(ds.features, copy=True)
     csr.sort_indices()
     for row in range(ds.n_samples):
         parts = [f"{int(ds.labels[row]):+d}"]
@@ -154,18 +165,20 @@ def normalize_rows(ds: Dataset) -> Dataset:
     n_zero = int(np.sum(norms == 0.0))
     if n_zero:
         logger.warning("normalize_rows: %d zero rows left unscaled", n_zero)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    scaled = sp.diags(1.0 / scale) @ ds.features
-    return Dataset(features=sp.csr_matrix(scaled), labels=ds.labels.copy())
+    inv = 1.0 / np.where(norms > 0.0, norms, 1.0)
+    if sp.issparse(ds.features):
+        scaled = sp.csr_matrix(sp.diags(inv) @ ds.features)
+    else:
+        scaled = ds.features * inv[:, None]
+    return Dataset(features=scaled, labels=ds.labels.copy())
 
 
 def synth_logistic_dataset(n: int, d: int, seed: int) -> Dataset:
-    """Gaussian samples, unit-normalized rows, random +-1 labels."""
+    """Gaussian samples, unit-normalized rows, random +-1 labels; dense features."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, d))
     labels = rng.choice([-1.0, 1.0], size=n)
-    ds = Dataset(features=sp.csr_matrix(raw), labels=labels)
-    return normalize_rows(ds)
+    return normalize_rows(Dataset(features=raw, labels=labels))
 
 
 def synth_problem(

@@ -10,6 +10,12 @@ across concurrent runs.
 it as an immutable ``Point``; each method accepts such a point wherever it
 takes x, and turns an array x into one on entry.  A run that builds one point
 per iterate computes the logistic margins ``Z @ x`` once per iterate.
+
+The logistic objective picks its feature storage from the density of the
+samples alone: at least ``DENSE_MIN_DENSITY`` of the entries nonzero gives
+C-ordered ndarrays (BLAS matrix-vector products, 16 B per entry for Z and
+Z**2), anything sparser gives CSR plus a CSC copy for columns (32 B per
+nonzero).  Dense wins on both time and memory from density 1/2 up.
 """
 
 from __future__ import annotations
@@ -30,6 +36,25 @@ if TYPE_CHECKING:
 # sigma = 1/2 +- 1/(2 sqrt 3)
 SIGMOID_CURVATURE_BOUND = 1.0 / (6.0 * np.sqrt(3.0))
 
+# least share of nonzero feature entries for which the logistic objective
+# stores the samples dense
+DENSE_MIN_DENSITY = 0.5
+
+
+def row_sums(m) -> np.ndarray:
+    """Row sums of a CSR matrix or a 2-D ndarray.
+
+    A dense row is summed as the CSR path sums its stored entries
+    (``np.add.reduceat`` over the flat data), so a fully dense matrix gives
+    bit-identical sums in either layout.
+    """
+    if sp.issparse(m):
+        return np.asarray(m.sum(axis=1)).ravel()
+    n, d = m.shape
+    if n * d == 0:
+        return np.zeros(n)
+    return np.add.reduceat(m.ravel(), np.arange(0, n * d, d))
+
 
 @dataclass(frozen=True)
 class ObjectiveInfo:
@@ -47,6 +72,10 @@ class ObjectiveInfo:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
+        for name in ("mu", "lipschitz_L", "hess_lip_CL"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.lipschitz_L < self.mu:
@@ -249,9 +278,13 @@ class QuadraticObjective(Objective):
 
 
 class LogisticObjective(Objective):
-    """l2-regularized logistic loss over sparse samples with +-1 labels.
+    """l2-regularized logistic loss over samples with +-1 labels.
 
     f(x) = mean_i log(1 + exp(-y_i z_i'x)) + mu/2 ||x||^2.
+
+    The samples are stored dense or as CSR by their density (see the module
+    docstring), whatever the layout of ``dataset.features``; a C-contiguous
+    float64 ndarray that stays dense is used without a copy.
 
     With unit-norm rows the gradient-Lipschitz constant is 1/4 + mu; in
     general 0.25 * max_i ||z_i||^2 + mu is used.  The Hessian-Lipschitz
@@ -264,18 +297,26 @@ class LogisticObjective(Objective):
             raise ValueError(f"reg_mu must be positive, got {reg_mu}")
         self.dataset = dataset
         self.reg_mu = float(reg_mu)
-        self._Z = sp.csr_matrix(dataset.features, dtype=float)
-        self._Zc = self._Z.tocsc()
-        # entrywise square of Z, sharing Z's sparsity arrays
-        self._Z2 = sp.csr_matrix(
-            (self._Z.data**2, self._Z.indices, self._Z.indptr), shape=self._Z.shape
-        )
+        features = dataset.features
+        n, d = features.shape
+        nnz = features.count_nonzero() if sp.issparse(features) else np.count_nonzero(features)
+        if nnz >= DENSE_MIN_DENSITY * n * d:
+            if sp.issparse(features):
+                features = features.toarray()
+            self._Z = np.ascontiguousarray(features, dtype=float)
+            self._Zc = None
+            self._Z2 = self._Z * self._Z
+        else:
+            self._Z = sp.csr_matrix(features, dtype=float)
+            self._Zc = self._Z.tocsc()
+            # entrywise square of Z, sharing Z's sparsity arrays
+            self._Z2 = sp.csr_matrix(
+                (self._Z.data**2, self._Z.indices, self._Z.indptr), shape=self._Z.shape
+            )
         self._y = np.asarray(dataset.labels, dtype=float)
-        n, d = self._Z.shape
         if self._y.shape != (n,):
             raise ValueError("label count does not match the sample count")
-        row_sq = np.asarray(self._Z.multiply(self._Z).sum(axis=1)).ravel()
-        max_norm = float(np.sqrt(row_sq.max())) if n else 0.0
+        max_norm = float(np.sqrt(row_sums(self._Z2).max())) if n else 0.0
         lip = 0.25 * max_norm**2 + self.reg_mu
         if hess_lip_CL is None:
             hess_lip_CL = SIGMOID_CURVATURE_BOUND * max_norm**3
@@ -298,32 +339,35 @@ class LogisticObjective(Objective):
         value += 0.5 * self.reg_mu * float(p.x @ p.x)
         # d/dm log(1 + e^-m) = -sigma(-m)
         coeff = -self._y * expit(-margins)
-        grad = np.asarray(self._Z.T @ coeff).ravel() / self._n + self.reg_mu * p.x
+        grad = self._Z.T @ coeff / self._n + self.reg_mu * p.x
         return value, grad
 
     def hess_vec(self, x, v):
         p = self._point(x)
         v = self._check_vector(v)
         zv = self._Z @ v
-        return np.asarray(self._Z.T @ (p.weights * zv)).ravel() / self._n + self.reg_mu * v
+        return self._Z.T @ (p.weights * zv) / self._n + self.reg_mu * v
 
     def hess_column(self, x, i):
         p = self._point(x)
         i = self._check_index(i)
-        zi = np.asarray(self._Zc[:, [i]].todense()).ravel()
-        col = np.asarray(self._Z.T @ (p.weights * zi)).ravel() / self._n
+        zi = self._Z[:, i] if self._Zc is None else self._Zc[:, [i]].toarray().ravel()
+        col = self._Z.T @ (p.weights * zi) / self._n
         col[i] += self.reg_mu
         return col
 
     def hess_diag(self, x, indices):
         p = self._point(x)
         idx = self._check_indices(indices)
-        diag = np.asarray(self._Z2.T @ p.weights).ravel() / self._n + self.reg_mu
+        diag = self._Z2.T @ p.weights / self._n + self.reg_mu
         return diag[idx]
 
     def hess_matrix(self, x):
         p = self._point(x)
-        wz = self._Z.multiply(p.weights[:, None])
-        hess = np.asarray((wz.T @ self._Z).todense()) / self._n
+        if self._Zc is None:
+            hess = (self._Z.T * p.weights) @ self._Z / self._n
+        else:
+            wz = self._Z.multiply(p.weights[:, None])
+            hess = (wz.T @ self._Z).toarray() / self._n
         hess += self.reg_mu * np.eye(self.info.dim)
         return hess

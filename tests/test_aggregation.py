@@ -237,3 +237,59 @@ class TestFoldEquivalence:
         """1500 histories with pair condition numbers up to 1e8: no failure."""
         result = verify.check_aggregation_stress()
         assert result.passed, result.render()
+
+
+def copying_fold_defect(prefix, pairs_a, pairs_b):
+    """``aggregation._fold_defect`` as it was when ``fold`` copied theta for
+    every pair; the reference for the in-place fold."""
+    dim, h0_scale = prefix.dim, prefix.h0_scale
+    sigma_set = sorted({p.basis_index for p in pairs_a + pairs_b})
+    pos = {i: k for k, i in enumerate(sigma_set)}
+    rho = np.column_stack([p.r for p in pairs_a + pairs_b])
+    w = apply_inverse_hessian(prefix, rho)
+    e_cols = np.zeros((dim, len(sigma_set)))
+    for k, i in enumerate(sigma_set):
+        e_cols[i, k] = 1.0
+    q_mat = aggregation._reduced_basis(e_cols, w, sigma_set)
+    q = q_mat.shape[1]
+    qt_rho, qt_w, rho_w = q_mat.T @ rho, q_mat.T @ w, rho.T @ w
+
+    def fold(pair_list, offset):
+        theta = np.zeros((q, q))
+        for k, p in enumerate(pair_list):
+            col = offset + k
+            spos = pos[p.basis_index]
+            c = 1.0 / p.curvature
+            hw = qt_w[:, col] + theta @ qt_rho[:, col]
+            rhr = float(rho_w[col, col]) + float(qt_rho[:, col] @ theta @ qt_rho[:, col])
+            out = theta.copy()
+            out[spos, :] -= c * hw
+            out[:, spos] -= c * hw
+            out[spos, spos] += c * c * rhr + c
+            theta = out
+        return theta
+
+    theta_a = fold(pairs_a, 0)
+    theta_b = fold(pairs_b, len(pairs_a))
+    scale = max(float(np.linalg.norm(theta_b)), np.sqrt(dim) * h0_scale, 1e-30)
+    return float(np.linalg.norm(theta_a - theta_b)), scale
+
+
+class TestFoldDefect:
+    def test_in_place_fold_matches_copying_fold_bit_for_bit(self, monkeypatch):
+        """On the stress generator's histories the gate's (defect, scale) equals
+        the copying fold's exactly."""
+        gate = aggregation._fold_defect
+        calls = []
+
+        def recording(prefix, pairs_a, pairs_b):
+            out = gate(prefix, pairs_a, pairs_b)
+            calls.append((out, copying_fold_defect(prefix, pairs_a, pairs_b)))
+            return out
+
+        monkeypatch.setattr(aggregation, "_fold_defect", recording)
+        result = verify.check_aggregation_stress(cases=80, seed=11)
+        assert result.passed
+        assert len(calls) >= 50
+        for got, want in calls:
+            assert got == want

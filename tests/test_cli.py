@@ -219,7 +219,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("text, mu, code, message", [
         ("1 2:x\n", 1e-3, EXIT_BAD_DATASET, "malformed feature token"),
         ("1 1:0.5 2:1.0\n-1 1:1.0\n", "x", EXIT_BAD_CONFIG, "could not convert"),
-    ], ids=["malformed_line", "non_numeric_mu"])
+        ("+1 1:nan 2:1\n-1 1:inf\n", 1e-3, EXIT_BAD_DATASET,
+         "line 1: non-finite feature value"),
+    ], ids=["malformed_line", "non_numeric_mu", "non_finite_value"])
     def test_bad_libsvm_problem_exit_code(self, tmp_path, capsys, text, mu, code,
                                           message):
         data = tmp_path / "train.txt"

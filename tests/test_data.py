@@ -5,6 +5,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lgbfgs.data import (
     Dataset,
@@ -77,6 +78,14 @@ class TestParse:
         ds = parse_libsvm(io.StringIO("+1 1:2\n"))
         assert ds.n_samples == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ("+1 1:nan 2:1\n-1 1:inf\n", 1),
+        ("+1 1:1\n-1 1:-inf\n", 2),
+    ])
+    def test_non_finite_value_rejected(self, text, line):
+        with pytest.raises(ValueError, match=f"line {line}: non-finite feature value"):
+            parse_libsvm(text)
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_is_identity(self):
@@ -85,13 +94,53 @@ class TestRoundTrip:
         text = serialize_libsvm(ds)
         again = parse_libsvm(text, n_features=7)
         np.testing.assert_array_equal(ds.labels, again.labels)
-        np.testing.assert_array_equal(ds.features.toarray(), again.features.toarray())
+        np.testing.assert_array_equal(ds.features, again.features.toarray())
 
     def test_serialize_to_stream(self):
         ds = parse_libsvm("+1 1:0.25\n")
         buf = io.StringIO()
         serialize_libsvm(ds, buf)
         assert buf.getvalue() == "+1 1:0.25\n"
+
+
+def dense_and_csr(entries, labels):
+    return Dataset(entries, labels), Dataset(sp.csr_matrix(entries), labels)
+
+
+class TestDenseLayout:
+    """Dense and CSR features holding the same values behave alike."""
+
+    def test_row_norms_and_normalization_agree(self):
+        rng = np.random.default_rng(4)
+        entries = rng.standard_normal((12, 9)) * (rng.random((12, 9)) < 0.6)
+        entries[3] = 0.0
+        labels = rng.choice([-1.0, 1.0], size=12)
+        dense, csr = dense_and_csr(entries, labels)
+        np.testing.assert_allclose(dense.row_norms(), csr.row_norms(), rtol=1e-15)
+        assert dense.row_norms()[3] == 0.0
+        out_dense, out_csr = normalize_rows(dense), normalize_rows(csr)
+        assert isinstance(out_dense.features, np.ndarray)
+        assert sp.issparse(out_csr.features)
+        np.testing.assert_allclose(out_dense.features, out_csr.features.toarray(),
+                                   rtol=1e-15, atol=0)
+
+    def test_fully_dense_rows_normalize_bit_identically(self):
+        raw = np.random.default_rng(5).standard_normal((40, 33))
+        dense, csr = dense_and_csr(raw, np.ones(40))
+        np.testing.assert_array_equal(dense.row_norms(), csr.row_norms())
+        np.testing.assert_array_equal(normalize_rows(dense).features,
+                                      normalize_rows(csr).features.toarray())
+
+    def test_serialize_parse_round_trip(self):
+        rng = np.random.default_rng(6)
+        entries = rng.standard_normal((10, 6)) * (rng.random((10, 6)) < 0.5)
+        entries[:, 5] = 0.0
+        labels = rng.choice([-1.0, 1.0], size=10)
+        texts = [serialize_libsvm(ds) for ds in dense_and_csr(entries, labels)]
+        assert texts[0] == texts[1]
+        again = parse_libsvm(texts[0], n_features=6)
+        np.testing.assert_array_equal(again.features.toarray(), entries)
+        np.testing.assert_array_equal(again.labels, labels)
 
 
 class TestNormalize:
@@ -108,7 +157,7 @@ class TestNormalize:
         ds = synth_logistic_dataset(n=30, d=5, seed=2)
         once = normalize_rows(ds)
         twice = normalize_rows(once)
-        np.testing.assert_allclose(once.features.toarray(), twice.features.toarray(),
+        np.testing.assert_allclose(once.features, twice.features,
                                    atol=1e-15)
 
     def test_zero_rows_preserved(self, caplog):
@@ -142,8 +191,7 @@ class TestSynthProblems:
     def test_determinism(self):
         a = synth_problem("logistic", d=6, n=40, mu=1e-3, seed=7)
         b = synth_problem("logistic", d=6, n=40, mu=1e-3, seed=7)
-        np.testing.assert_array_equal(a.dataset.features.toarray(),
-                                      b.dataset.features.toarray())
+        np.testing.assert_array_equal(a.dataset.features, b.dataset.features)
         np.testing.assert_array_equal(a.dataset.labels, b.dataset.labels)
 
     def test_logistic_lipschitz_formula(self):
@@ -164,13 +212,17 @@ class TestSynthProblems:
 
 class TestDatasetValidation:
     def test_bad_labels_rejected(self):
-        import scipy.sparse as sp
-
         with pytest.raises(ValueError):
             Dataset(features=sp.csr_matrix(np.eye(2)), labels=np.array([1.0, 2.0]))
 
     def test_label_count_mismatch(self):
-        import scipy.sparse as sp
-
         with pytest.raises(ValueError):
             Dataset(features=sp.csr_matrix(np.eye(3)), labels=np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected_in_either_layout(self, bad):
+        features = np.eye(2)
+        features[1, 0] = bad
+        for layout in (features, sp.csr_matrix(features)):
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset(features=layout, labels=np.array([1.0, -1.0]))

@@ -1,15 +1,17 @@
 """Objective contracts: values, gradients, Hessian products, weighted norms, points."""
 
 import dataclasses
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
-from lgbfgs.data import Dataset, synth_logistic_dataset, synth_problem
+from lgbfgs import objectives
+from lgbfgs.data import Dataset, parse_libsvm, synth_logistic_dataset, synth_problem
 from lgbfgs.errors import CurvatureError
 from lgbfgs.objectives import LogisticObjective, ObjectiveInfo, QuadraticObjective
 
@@ -49,6 +51,16 @@ class TestObjectiveInfo:
             ObjectiveInfo(dim=2, mu=2.0, lipschitz_L=1.0, hess_lip_CL=0.0)
         with pytest.raises(ValueError):
             ObjectiveInfo(dim=2, mu=-1.0, lipschitz_L=1.0, hess_lip_CL=0.0)
+
+    @pytest.mark.parametrize("consts", [
+        {"mu": 1e-3, "lipschitz_L": np.nan, "hess_lip_CL": 0.0},
+        {"mu": np.inf, "lipschitz_L": np.inf, "hess_lip_CL": 0.0},
+        {"mu": 1e-3, "lipschitz_L": 1.0, "hess_lip_CL": np.nan},
+        {"mu": 1e-3, "lipschitz_L": 1.0, "hess_lip_CL": np.inf},
+    ], ids=["nan_L", "inf_mu", "nan_CL", "inf_CL"])
+    def test_rejects_non_finite_constants(self, consts):
+        with pytest.raises(ValueError, match="must be finite"):
+            ObjectiveInfo(dim=2, **consts)
 
 
 class TestQuadratic:
@@ -99,7 +111,7 @@ class TestLogistic:
         obj = LogisticObjective(ds, reg_mu=1e-6)
         value, grad = obj.value_grad(np.zeros(6))
         assert value == pytest.approx(np.log(2.0))
-        z = ds.features.toarray()
+        z = ds.features
         expected = -0.5 * (ds.labels @ z) / ds.n_samples
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
@@ -235,6 +247,88 @@ def logistic_problems(draw):
     mu = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
     obj = LogisticObjective(Dataset(sp.csr_matrix(entries), labels), reg_mu=mu)
     return obj, draw(hnp.arrays(float, d, elements=st.floats(-5.0, 5.0)))
+
+
+@st.composite
+def layout_datasets(draw):
+    """A dataset with k nonzero entries drawn on one side of the dense
+    threshold, optionally with an all-zero row and an all-zero column, as its
+    entries and labels, plus a point and a direction."""
+    n, d = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    zero_row, zero_col = draw(st.sampled_from([-1, 0])), draw(st.sampled_from([-1, d - 1]))
+    rows = [r for r in range(n) if r != zero_row]
+    cols = [c for c in range(d) if c != zero_col]
+    free = [(r, c) for r in rows for c in cols]
+    half = -(-n * d // 2)  # least k with k >= n*d/2
+    dense = draw(st.booleans())
+    lo, hi = (half, len(free)) if dense else (0, half - 1)
+    assume(lo <= hi)
+    k = draw(st.integers(lo, hi))
+    cells = draw(st.permutations(free))[:k]
+    values = draw(hnp.arrays(float, k, elements=st.floats(0.05, 4.0)))
+    signs = draw(hnp.arrays(float, k, elements=st.sampled_from([-1.0, 1.0])))
+    entries = np.zeros((n, d))
+    for (r, c), value in zip(cells, signs * values):
+        entries[r, c] = value
+    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    x = draw(hnp.arrays(float, d, elements=st.floats(-5.0, 5.0)))
+    v = draw(hnp.arrays(float, d, elements=st.floats(-3.0, 3.0)))
+    return entries, labels, x, v, k
+
+
+def stored_dense(obj):
+    return isinstance(obj._Z, np.ndarray)
+
+
+class TestFeatureLayout:
+    """The logistic objective stores its samples by density; both layouts agree."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=layout_datasets(), mu=st.sampled_from([1e-6, 1e-3, 1.0]))
+    def test_layouts_agree_and_follow_density(self, case, mu):
+        entries, labels, x, v, k = case
+        n, d = entries.shape
+        as_csr = Dataset(sp.csr_matrix(entries), labels)
+        as_array = Dataset(entries, labels)
+        by_rule = [LogisticObjective(ds, reg_mu=mu) for ds in (as_csr, as_array)]
+        assert [stored_dense(o) for o in by_rule] == [k >= n * d / 2] * 2
+        # each layout from the other input type
+        with mock.patch.object(objectives, "DENSE_MIN_DENSITY", 0.0):
+            dense = LogisticObjective(as_csr, reg_mu=mu)
+        with mock.patch.object(objectives, "DENSE_MIN_DENSITY", 2.0):
+            sparse = LogisticObjective(as_array, reg_mu=mu)
+        assert stored_dense(dense) and not stored_dense(sparse)
+        np.testing.assert_allclose(
+            [dense.info.lipschitz_L, dense.info.hess_lip_CL],
+            [sparse.info.lipschitz_L, sparse.info.hess_lip_CL], rtol=1e-12)
+
+        def results(obj):
+            p = obj.at(x)
+            f, g = obj.value_grad(p)
+            out = [p.margins, p.weights, np.float64(f), g, obj.hess_vec(p, v),
+                   obj.hess_diag(p, range(d)), obj.hess_matrix(p),
+                   np.float64(obj.weighted_norm(p, v))]
+            return out + [obj.hess_column(p, i) for i in range(d)]
+
+        for got, want in zip(results(dense), results(sparse)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * float(np.max(np.abs(want))))
+
+    def test_sparse_libsvm_data_stays_csr(self):
+        rng = np.random.default_rng(0)
+        n, d = 200, 100
+        text = "".join(f"+1 {rng.integers(1, d + 1)}:{rng.uniform(0.5, 1.0)!r}\n"
+                       for _ in range(n))
+        ds = parse_libsvm(text, n_features=d)
+        assert ds.features.nnz == n * d // 100
+        obj = LogisticObjective(ds, reg_mu=1e-3)
+        assert isinstance(obj._Z, sp.csr_matrix)
+
+    def test_dense_array_is_used_without_a_copy(self):
+        ds = synth_logistic_dataset(n=30, d=6, seed=0)
+        assert isinstance(ds.features, np.ndarray)
+        obj = LogisticObjective(ds, reg_mu=1e-3)
+        assert obj._Z is ds.features
 
 
 @st.composite
