@@ -2,7 +2,7 @@
 
 from .errors import AggregationError, CurvatureError, DiagnosticsError
 from .objectives import LogisticObjective, ObjectiveInfo, QuadraticObjective
-from .pairs import CaseTag, CurvaturePair, PairStore
+from .pairs import CaseTag, PairStore
 
 __all__ = [
     "AggregationError",
@@ -12,7 +12,6 @@ __all__ = [
     "ObjectiveInfo",
     "QuadraticObjective",
     "CaseTag",
-    "CurvaturePair",
     "PairStore",
 ]
 

@@ -16,18 +16,20 @@ rewritten variation is affine in the unknown.  Once the stale direction is
 last, appending the new same-direction pair erases it exactly.
 
 The swaps share one prefix state instead of rebuilding it.  The variations
-sit in one d x m array, m the store size, whose first p columns are the
-prefix grown so far.  The inverse images H_p rho of the variations still to
-be swapped are carried: one batched two-loop over the untouched prefix starts
-them; the images of the two rewritten variations follow from H_p B_p e_i =
-e_i, since both are combinations of the old variations and the direct
-columns B_p e_ia, B_p e_ib; and the inverse update moves the rest to H_{p+1}
-in O(m d).  The two direct columns are instead re-solved at every swap from
-the compact representation, one 2p x 2p solve with two right-hand sides.
-Carried by rank-two direct updates they would drift: by 4e-11 relative on
-a stress history with pair condition numbers near 1e8, which the swaps
-amplify into a relative defect of 1.3e-8 against the 1e-8 gate, where
-re-solved columns give 8e-10.  Cost per swap is O(m d + m^3), per event O(m^2 d + m^4).
+sit in one copy of the store's d x m array, m the store size, whose first p
+columns are the prefix grown so far.  The inverse images H_p rho of the
+variations still to be swapped are carried: one batched two-loop over the
+untouched prefix starts them; the images of the two rewritten variations
+follow from H_p B_p e_i = e_i, since both are combinations of the old
+variations and the direct columns B_p e_ia, B_p e_ib; and the inverse update
+moves the rest to H_{p+1} in O(m d).  The two direct columns are instead
+re-solved at every swap from the compact representation, one 2p x 2p solve
+with two right-hand sides.  Carried by rank-two direct updates they would
+drift: by 4e-11 relative on a stress history with pair condition numbers
+near 1e8, which the swaps amplify into a relative defect of 1.3e-8 against
+the 1e-8 gate, where re-solved columns give 8e-10.  Cost per swap is
+O(m d + m^3), per event O(m^2 d + m^4).  The store commits the rewritten
+suffix in one call.
 
 Every event is gated on the exact defect between the rewritten and the
 full-history fold, evaluated in a reduced subspace containing every vector
@@ -43,8 +45,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AggregationError
-from .kernels import _compact_columns, apply_inverse_hessian
-from .pairs import CurvaturePair, PairStore
+from .kernels import _compact_columns, _two_loop
+from .pairs import PairStore
 
 
 def _reduced_basis(e_cols: np.ndarray, w: np.ndarray, sigma_set) -> np.ndarray:
@@ -67,24 +69,22 @@ def _reduced_basis(e_cols: np.ndarray, w: np.ndarray, sigma_set) -> np.ndarray:
     return np.hstack([e_cols, q2])
 
 
-def _fold_defect(
-    prefix: PairStore,
-    pairs_a: list[CurvaturePair],
-    pairs_b: list[CurvaturePair],
-) -> tuple[float, float]:
+def _fold_defect(prefix, suffix_a, suffix_b, h0: float) -> tuple[float, float]:
     """Exact Frobenius distance between two suffix folds over a shared prefix.
 
-    Both folds start from the prefix operator; the comparison happens in an
-    orthonormal basis spanning the suffix basis vectors and the prefix images
-    of every suffix gradient variation, where it is exact.
-    Returns (defect, scale).
+    ``prefix`` and both suffixes are histories (indices, R), R holding one
+    variation per column.  Both folds start from the prefix operator; the
+    comparison happens in an orthonormal basis spanning the suffix basis
+    vectors and the prefix images of every suffix gradient variation, where it
+    is exact.  Returns (defect, scale).
     """
-    dim, h0_scale = prefix.dim, prefix.h0_scale
-    sigma_set = sorted({p.basis_index for p in pairs_a + pairs_b})
+    idx = list(suffix_a[0]) + list(suffix_b[0])
+    sigma_set = sorted(set(idx))
     pos = {i: k for k, i in enumerate(sigma_set)}
     n_sigma = len(sigma_set)
-    rho = np.column_stack([p.r for p in pairs_a + pairs_b])
-    w = apply_inverse_hessian(prefix, rho)
+    rho = np.ascontiguousarray(np.hstack([suffix_a[1], suffix_b[1]]))
+    dim = rho.shape[0]
+    w = _two_loop(prefix[1], prefix[0], h0, rho)
     e_cols = np.zeros((dim, n_sigma))
     for k, i in enumerate(sigma_set):
         e_cols[i, k] = 1.0
@@ -94,12 +94,11 @@ def _fold_defect(
     qt_w = q_mat.T @ w
     rho_w = rho.T @ w
 
-    def fold(pair_list, offset):
+    def fold(offset, count):
         theta = np.zeros((q, q))
-        for k, p in enumerate(pair_list):
-            col = offset + k
-            spos = pos[p.basis_index]
-            c = 1.0 / p.curvature
+        for col in range(offset, offset + count):
+            spos = pos[idx[col]]
+            c = 1.0 / float(rho[idx[col], col])
             hw = qt_w[:, col] + theta @ qt_rho[:, col]
             rhr = float(rho_w[col, col]) + float(
                 qt_rho[:, col] @ theta @ qt_rho[:, col]
@@ -110,9 +109,10 @@ def _fold_defect(
             theta[spos, spos] += c * c * rhr + c
         return theta
 
-    theta_a = fold(pairs_a, 0)
-    theta_b = fold(pairs_b, len(pairs_a))
-    scale = max(float(np.linalg.norm(theta_b)), np.sqrt(dim) * h0_scale, 1e-30)
+    n_a = len(suffix_a[0])
+    theta_a = fold(0, n_a)
+    theta_b = fold(n_a, len(idx) - n_a)
+    scale = max(float(np.linalg.norm(theta_b)), np.sqrt(dim) * h0, 1e-30)
     return float(np.linalg.norm(theta_a - theta_b)), scale
 
 
@@ -215,21 +215,20 @@ def _swap_adjacent(
     return rho_b_new, rho_a_new, h_b, h_a
 
 
-def _bubble_rewrite(
-    store: PairStore, prefix: PairStore, j: int, new_pair: CurvaturePair
-) -> list[CurvaturePair] | None:
-    """Rewritten suffix pairs via adjacent transpositions, or None on failure.
+def _bubble_rewrite(store: PairStore, j: int) -> tuple[list[int], np.ndarray] | None:
+    """Indices and variations after bubbling stale pair j to the end, or None.
 
-    ``prefix`` holds the first j pairs of ``store``.  While the stale pair sits
-    at slot p, R[:, :p] is the grown prefix, R[:, p] the stale variation and
-    R[:, p + 1:] the pairs still to pass; W[:, p:] holds the images of
-    R[:, p:] under the inverse operator H_p of the grown prefix.
+    Returns a rewritten copy (idx, R) of the store's history whose last pair is
+    the stale one; None when a swap has no admissible root.  While the stale
+    pair sits at slot p, R[:, :p] is the grown prefix, R[:, p] the stale
+    variation and R[:, p + 1:] the pairs still to pass; W[:, p:] holds the
+    images of R[:, p:] under the inverse operator H_p of the grown prefix.
     """
     m, h0 = store.size, store.h0_scale
     idx = store.indices
-    R = np.array([p.r for p in store.pairs]).T
+    R = store.R.copy(order="F")
     W = np.zeros_like(R)
-    W[:, j:] = apply_inverse_hessian(prefix, R[:, j:])
+    W[:, j:] = _two_loop(R[:, :j], idx[:j], h0, R[:, j:])
     for p in range(j, m - 1):
         ia, ib = idx[p], idx[p + 1]
         u = _compact_columns(R[:, :p], idx[:p], h0, [ia, ib])
@@ -242,23 +241,13 @@ def _bubble_rewrite(
         r, y_ib, hy = R[:, p], R[ib, p + 1:], W[:, p + 1:]
         hy -= np.outer(W[:, p], y_ib / r[ib])
         hy[ib] += (y_ib - r @ hy) / r[ib]
-    return [
-        CurvaturePair(idx[k], R[:, k].copy()) for k in range(j, m - 1)
-    ] + [new_pair]
-
-
-def _check_c3(store: PairStore, j: int, new_pair: CurvaturePair) -> None:
-    tag = store.classify(new_pair.basis_index)
-    if tag.kind != "C3" or tag.j != j:
-        raise AggregationError(
-            f"aggregation requires a C3 event at slot {j}; classification gave {tag}"
-        )
+    return idx, R
 
 
 def aggregate_c3(
-    store: PairStore, j: int, new_pair: CurvaturePair, tol: float = 1e-8
+    store: PairStore, j: int, index: int, r: np.ndarray, tol: float = 1e-8
 ) -> None:
-    """Drop stale pair j, rewrite downstream variations, append the new pair.
+    """Drop stale pair j, rewrite downstream variations, append the pair (index, r).
 
     Mutates the store in place; size and index-distinctness are preserved and
     the implicit inverse operator matches the full-history one within ``tol``
@@ -267,25 +256,27 @@ def aggregate_c3(
     C3 at slot j, a swap has no admissible root, or the defect exceeds
     ``tol``.
     """
-    _check_c3(store, j, new_pair)
-    prefix = PairStore(
-        dim=store.dim,
-        tau=max(1, j),
-        h0_scale=store.h0_scale,
-        validate=False,
-        pairs=store.pairs[:j],
-    )
-    suffix = _bubble_rewrite(store, prefix, j, new_pair)
-    if suffix is None:
+    r = store.check_pair(index, r)
+    tag = store.classify(index)
+    if tag.kind != "C3" or tag.j != j:
+        raise AggregationError(
+            f"aggregation requires a C3 event at slot {j}; classification gave {tag}"
+        )
+    rewritten = _bubble_rewrite(store, j)
+    if rewritten is None:
         raise AggregationError(
             "an adjacent swap has no root with positive curvature "
             f"(block size {store.size - j}, dropped slot {j})"
         )
-    defect, scale = _fold_defect(prefix, suffix, store.pairs[j:] + [new_pair])
+    idx, R = rewritten
+    idx[-1] = int(index)
+    R[:, -1] = r
+    full = (store.indices[j:] + [int(index)], np.column_stack([store.R[:, j:], r]))
+    prefix = (idx[:j], R[:, :j])
+    defect, scale = _fold_defect(prefix, (idx[j:], R[:, j:]), full, store.h0_scale)
     if defect > tol * scale:
         raise AggregationError(
             f"aggregation defect {defect:.3e} exceeds {tol:.1e} * scale "
             f"{scale:.3e} (block size {store.size - j}, dropped slot {j})"
         )
-    store.pairs[:] = prefix.pairs + suffix
-    store._check()
+    store.replace_suffix(j, idx[j:], R[:, j:])

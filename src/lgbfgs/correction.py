@@ -3,8 +3,10 @@
 Scaling the seed operator down by psi and every stored gradient variation up
 by psi multiplies the implicit direct operator by psi, which is how the
 dominance condition on the Hessian approximation is enforced without ever
-forming it.  psi = 1 + CM * phi where phi is the curvature-weighted step
-length; the ``delta`` variant adds a geometrically decaying slack term.
+forming it: one in-place multiply of the store's variation array and one
+division of its seed scale.  psi = 1 + CM * phi where phi is the
+curvature-weighted step length; the ``delta`` variant adds a geometrically
+decaying slack term.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import Objective, Point
-from .pairs import CurvaturePair, PairStore
+from .pairs import PairStore
 
 OFF = "off"
 BASIC = "basic"
@@ -73,7 +75,5 @@ def apply_scaling(store: PairStore, psi: float) -> None:
         raise ValueError(f"psi must be >= 1, got {psi}")
     if psi == 1.0:
         return
+    store.R[:] *= psi
     store.h0_scale /= psi
-    store.pairs[:] = [
-        CurvaturePair(p.basis_index, psi * p.r) for p in store.pairs
-    ]

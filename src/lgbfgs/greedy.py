@@ -36,14 +36,12 @@ class SubsetPolicy:
             raise ValueError(f"unknown subset policy mode {self.mode!r}")
 
 
-def subset_indices(policy: SubsetPolicy, store: PairStore, d: int) -> list[int]:
+def subset_indices(policy: SubsetPolicy, store: PairStore) -> list[int]:
     """Candidate basis indices under the policy; ascending for tie-break order."""
     if policy.mode == FIXED_PREFIX:
-        if store.tau > d:
-            raise ValueError("fixed_prefix policy requires tau <= d")
         return list(range(store.tau))
     if store.size < store.tau:
-        return list(range(d))
+        return list(range(store.dim))
     return sorted(store.indices)
 
 

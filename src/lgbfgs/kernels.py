@@ -2,11 +2,11 @@
 
 Dense rank-two updates (direct and inverse form) act as oracles and drive the
 dense baselines.  The two-loop recursion and the compact representation are the
-production paths: they work off a :class:`~lgbfgs.pairs.PairStore`, or its
-variations stacked in a d x m array, and never materialize a d x d matrix.
-Folding the inverse update over a store in storage order from
-``h0_scale * I`` defines the implicit operator every equivalence test refers
-back to.
+production paths: they read a :class:`~lgbfgs.pairs.PairStore`'s variation
+array ``R`` and index list directly, or any d x m variation array with its
+indices, and never materialize a d x d matrix.  Folding the inverse update
+over a history (indices, R, h0) in storage order from ``h0 * I`` defines the
+implicit operator every equivalence test refers back to.
 """
 
 from __future__ import annotations
@@ -47,48 +47,56 @@ def dense_inv_bfgs_update(H: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.nda
     return 0.5 * (out + out.T)
 
 
-def dense_H_from_pairs(store: PairStore) -> np.ndarray:
-    """Fold the inverse update over the store from h0_scale * I (test oracle)."""
-    H = store.h0_scale * np.eye(store.dim)
-    for p in store.pairs:
-        H = dense_inv_bfgs_update(H, p.s_dense(), p.r)
+def dense_H_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:
+    """Fold the inverse update over the pairs (e_indices[k], R[:, k]) from h0 * I.
+
+    Test oracle; indices may repeat, as in a full history before aggregation.
+    """
+    dim = R.shape[0]
+    H = h0 * np.eye(dim)
+    for k, i in enumerate(indices):
+        H = dense_inv_bfgs_update(H, np.eye(dim)[i], R[:, k])
     return H
 
 
-def dense_B_from_pairs(store: PairStore) -> np.ndarray:
-    """Fold the direct update over the store from (1/h0_scale) * I."""
-    B = (1.0 / store.h0_scale) * np.eye(store.dim)
-    for p in store.pairs:
-        B = dense_bfgs_update(B, p.s_dense(), p.r)
+def dense_B_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:
+    """Fold the direct update over the pairs (e_indices[k], R[:, k]) from I / h0."""
+    dim = R.shape[0]
+    B = (1.0 / h0) * np.eye(dim)
+    for k, i in enumerate(indices):
+        B = dense_bfgs_update(B, np.eye(dim)[i], R[:, k])
     return B
 
 
-def apply_inverse_hessian(store: PairStore, v: np.ndarray) -> np.ndarray:
-    """Two-loop recursion: the implicit inverse operator applied to v, O(size*d).
+def _two_loop(R: np.ndarray, stored, h0: float, v) -> np.ndarray:
+    """Two-loop recursion for the pairs (e_stored[k], R[:, k]) applied to v.
 
     ``v`` is a vector or a d x k matrix whose columns are mapped in one pass.
     """
     q = np.asarray(v, dtype=float).copy()
-    if q.ndim not in (1, 2) or q.shape[0] != store.dim:
-        raise ValueError(
-            f"input has shape {q.shape}, expected ({store.dim},) or ({store.dim}, k)"
-        )
-    pairs = store.pairs
-    alphas = np.empty((len(pairs),) + q.shape[1:])
-    rhos = np.empty(len(pairs))
-    for k in range(len(pairs) - 1, -1, -1):
-        p = pairs[k]
-        cur = p.curvature
-        if cur <= 0.0:
-            raise CurvatureError(f"stored pair {k} has curvature {cur:.3e} <= 0")
-        rhos[k] = 1.0 / cur
-        alphas[k] = rhos[k] * q[p.basis_index]
-        q -= np.multiply.outer(p.r, alphas[k])
-    q *= store.h0_scale
-    for k, p in enumerate(pairs):
-        beta = rhos[k] * (p.r @ q)
-        q[p.basis_index] += alphas[k] - beta
+    dim = R.shape[0]
+    if q.ndim not in (1, 2) or q.shape[0] != dim:
+        raise ValueError(f"input has shape {q.shape}, expected ({dim},) or ({dim}, k)")
+    m = len(stored)
+    curv = R[stored, np.arange(m)]
+    if np.any(curv <= 0.0):
+        k = int(np.argmin(curv))
+        raise CurvatureError(f"stored pair {k} has curvature {curv[k]:.3e} <= 0")
+    rhos = 1.0 / curv
+    alphas = np.empty((m,) + q.shape[1:])
+    for k in range(m - 1, -1, -1):
+        alphas[k] = rhos[k] * q[stored[k]]
+        q -= np.multiply.outer(R[:, k], alphas[k])
+    q *= h0
+    for k in range(m):
+        beta = rhos[k] * (R[:, k] @ q)
+        q[stored[k]] += alphas[k] - beta
     return q
+
+
+def apply_inverse_hessian(store: PairStore, v: np.ndarray) -> np.ndarray:
+    """Two-loop recursion: the implicit inverse operator applied to v, O(size*d)."""
+    return _two_loop(store.R, store.indices, store.h0_scale, v)
 
 
 def two_loop_direction(store: PairStore, g: np.ndarray) -> np.ndarray:
@@ -141,19 +149,12 @@ def _compact_columns(R: np.ndarray, stored, h0: float, cols) -> np.ndarray:
     return out
 
 
-def _stacked(store: PairStore) -> np.ndarray:
-    """The stored gradient variations as the columns of a d x size matrix."""
-    if not store.pairs:
-        return np.zeros((store.dim, 0))
-    return np.column_stack([p.r for p in store.pairs])
-
-
 def compact_B_column(store: PairStore, i: int) -> np.ndarray:
     """Column B e_i of the implicit direct operator via the compact representation."""
     i = int(i)
     if not 0 <= i < store.dim:
         raise IndexError(f"basis index {i} out of range [0, {store.dim})")
-    return _compact_columns(_stacked(store), store.indices, store.h0_scale, [i])[:, 0]
+    return _compact_columns(store.R, store.indices, store.h0_scale, [i])[:, 0]
 
 
 def compact_B_diag(store: PairStore, indices) -> np.ndarray:
@@ -165,5 +166,5 @@ def compact_B_diag(store: PairStore, indices) -> np.ndarray:
     base = np.full(len(indices), 1.0 / store.h0_scale)
     if store.size == 0:
         return base
-    W, Z = _compact_solve(_stacked(store), store.indices, store.h0_scale, indices)
+    W, Z = _compact_solve(store.R, store.indices, store.h0_scale, indices)
     return base - np.sum(W * Z, axis=0)

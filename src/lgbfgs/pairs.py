@@ -1,57 +1,25 @@
-"""Bounded, ordered curvature-pair container with basis-index bookkeeping.
+"""Bounded, ordered curvature-pair history with basis-index bookkeeping.
 
-Variable variations are always coordinate basis vectors, so they are stored as
-indices and parallelism tests reduce to exact index comparison.  Each incoming
-pair is classified against the store:
+Variable variations are always coordinate basis vectors, so a pair is a basis
+index and its gradient variation r, and parallelism tests reduce to exact
+index comparison.  The variations are the columns of one preallocated
+column-major d x tau array, oldest first; ``R`` is its live d x size block,
+contiguous per variation for the two-loop and as a block for the compact
+representation.  Each incoming pair is classified against the store:
 
 * C1 -- index not stored yet (only legal below capacity): append.
 * C2 -- index equals the most recently stored one: replace the last pair.
 * C3 -- index equals an older stored pair j: handled by aggregation
-  (see ``lgbfgs.aggregation``).
+  (see ``lgbfgs.aggregation``), which commits the rewritten suffix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CurvatureError
-
-
-@dataclass
-class CurvaturePair:
-    """Basis-indexed variable variation and its gradient-variation vector."""
-
-    basis_index: int
-    r: np.ndarray
-
-    def __post_init__(self):
-        self.basis_index = int(self.basis_index)
-        self.r = np.asarray(self.r, dtype=float)
-        if self.r.ndim != 1:
-            raise ValueError("gradient variation must be a vector")
-        if not np.all(np.isfinite(self.r)):
-            raise ValueError("gradient variation has non-finite entries")
-        if not 0 <= self.basis_index < self.r.shape[0]:
-            raise IndexError(
-                f"basis index {self.basis_index} out of range for dim {self.r.shape[0]}"
-            )
-        if self.curvature <= 0.0:
-            raise CurvatureError(
-                f"pair at index {self.basis_index} has curvature "
-                f"{self.curvature:.3e} <= 0"
-            )
-
-    @property
-    def curvature(self) -> float:
-        """s'r with s the implicit unit basis vector."""
-        return float(self.r[self.basis_index])
-
-    def s_dense(self) -> np.ndarray:
-        s = np.zeros(self.r.shape[0])
-        s[self.basis_index] = 1.0
-        return s
 
 
 @dataclass(frozen=True)
@@ -68,47 +36,52 @@ class CaseTag:
             raise ValueError("C3 requires a slot index j; C1/C2 forbid it")
 
 
-@dataclass
 class PairStore:
     """Ordered pair history (oldest first) bounded by ``tau``.
 
     ``h0_scale`` is the scalar of the diagonal seed operator for the implicit
-    inverse-Hessian fold.  ``validate=True`` re-checks the size and
-    distinct-index invariants after every mutation.
+    inverse-Hessian fold; ``dim`` and ``tau`` are the array's fixed shape.
+    Every mutation keeps at most ``tau`` pairs with pairwise distinct indices
+    and positive curvatures r[index].
     """
 
-    dim: int
-    tau: int
-    h0_scale: float = 1.0
-    validate: bool = True
-    pairs: list[CurvaturePair] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not 1 <= self.tau <= self.dim:
-            raise ValueError(f"tau must be in [1, dim], got tau={self.tau} dim={self.dim}")
-        if not self.h0_scale > 0:
-            raise ValueError(f"h0_scale must be positive, got {self.h0_scale}")
-        self._check()
+    def __init__(self, dim: int, tau: int, h0_scale: float = 1.0):
+        if not 1 <= tau <= dim:
+            raise ValueError(f"tau must be in [1, dim], got tau={tau} dim={dim}")
+        if not h0_scale > 0:
+            raise ValueError(f"h0_scale must be positive, got {h0_scale}")
+        self.h0_scale = float(h0_scale)
+        self._R = np.zeros((int(dim), int(tau)), order="F")
+        self._idx: list[int] = []
 
     # -- views ---------------------------------------------------------------
 
     @property
+    def dim(self) -> int:
+        return self._R.shape[0]
+
+    @property
+    def tau(self) -> int:
+        return self._R.shape[1]
+
+    @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self._idx)
 
     @property
     def indices(self) -> list[int]:
-        return [p.basis_index for p in self.pairs]
+        return list(self._idx)
 
-    def snapshot(self) -> "PairStore":
-        """Read-only copy for diagnostics; pair vectors are copied."""
-        return PairStore(
-            dim=self.dim,
-            tau=self.tau,
-            h0_scale=self.h0_scale,
-            validate=self.validate,
-            pairs=[CurvaturePair(p.basis_index, p.r.copy()) for p in self.pairs],
-        )
+    @property
+    def R(self) -> np.ndarray:
+        """The stored gradient variations as a live d x size view, oldest first."""
+        return self._R[:, : len(self._idx)]
+
+    def copy(self) -> "PairStore":
+        """Independent copy of the history."""
+        out = PairStore(self.dim, self.tau, self.h0_scale)
+        out._R[:], out._idx = self._R, list(self._idx)
+        return out
 
     # -- classification and mutation ------------------------------------------
 
@@ -122,51 +95,74 @@ class PairStore:
         new_index = int(new_index)
         if not 0 <= new_index < self.dim:
             raise IndexError(f"basis index {new_index} out of range [0, {self.dim})")
-        idx = self.indices
-        if new_index not in idx:
+        if new_index not in self._idx:
             if self.size >= self.tau:
                 raise CurvatureError(
                     "new basis index outside a full store: the greedy subset "
                     "restriction was violated"
                 )
             return CaseTag("C1")
-        j = idx.index(new_index)
+        j = self._idx.index(new_index)
         if j == self.size - 1:
             return CaseTag("C2")
         return CaseTag("C3", j=j)
 
-    def insert_c1(self, pair: CurvaturePair) -> None:
+    def check_pair(self, index: int, r) -> np.ndarray:
+        """r as a float vector, once the pair (index, r) has an index in
+        [0, dim), shape (dim,), finite entries and curvature r[index] > 0."""
+        index = int(index)
+        if not 0 <= index < self.dim:
+            raise IndexError(f"basis index {index} out of range for dim {self.dim}")
+        r = np.asarray(r, dtype=float)
+        if r.shape != (self.dim,):
+            raise ValueError(
+                f"gradient variation has shape {r.shape}, expected ({self.dim},)"
+            )
+        if not np.all(np.isfinite(r)):
+            raise ValueError("gradient variation has non-finite entries")
+        if not r[index] > 0.0:
+            raise CurvatureError(f"pair at index {index} has curvature {r[index]:.3e} <= 0")
+        return r
+
+    def insert_c1(self, index: int, r) -> None:
+        """Append a pair whose index is not stored yet."""
+        r = self.check_pair(index, r)
         if self.size >= self.tau:
             raise CurvatureError(f"store at capacity tau={self.tau}; cannot append")
-        if pair.basis_index in self.indices:
+        if int(index) in self._idx:
             raise CurvatureError(
-                f"index {pair.basis_index} already stored; appending would "
-                "duplicate a variation"
+                f"index {index} already stored; appending would duplicate a variation"
             )
-        self.pairs.append(pair)
-        self._check()
+        self._R[:, self.size] = r
+        self._idx.append(int(index))
 
-    def replace_c2(self, pair: CurvaturePair) -> None:
-        if not self.pairs:
+    def replace_c2(self, index: int, r) -> None:
+        """Replace the most recent pair by a new one at the same index."""
+        r = self.check_pair(index, r)
+        if not self._idx:
             raise CurvatureError("cannot replace the last pair of an empty store")
-        if pair.basis_index != self.pairs[-1].basis_index:
+        if int(index) != self._idx[-1]:
             raise CurvatureError(
-                f"index {pair.basis_index} does not match the last stored "
-                f"index {self.pairs[-1].basis_index}"
+                f"index {index} does not match the last stored index {self._idx[-1]}"
             )
-        self.pairs[-1] = pair
-        self._check()
+        self._R[:, self.size - 1] = r
 
-    # -- invariants ------------------------------------------------------------
-
-    def _check(self) -> None:
-        if not self.validate:
-            return
-        if self.size > self.tau:
-            raise CurvatureError(f"store size {self.size} exceeds tau={self.tau}")
-        idx = self.indices
-        if len(set(idx)) != len(idx):
-            raise CurvatureError(f"stored indices are not pairwise distinct: {idx}")
-        for p in self.pairs:
-            if p.r.shape != (self.dim,):
-                raise ValueError("stored pair dimension mismatch")
+    def replace_suffix(self, j: int, indices, R: np.ndarray) -> None:
+        """Replace the pairs from slot j on by the columns of ``R`` at ``indices``;
+        checks run before anything is written."""
+        if not 0 <= j <= self.size:
+            raise IndexError(f"slot {j} out of range [0, {self.size}]")
+        indices = [int(i) for i in indices]
+        if R.shape != (self.dim, len(indices)):
+            raise ValueError(
+                f"suffix has shape {R.shape}, expected ({self.dim}, {len(indices)})"
+            )
+        for k, i in enumerate(indices):
+            self.check_pair(i, R[:, k])
+        new = self._idx[:j] + indices
+        if len(new) > self.tau:
+            raise CurvatureError(f"store size {len(new)} exceeds tau={self.tau}")
+        if len(set(new)) != len(new):
+            raise CurvatureError(f"stored indices are not pairwise distinct: {new}")
+        self._R[:, j : len(new)] = R
+        self._idx = new

@@ -34,7 +34,7 @@ from .correction import CorrectionConfig, apply_scaling, scale_factor, weighted_
 from .errors import CurvatureError
 from .greedy import SubsetPolicy, greedy_pair, subset_indices
 from .objectives import Objective, Point
-from .pairs import CurvaturePair, PairStore
+from .pairs import PairStore
 
 GD = "gd"
 LBFGS = "lbfgs"
@@ -115,7 +115,8 @@ class Trace:
 
 @dataclass
 class StepSnapshot:
-    """Observer payload for one limited-memory greedy step (dense-replay hooks)."""
+    """Observer payload for one limited-memory greedy step (dense-replay hooks);
+    the stores are copies taken before the scaling and after the retention."""
 
     t: int
     x: np.ndarray
@@ -270,38 +271,40 @@ class _LgBfgs(_Step):
         self.tau = self.store.tau
 
     def dense_B(self):
-        return kernels.dense_B_from_pairs(self.store)
+        store = self.store
+        return kernels.dense_B_from_pairs(store.indices, store.R, store.h0_scale)
 
     def direction(self, t, x, g):
         return kernels.two_loop_direction(self.store, g)
 
     def curvature(self, t, point, point_next):
         obj, store, cfg = self.obj, self.store, self.cfg
-        store_before = store.snapshot() if self.observer or cfg.record_dense_diags else None
+        store_before = store.copy() if self.observer or cfg.record_dense_diags else None
         phi = weighted_step_norm(obj, point, point_next)
         psi = scale_factor(phi, cfg.correction, obj.info.self_concordant_CM, t)
         apply_scaling(store, psi)
-        candidates = subset_indices(cfg.subset_policy, store, obj.info.dim)
+        candidates = subset_indices(cfg.subset_policy, store)
         index, r = greedy_pair(obj, point_next, store, candidates)
         extra = {}
         if cfg.record_dense_diags:
-            err = psi * kernels.dense_B_from_pairs(store_before) - obj.hess_matrix(point_next)
+            B = kernels.dense_B_from_pairs(
+                store_before.indices, store_before.R, store_before.h0_scale)
+            err = psi * B - obj.hess_matrix(point_next)
             _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
                 err, candidates, degenerate="inf"
             )
         tag = store.classify(index)
-        new_pair = CurvaturePair(index, r)
         if tag.kind == "C1":
-            store.insert_c1(new_pair)
+            store.insert_c1(index, r)
         elif tag.kind == "C2":
-            store.replace_c2(new_pair)
+            store.replace_c2(index, r)
         else:
-            aggregation.aggregate_c3(store, tag.j, new_pair, tol=cfg.aggregation_tol)
+            aggregation.aggregate_c3(store, tag.j, index, r, tol=cfg.aggregation_tol)
         if self.observer is not None:
             self.observer(StepSnapshot(
                 t=t, x=point.x.copy(), x_next=point_next.x.copy(), psi=psi,
                 candidates=list(candidates),
-                store_before=store_before, store_after=store.snapshot()))
+                store_before=store_before, store_after=store.copy()))
         self.pair_count = store.size
         extra["case_tag"] = tag.kind
         return extra

@@ -9,24 +9,13 @@ import time
 import numpy as np
 import pytest
 
+from lgbfgs import verify
 from lgbfgs.aggregation import aggregate_c3
 from lgbfgs.correction import CorrectionConfig
 from lgbfgs.data import synth_problem
-from lgbfgs.diagnostics import (
-    RateParams,
-    contraction_residual,
-    rate_bounds,
-    relative_condition_numbers,
-)
-from lgbfgs.greedy import SubsetPolicy
-from lgbfgs.kernels import (
-    compact_B_column,
-    dense_B_from_pairs,
-    dense_bfgs_update,
-    dense_H_from_pairs,
-    two_loop_direction,
-)
-from lgbfgs.pairs import CurvaturePair, PairStore
+from lgbfgs.diagnostics import RateParams, contraction_residual, rate_bounds
+from lgbfgs.kernels import dense_B_from_pairs
+from lgbfgs.pairs import PairStore
 from lgbfgs.solvers import SolverConfig, run, warm_start
 
 
@@ -41,14 +30,6 @@ def random_spd(rng, d):
     return a @ a.T + d * np.eye(d)
 
 
-def random_store(rng, d, size, h0=None):
-    store = PairStore(dim=d, tau=max(size, 1),
-                      h0_scale=h0 or float(rng.uniform(0.5, 2.0)))
-    for i in rng.permutation(d)[:size]:
-        store.insert_c1(CurvaturePair(int(i), random_spd(rng, d)[:, int(i)].copy()))
-    return store
-
-
 def grad_norm_not_better(a, b, floor=1e-13):
     """a is at least as large as b, or both sit at the convergence floor."""
     return a >= b * (1.0 - 1e-9) or (a <= floor and b <= floor)
@@ -57,99 +38,38 @@ def grad_norm_not_better(a, b, floor=1e-13):
 class TestAcceptance:
     def test_1_kernel_oracle_equivalence(self):
         """Two-loop and compact columns against the dense fold, 200 instances."""
-        rng = np.random.default_rng(101)
         start = time.perf_counter()
-        worst_dir, worst_col = 0.0, 0.0
-        for _ in range(200):
-            d = int(rng.integers(2, 21))
-            size = int(rng.integers(0, min(d, 10) + 1))
-            store = random_store(rng, d, size)
-            g = rng.standard_normal(d)
-            H = dense_H_from_pairs(store)
-            dense_dir = H @ g
-            got = two_loop_direction(store, g)
-            worst_dir = max(worst_dir, np.linalg.norm(got + dense_dir)
-                            / max(np.linalg.norm(dense_dir), 1e-300))
-            B = np.linalg.inv(H)
-            i = int(rng.integers(0, d))
-            col = compact_B_column(store, i)
-            worst_col = max(worst_col, np.linalg.norm(col - B[:, i])
-                            / max(np.linalg.norm(B[:, i]), 1e-300))
+        two_loop = verify.check_two_loop_vs_dense(cases=200, seed=101)
+        column = verify.check_compact_column_vs_dense(cases=200, seed=101)
         elapsed = time.perf_counter() - start
-        ok = worst_dir <= 1e-10 and worst_col <= 1e-9 and elapsed < 10.0
-        line = report(1, ok, f"two_loop {worst_dir:.2e} (tol 1e-10), "
-                             f"column {worst_col:.2e} (tol 1e-9), {elapsed:.1f}s")
+        ok = (two_loop.passed and two_loop.worst <= 1e-10 and column.passed
+              and column.worst <= 1e-9 and elapsed < 10.0)
+        line = report(1, ok, f"two_loop {two_loop.worst:.2e} (tol 1e-10), "
+                             f"column {column.worst:.2e} (tol 1e-9), {elapsed:.1f}s")
         assert ok, line
 
     def test_2_aggregation_equivalence(self):
         """100 randomized repeat-direction events match the augmented history."""
-        rng = np.random.default_rng(102)
         start = time.perf_counter()
-        worst = 0.0
-        for _ in range(100):
-            d = int(rng.integers(3, 13))
-            size = int(rng.integers(2, min(d, 6) + 1))
-            store = random_store(rng, d, size)
-            j = int(rng.integers(0, size - 1))
-            idx = store.indices[j]
-            new = CurvaturePair(idx, random_spd(rng, d)[:, idx].copy())
-            full = store.snapshot()
-            full.tau += 1
-            full.validate = False
-            full.pairs.append(new)
-            target = dense_H_from_pairs(full)
-            aggregate_c3(store, j, new)
-            worst = max(worst, np.linalg.norm(dense_H_from_pairs(store) - target)
-                        / np.linalg.norm(target))
+        result = verify.check_aggregation_equivalence(cases=100, seed=102)
         elapsed = time.perf_counter() - start
-        ok = worst <= 1e-8 and elapsed < 60.0
-        line = report(2, ok, f"worst rel Frobenius {worst:.2e} (tol 1e-8), "
+        ok = result.passed and result.worst <= 1e-8 and elapsed < 60.0
+        line = report(2, ok, f"worst rel Frobenius {result.worst:.2e} (tol 1e-8), "
                              f"{elapsed:.1f}s")
         assert ok, line
 
     def test_3_scaling_identity(self):
         """Scaled seed and variations scale the direct fold, 100 chains."""
-        rng = np.random.default_rng(103)
-        worst = 0.0
-        for _ in range(100):
-            d = int(rng.integers(2, 9))
-            length = int(rng.integers(1, 7))
-            psi = float(rng.uniform(1.0, 3.0))
-            b0 = float(rng.uniform(0.5, 2.0))
-            idxs = rng.permutation(d)[: min(length, d)]
-            B_plain = b0 * np.eye(d)
-            B_scaled = psi * b0 * np.eye(d)
-            for i in idxs:
-                r = random_spd(rng, d)[:, int(i)].copy()
-                s = np.zeros(d)
-                s[int(i)] = 1.0
-                B_plain = dense_bfgs_update(B_plain, s, r)
-                B_scaled = dense_bfgs_update(B_scaled, s, psi * r)
-            worst = max(worst, np.linalg.norm(B_scaled - psi * B_plain)
-                        / np.linalg.norm(B_plain))
-        ok = worst <= 1e-10
-        line = report(3, ok, f"worst identity error {worst:.2e} (tol 1e-10)")
+        result = verify.check_scaling_identity(cases=100, seed=103)
+        ok = result.passed and result.worst <= 1e-10
+        line = report(3, ok, f"worst identity error {result.worst:.2e} (tol 1e-10)")
         assert ok, line
 
     def test_4_full_memory_equivalence(self):
         """tau = d limited-memory run equals the dense greedy baseline."""
-        d = 10
-        obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, 10.0, d),
-                            seed=41, rotate=True)
-        x0 = np.ones(d)
-        common = dict(tau=d, max_iters=50, grad_tol=0.0,
-                      correction=CorrectionConfig("basic"))
-        tr_lg = run(obj, x0, SolverConfig(method="lg_bfgs",
-                                          subset_policy=SubsetPolicy("fixed_prefix"),
-                                          **common))
-        tr_gb = run(obj, x0, SolverConfig(method="greedy_bfgs", **common))
-        worst = 0.0
-        for a, b in zip(tr_lg.records, tr_gb.records):
-            worst = max(worst, abs(a.grad_norm - b.grad_norm)
-                        / max(b.grad_norm, 1e-280))
-        worst = max(worst, float(np.max(np.abs(tr_lg.x_final - tr_gb.x_final))))
-        ok = worst <= 1e-8
-        line = report(4, ok, f"worst iterate deviation {worst:.2e} (tol 1e-8), "
+        result = verify.check_full_memory_equivalence(seed=41)
+        ok = result.passed and result.worst <= 1e-8
+        line = report(4, ok, f"worst iterate deviation {result.worst:.2e} (tol 1e-8), "
                              f"50 iterations")
         assert ok, line
 
@@ -161,8 +81,10 @@ class TestAcceptance:
         residuals = []
 
         def observer(snap):
-            B_before = dense_B_from_pairs(snap.store_before)
-            B_after = dense_B_from_pairs(snap.store_after)
+            B_before, B_after = (
+                dense_B_from_pairs(s.indices, s.R, s.h0_scale)
+                for s in (snap.store_before, snap.store_after)
+            )
             residuals.append(
                 contraction_residual(obj, snap.x, snap.x_next, B_before,
                                      B_after, snap.candidates)
@@ -302,7 +224,7 @@ class TestAcceptance:
                     for store in stores:
                         if len(set(store.indices)) != store.size:
                             violations += 1
-        # operation-level fuzz on the store itself (validation stays on)
+        # operation-level fuzz on the store itself
         store = PairStore(dim=8, tau=4)
         for _ in range(1000):
             if store.size == 0 or (store.size < 4 and rng.random() < 0.5):
@@ -310,14 +232,14 @@ class TestAcceptance:
                 idx = int(rng.choice(free))
             else:
                 idx = int(rng.choice(store.indices))
-            pair = CurvaturePair(idx, random_spd(rng, 8)[:, idx].copy())
+            r = random_spd(rng, 8)[:, idx]
             tag = store.classify(idx)
             if tag.kind == "C1":
-                store.insert_c1(pair)
+                store.insert_c1(idx, r)
             elif tag.kind == "C2":
-                store.replace_c2(pair)
+                store.replace_c2(idx, r)
             else:
-                aggregate_c3(store, tag.j, pair)
+                aggregate_c3(store, tag.j, idx, r)
             if store.size > 4 or len(set(store.indices)) != store.size:
                 violations += 1
         ok = violations == 0
@@ -368,16 +290,7 @@ class TestAcceptance:
 
     def test_10_diagnostics_sanity(self):
         """Condition-number identities and a closed-form rate-bound spot value."""
-        rng = np.random.default_rng(110)
-        worst = 0.0
-        for _ in range(50):
-            d = int(rng.integers(2, 12))
-            E = random_spd(rng, d)
-            betas, beta_min = relative_condition_numbers(E, range(d))
-            eigs = np.linalg.eigvalsh(E)
-            worst = max(worst, abs(beta_min - 1.0))
-            worst = max(worst, float(np.max(1.0 - betas)))
-            worst = max(worst, float(np.max(betas - eigs[-1] / eigs[0])))
+        worst = verify.check_beta_sanity(cases=50, seed=110).worst
         spot = rate_bounds(
             RateParams(mu=1.0, lipschitz_L=2.0, dim=4, cond_bound=1.0, t0=0), 2
         ).superlinear

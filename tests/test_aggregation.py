@@ -5,8 +5,14 @@ import pytest
 
 from lgbfgs import aggregation, verify
 from lgbfgs.aggregation import AggregationError, aggregate_c3
-from lgbfgs.kernels import apply_inverse_hessian, compact_B_column, dense_H_from_pairs
-from lgbfgs.pairs import CurvaturePair, PairStore
+from lgbfgs.errors import CurvatureError
+from lgbfgs.kernels import (
+    _two_loop,
+    apply_inverse_hessian,
+    compact_B_column,
+    dense_H_from_pairs,
+)
+from lgbfgs.pairs import PairStore
 
 
 def random_spd(rng, d):
@@ -17,17 +23,18 @@ def random_spd(rng, d):
 def random_store(rng, d, size, h0=None):
     store = PairStore(dim=d, tau=size, h0_scale=h0 or float(rng.uniform(0.3, 2.0)))
     for i in rng.permutation(d)[:size]:
-        store.insert_c1(CurvaturePair(int(i), random_spd(rng, d)[:, int(i)].copy()))
+        store.insert_c1(i, random_spd(rng, d)[:, i])
     return store
 
 
-def augmented_oracle(store, new_pair):
-    """Dense fold of the full history plus the new pair."""
-    full = store.snapshot()
-    full.tau += 1
-    full.validate = False
-    full.pairs.append(new_pair)
-    return dense_H_from_pairs(full)
+def augmented_oracle(store, index, r):
+    """Dense fold of the full history plus the new pair (index, r)."""
+    return dense_H_from_pairs(store.indices + [index], np.column_stack([store.R, r]),
+                              store.h0_scale)
+
+
+def dense_H(store):
+    return dense_H_from_pairs(store.indices, store.R, store.h0_scale)
 
 
 class TestCoefficientShapes:
@@ -36,27 +43,27 @@ class TestCoefficientShapes:
         rng = np.random.default_rng(1)
         store = random_store(rng, 3, 2, h0=1.0)
         idx = store.indices[0]
-        new = CurvaturePair(idx, random_spd(rng, 3)[:, idx].copy())
-        target = augmented_oracle(store, new)
-        aggregate_c3(store, 0, new)
-        rel = np.linalg.norm(dense_H_from_pairs(store) - target) / np.linalg.norm(target)
+        new = random_spd(rng, 3)[:, idx]
+        target = augmented_oracle(store, idx, new)
+        aggregate_c3(store, 0, idx, new)
+        rel = np.linalg.norm(dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-8
 
     def test_wrong_slot_rejected(self):
         rng = np.random.default_rng(2)
         store = random_store(rng, 5, 3)
         idx = store.indices[0]
-        new = CurvaturePair(idx, random_spd(rng, 5)[:, idx].copy())
+        new = random_spd(rng, 5)[:, idx]
         with pytest.raises(AggregationError):
-            aggregate_c3(store, 1, new)
+            aggregate_c3(store, 1, idx, new)
 
     def test_c2_event_rejected(self):
         rng = np.random.default_rng(3)
         store = random_store(rng, 5, 3)
         idx = store.indices[-1]
-        new = CurvaturePair(idx, random_spd(rng, 5)[:, idx].copy())
+        new = random_spd(rng, 5)[:, idx]
         with pytest.raises(AggregationError):
-            aggregate_c3(store, 2, new)
+            aggregate_c3(store, 2, idx, new)
 
 
 class TestFailureAtomicity:
@@ -69,37 +76,55 @@ class TestFailureAtomicity:
         rng = np.random.default_rng(12)
         store = random_store(rng, 6, 4)
         idx = store.indices[slot]
-        new = CurvaturePair(idx, random_spd(rng, 6)[:, idx].copy())
+        new = random_spd(rng, 6)[:, idx]
         indices = store.indices
-        r_bytes = [p.r.tobytes() for p in store.pairs]
+        r_bytes = store.R.tobytes()
         with pytest.raises(AggregationError):
-            aggregate_c3(store, j, new, tol=tol)
+            aggregate_c3(store, j, idx, new, tol=tol)
         assert store.indices == indices
-        assert [p.r.tobytes() for p in store.pairs] == r_bytes
+        assert store.R.tobytes() == r_bytes
+
+
+class TestNewPairChecks:
+    @pytest.mark.parametrize("entry, value, error", [
+        ("index", -1.0, CurvatureError),  # non-positive curvature
+        ("other", np.inf, ValueError),  # non-finite entry
+    ])
+    def test_bad_new_pair_rejected_before_the_bubble(self, monkeypatch, entry,
+                                                     value, error):
+        rng = np.random.default_rng(14)
+        store = random_store(rng, 6, 4)
+        idx = store.indices[1]
+        new = random_spd(rng, 6)[:, idx].copy()
+        new[idx if entry == "index" else (idx + 1) % 6] = value
+        before = (store.indices, store.R.tobytes())
+        monkeypatch.setattr(aggregation, "_bubble_rewrite", None)
+        with pytest.raises(error):
+            aggregate_c3(store, 1, idx, new)
+        assert (store.indices, store.R.tobytes()) == before
 
 
 class TestAggregateStructure:
     def test_dropped_index_moves_to_end(self):
         rng = np.random.default_rng(4)
         store = PairStore(dim=4, tau=2, h0_scale=1.0)
-        store.insert_c1(CurvaturePair(1, random_spd(rng, 4)[:, 1].copy()))
-        store.insert_c1(CurvaturePair(2, random_spd(rng, 4)[:, 2].copy()))
-        new = CurvaturePair(1, random_spd(rng, 4)[:, 1].copy())
-        aggregate_c3(store, 0, new)
+        store.insert_c1(1, random_spd(rng, 4)[:, 1])
+        store.insert_c1(2, random_spd(rng, 4)[:, 2])
+        new = random_spd(rng, 4)[:, 1]
+        aggregate_c3(store, 0, 1, new)
         assert store.indices == [2, 1]
         assert store.size == 2
-        np.testing.assert_array_equal(store.pairs[-1].r, new.r)
+        np.testing.assert_array_equal(store.R[:, -1], new)
 
     def test_prefix_pairs_untouched(self):
         rng = np.random.default_rng(5)
         store = random_store(rng, 8, 5)
-        prefix_rs = [p.r.copy() for p in store.pairs[:2]]
+        prefix = store.R[:, :2].copy()
         j = 2
         idx = store.indices[j]
-        new = CurvaturePair(idx, random_spd(rng, 8)[:, idx].copy())
-        aggregate_c3(store, j, new)
-        for p, r in zip(store.pairs[:2], prefix_rs):
-            np.testing.assert_array_equal(p.r, r)
+        new = random_spd(rng, 8)[:, idx]
+        aggregate_c3(store, j, idx, new)
+        np.testing.assert_array_equal(store.R[:, :2], prefix)
 
     def test_size_constant_across_fuzzed_events(self):
         rng = np.random.default_rng(6)
@@ -109,8 +134,8 @@ class TestAggregateStructure:
             store = random_store(rng, d, size)
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
-            new = CurvaturePair(idx, random_spd(rng, d)[:, idx].copy())
-            aggregate_c3(store, j, new)
+            new = random_spd(rng, d)[:, idx]
+            aggregate_c3(store, j, idx, new)
             assert store.size == size
             assert len(set(store.indices)) == size
 
@@ -122,10 +147,9 @@ class TestAggregateStructure:
             store = random_store(rng, d, size)
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
-            new = CurvaturePair(idx, random_spd(rng, d)[:, idx].copy())
-            aggregate_c3(store, j, new)
-            for p in store.pairs:
-                assert p.curvature > 0.0
+            new = random_spd(rng, d)[:, idx]
+            aggregate_c3(store, j, idx, new)
+            assert np.all(store.R[store.indices, np.arange(size)] > 0.0)
 
 
 class TestCarriedPrefix:
@@ -149,11 +173,12 @@ class TestCarriedPrefix:
             store = random_store(rng, d, size)
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
-            new = CurvaturePair(idx, random_spd(rng, d)[:, idx].copy())
-            grown = PairStore(dim=d, tau=size, h0_scale=store.h0_scale,
-                              pairs=store.pairs[:j])
+            new = random_spd(rng, d)[:, idx]
+            grown = PairStore(dim=d, tau=size, h0_scale=store.h0_scale)
+            for k, i in enumerate(store.indices[:j]):
+                grown.insert_c1(i, store.R[:, k])
             swaps.clear()
-            aggregate_c3(store, j, new)
+            aggregate_c3(store, j, idx, new)
             assert len(swaps) == size - 1 - j
             for ia, ib, rho, u, w, rho_b_new in swaps:
                 for k, i in enumerate((ia, ib)):
@@ -164,7 +189,7 @@ class TestCarriedPrefix:
                         np.linalg.norm(u[:, k] - col) / np.linalg.norm(col),
                         np.linalg.norm(w[:, k] - image) / np.linalg.norm(image),
                     )
-                grown.insert_c1(CurvaturePair(ib, rho_b_new))
+                grown.insert_c1(ib, rho_b_new)
         assert worst <= 1e-10
 
 
@@ -173,12 +198,12 @@ class TestFoldEquivalence:
         """Two stored pairs, repeat of the first: equivalence at 1e-8."""
         rng = np.random.default_rng(8)
         store = PairStore(dim=3, tau=2, h0_scale=1.0)
-        store.insert_c1(CurvaturePair(0, random_spd(rng, 3)[:, 0].copy()))
-        store.insert_c1(CurvaturePair(1, random_spd(rng, 3)[:, 1].copy()))
-        new = CurvaturePair(0, random_spd(rng, 3)[:, 0].copy())
-        target = augmented_oracle(store, new)
-        aggregate_c3(store, 0, new)
-        rel = np.linalg.norm(dense_H_from_pairs(store) - target) / np.linalg.norm(target)
+        store.insert_c1(0, random_spd(rng, 3)[:, 0])
+        store.insert_c1(1, random_spd(rng, 3)[:, 1])
+        new = random_spd(rng, 3)[:, 0]
+        target = augmented_oracle(store, 0, new)
+        aggregate_c3(store, 0, 0, new)
+        rel = np.linalg.norm(dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-8
 
     def test_randomized_events_match_dense_oracle(self):
@@ -191,10 +216,10 @@ class TestFoldEquivalence:
             store = random_store(rng, d, size)
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
-            new = CurvaturePair(idx, random_spd(rng, d)[:, idx].copy())
-            target = augmented_oracle(store, new)
-            aggregate_c3(store, j, new)
-            rel = np.linalg.norm(dense_H_from_pairs(store) - target) \
+            new = random_spd(rng, d)[:, idx]
+            target = augmented_oracle(store, idx, new)
+            aggregate_c3(store, j, idx, new)
+            rel = np.linalg.norm(dense_H(store) - target) \
                 / np.linalg.norm(target)
             worst = max(worst, rel)
         assert worst <= 1e-8
@@ -210,13 +235,13 @@ class TestFoldEquivalence:
             store = PairStore(dim=d, tau=size,
                               h0_scale=1.0 / float(np.linalg.eigvalsh(A)[-1]))
             for i in rng.permutation(d)[:size]:
-                store.insert_c1(CurvaturePair(int(i), A[:, int(i)].copy()))
+                store.insert_c1(int(i), A[:, int(i)])
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
-            new = CurvaturePair(idx, A[:, idx].copy())
-            target = augmented_oracle(store, new)
-            aggregate_c3(store, j, new)
-            rel = np.linalg.norm(dense_H_from_pairs(store) - target) \
+            new = A[:, idx]
+            target = augmented_oracle(store, idx, new)
+            aggregate_c3(store, j, idx, new)
+            rel = np.linalg.norm(dense_H(store) - target) \
                 / np.linalg.norm(target)
             worst = max(worst, rel)
         assert worst <= 1e-8
@@ -227,10 +252,10 @@ class TestFoldEquivalence:
         d, size = 20, 12
         store = random_store(rng, d, size, h0=0.5)
         idx = store.indices[0]
-        new = CurvaturePair(idx, random_spd(rng, d)[:, idx].copy())
-        target = augmented_oracle(store, new)
-        aggregate_c3(store, 0, new)
-        rel = np.linalg.norm(dense_H_from_pairs(store) - target) / np.linalg.norm(target)
+        new = random_spd(rng, d)[:, idx]
+        target = augmented_oracle(store, idx, new)
+        aggregate_c3(store, 0, idx, new)
+        rel = np.linalg.norm(dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-10
 
     def test_ill_conditioned_stress_fuzz(self):
@@ -239,14 +264,15 @@ class TestFoldEquivalence:
         assert result.passed, result.render()
 
 
-def copying_fold_defect(prefix, pairs_a, pairs_b):
+def copying_fold_defect(prefix, suffix_a, suffix_b, h0):
     """``aggregation._fold_defect`` as it was when ``fold`` copied theta for
     every pair; the reference for the in-place fold."""
-    dim, h0_scale = prefix.dim, prefix.h0_scale
-    sigma_set = sorted({p.basis_index for p in pairs_a + pairs_b})
+    pairs = list(zip(suffix_a[0], suffix_a[1].T)) + list(zip(suffix_b[0], suffix_b[1].T))
+    sigma_set = sorted({i for i, _ in pairs})
     pos = {i: k for k, i in enumerate(sigma_set)}
-    rho = np.column_stack([p.r for p in pairs_a + pairs_b])
-    w = apply_inverse_hessian(prefix, rho)
+    rho = np.column_stack([r for _, r in pairs])
+    dim = rho.shape[0]
+    w = _two_loop(prefix[1], prefix[0], h0, rho)
     e_cols = np.zeros((dim, len(sigma_set)))
     for k, i in enumerate(sigma_set):
         e_cols[i, k] = 1.0
@@ -256,10 +282,10 @@ def copying_fold_defect(prefix, pairs_a, pairs_b):
 
     def fold(pair_list, offset):
         theta = np.zeros((q, q))
-        for k, p in enumerate(pair_list):
+        for k, (i, r) in enumerate(pair_list):
             col = offset + k
-            spos = pos[p.basis_index]
-            c = 1.0 / p.curvature
+            spos = pos[i]
+            c = 1.0 / float(r[i])
             hw = qt_w[:, col] + theta @ qt_rho[:, col]
             rhr = float(rho_w[col, col]) + float(qt_rho[:, col] @ theta @ qt_rho[:, col])
             out = theta.copy()
@@ -269,9 +295,10 @@ def copying_fold_defect(prefix, pairs_a, pairs_b):
             theta = out
         return theta
 
-    theta_a = fold(pairs_a, 0)
-    theta_b = fold(pairs_b, len(pairs_a))
-    scale = max(float(np.linalg.norm(theta_b)), np.sqrt(dim) * h0_scale, 1e-30)
+    n_a = len(suffix_a[0])
+    theta_a = fold(pairs[:n_a], 0)
+    theta_b = fold(pairs[n_a:], n_a)
+    scale = max(float(np.linalg.norm(theta_b)), np.sqrt(dim) * h0, 1e-30)
     return float(np.linalg.norm(theta_a - theta_b)), scale
 
 
@@ -282,9 +309,9 @@ class TestFoldDefect:
         gate = aggregation._fold_defect
         calls = []
 
-        def recording(prefix, pairs_a, pairs_b):
-            out = gate(prefix, pairs_a, pairs_b)
-            calls.append((out, copying_fold_defect(prefix, pairs_a, pairs_b)))
+        def recording(prefix, suffix_a, suffix_b, h0):
+            out = gate(prefix, suffix_a, suffix_b, h0)
+            calls.append((out, copying_fold_defect(prefix, suffix_a, suffix_b, h0)))
             return out
 
         monkeypatch.setattr(aggregation, "_fold_defect", recording)

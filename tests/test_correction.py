@@ -11,15 +11,23 @@ from lgbfgs.correction import (
 )
 from lgbfgs.kernels import dense_B_from_pairs, dense_H_from_pairs, two_loop_direction
 from lgbfgs.objectives import QuadraticObjective
-from lgbfgs.pairs import CurvaturePair, PairStore
+from lgbfgs.pairs import PairStore
 
 
 def random_store(rng, d, size, h0=1.0):
     store = PairStore(dim=d, tau=max(size, 1), h0_scale=h0)
     for i in rng.permutation(d)[:size]:
         a = rng.standard_normal((d, d))
-        store.insert_c1(CurvaturePair(int(i), (a @ a.T + d * np.eye(d))[:, int(i)].copy()))
+        store.insert_c1(i, (a @ a.T + d * np.eye(d))[:, i])
     return store
+
+
+def dense_B(store):
+    return dense_B_from_pairs(store.indices, store.R, store.h0_scale)
+
+
+def dense_H(store):
+    return dense_H_from_pairs(store.indices, store.R, store.h0_scale)
 
 
 class TestWeightedStepNorm:
@@ -64,10 +72,10 @@ class TestApplyScaling:
     def test_identity_scale_is_noop(self):
         rng = np.random.default_rng(0)
         store = random_store(rng, 4, 2)
-        before = [p.r.copy() for p in store.pairs]
+        before = store.R.copy()
         apply_scaling(store, 1.0)
-        for p, r in zip(store.pairs, before):
-            np.testing.assert_array_equal(p.r, r)
+        np.testing.assert_array_equal(store.R, before)
+        assert store.h0_scale == 1.0
 
     def test_small_scale_rejected(self):
         store = PairStore(dim=3, tau=2)
@@ -76,11 +84,12 @@ class TestApplyScaling:
 
     def test_hand_case_direct_operator_doubles(self):
         r = np.array([2.0, 0.0])
-        store = PairStore(dim=2, tau=1, h0_scale=1.0, pairs=[CurvaturePair(0, r)])
-        np.testing.assert_allclose(dense_B_from_pairs(store), np.diag([2.0, 1.0]),
+        store = PairStore(dim=2, tau=1, h0_scale=1.0)
+        store.insert_c1(0, r)
+        np.testing.assert_allclose(dense_B(store), np.diag([2.0, 1.0]),
                                    atol=1e-14)
         apply_scaling(store, 2.0)
-        np.testing.assert_allclose(dense_B_from_pairs(store), np.diag([4.0, 2.0]),
+        np.testing.assert_allclose(dense_B(store), np.diag([4.0, 2.0]),
                                    atol=1e-14)
 
     def test_direct_fold_scales_linearly(self):
@@ -92,9 +101,9 @@ class TestApplyScaling:
             size = int(rng.integers(1, min(d, 5) + 1))
             psi = float(rng.uniform(1.0, 3.0))
             store = random_store(rng, d, size, h0=float(rng.uniform(0.5, 2.0)))
-            B_before = dense_B_from_pairs(store)
+            B_before = dense_B(store)
             apply_scaling(store, psi)
-            B_after = dense_B_from_pairs(store)
+            B_after = dense_B(store)
             worst = max(worst, np.linalg.norm(B_after - psi * B_before)
                         / np.linalg.norm(B_before))
         assert worst <= 1e-10
@@ -105,9 +114,9 @@ class TestApplyScaling:
             d = int(rng.integers(2, 8))
             store = random_store(rng, d, int(rng.integers(1, min(d, 5) + 1)))
             psi = float(rng.uniform(1.0, 4.0))
-            H_before = dense_H_from_pairs(store)
+            H_before = dense_H(store)
             apply_scaling(store, psi)
-            np.testing.assert_allclose(dense_H_from_pairs(store), H_before / psi,
+            np.testing.assert_allclose(dense_H(store), H_before / psi,
                                        atol=1e-12 * np.linalg.norm(H_before))
 
     def test_direction_scales_inversely(self):
@@ -119,6 +128,16 @@ class TestApplyScaling:
         apply_scaling(store, 2.5)
         np.testing.assert_allclose(two_loop_direction(store, g), before / 2.5,
                                    atol=1e-13)
+
+    def test_bit_identical_to_scaling_each_variation(self):
+        """Scaling in place gives exactly psi * r per column and h0 / psi."""
+        rng = np.random.default_rng(5)
+        store = random_store(rng, 7, 4, h0=0.3)
+        expected = [1.9 * store.R[:, k] for k in range(store.size)]
+        apply_scaling(store, 1.9)
+        for k, r in enumerate(expected):
+            assert store.R[:, k].tobytes() == r.tobytes()
+        assert store.h0_scale == 0.3 / 1.9
 
     def test_indices_and_order_untouched(self):
         rng = np.random.default_rng(4)

@@ -6,7 +6,7 @@ import pytest
 from lgbfgs.errors import CurvatureError
 from lgbfgs.greedy import ADAPTIVE, FIXED_PREFIX, SubsetPolicy, greedy_pair, subset_indices
 from lgbfgs.objectives import QuadraticObjective
-from lgbfgs.pairs import CurvaturePair, PairStore
+from lgbfgs.pairs import PairStore
 
 
 def store_with(indices, d, tau, h0=1.0, matrix=None):
@@ -17,22 +17,22 @@ def store_with(indices, d, tau, h0=1.0, matrix=None):
             r[i] = 2.0
         else:
             r = matrix[:, i].copy()
-        store.insert_c1(CurvaturePair(i, r))
+        store.insert_c1(i, r)
     return store
 
 
 class TestSubsetIndices:
     def test_fixed_prefix(self):
         store = PairStore(dim=6, tau=3)
-        assert subset_indices(SubsetPolicy(FIXED_PREFIX), store, 6) == [0, 1, 2]
+        assert subset_indices(SubsetPolicy(FIXED_PREFIX), store) == [0, 1, 2]
 
     def test_adaptive_below_capacity_is_full_basis(self):
         store = store_with([1], d=4, tau=2)
-        assert subset_indices(SubsetPolicy(ADAPTIVE), store, 4) == [0, 1, 2, 3]
+        assert subset_indices(SubsetPolicy(ADAPTIVE), store) == [0, 1, 2, 3]
 
     def test_adaptive_at_capacity_is_stored(self):
         store = store_with([1, 3], d=4, tau=2)
-        assert subset_indices(SubsetPolicy(ADAPTIVE), store, 4) == [1, 3]
+        assert subset_indices(SubsetPolicy(ADAPTIVE), store) == [1, 3]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

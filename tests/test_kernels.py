@@ -14,7 +14,7 @@ from lgbfgs.kernels import (
     dense_inv_bfgs_update,
     two_loop_direction,
 )
-from lgbfgs.pairs import CurvaturePair, PairStore
+from lgbfgs.pairs import PairStore
 
 E0 = np.array([1.0, 0.0])
 
@@ -29,22 +29,23 @@ def reference_two_loop(store, v):
     q = np.asarray(v, dtype=float).copy()
     alphas = np.empty(store.size)
     rhos = np.empty(store.size)
+    pairs = [(i, store.R[:, k].copy()) for k, i in enumerate(store.indices)]
     for k in range(store.size - 1, -1, -1):
-        p = store.pairs[k]
-        rhos[k] = 1.0 / p.curvature
-        alphas[k] = rhos[k] * q[p.basis_index]
-        q -= alphas[k] * p.r
+        i, r = pairs[k]
+        rhos[k] = 1.0 / float(r[i])
+        alphas[k] = rhos[k] * q[i]
+        q -= alphas[k] * r
     q *= store.h0_scale
-    for k, p in enumerate(store.pairs):
-        beta = rhos[k] * float(p.r @ q)
-        q[p.basis_index] += alphas[k] - beta
+    for k, (i, r) in enumerate(pairs):
+        beta = rhos[k] * float(r @ q)
+        q[i] += alphas[k] - beta
     return q
 
 
 def reference_compact_diag(store, indices):
     """e_i' B e_i with the middle matrix and right-hand sides built entry by entry."""
     m = store.size
-    R = np.column_stack([p.r for p in store.pairs])
+    R = store.R
     sr = R[store.indices, :]
     lower = np.tril(sr, k=-1)
     middle = np.block([
@@ -65,8 +66,19 @@ def random_store(rng, d, size, h0=None):
                       h0_scale=h0 or float(rng.uniform(0.5, 2.0)))
     for i in rng.permutation(d)[:size]:
         spd = random_spd(rng, d)
-        store.insert_c1(CurvaturePair(int(i), spd[:, int(i)].copy()))
+        store.insert_c1(i, spd[:, i])
     return store
+
+
+def single_pair_store():
+    """One pair (e_0, 2 e_0) over the identity seed in dimension 2."""
+    store = PairStore(dim=2, tau=1, h0_scale=1.0)
+    store.insert_c1(0, 2 * E0)
+    return store
+
+
+def dense_H(store):
+    return dense_H_from_pairs(store.indices, store.R, store.h0_scale)
 
 
 class TestDenseUpdates:
@@ -128,28 +140,39 @@ class TestDenseUpdates:
 class TestDenseFold:
     def test_empty_store(self):
         store = PairStore(dim=3, tau=2, h0_scale=2.5)
-        np.testing.assert_allclose(dense_H_from_pairs(store), 2.5 * np.eye(3))
+        np.testing.assert_allclose(dense_H(store), 2.5 * np.eye(3))
 
     def test_single_pair_matches_inverse_update(self):
-        store = PairStore(dim=2, tau=1, h0_scale=1.0,
-                          pairs=[CurvaturePair(0, 2 * E0)])
-        np.testing.assert_allclose(dense_H_from_pairs(store), np.diag([0.5, 1.0]),
+        store = single_pair_store()
+        np.testing.assert_allclose(dense_H(store), np.diag([0.5, 1.0]),
                                    atol=1e-14)
 
     def test_fold_unrolls_to_chained_updates(self):
         rng = np.random.default_rng(4)
         store = random_store(rng, 4, 2, h0=1.0)
         H = np.eye(4)
-        for p in store.pairs:
-            H = dense_inv_bfgs_update(H, p.s_dense(), p.r)
-        np.testing.assert_allclose(dense_H_from_pairs(store), H)
+        for k, i in enumerate(store.indices):
+            H = dense_inv_bfgs_update(H, np.eye(4)[i], store.R[:, k])
+        np.testing.assert_allclose(dense_H(store), H)
+
+    def test_repeated_index_history(self):
+        """A full history may repeat an index; the fold chains every pair."""
+        rng = np.random.default_rng(18)
+        A1, A2 = random_spd(rng, 3), random_spd(rng, 3)
+        R = np.column_stack([A1[:, 1], A1[:, 2], A2[:, 1]])
+        H = 0.5 * np.eye(3)
+        for k, i in enumerate([1, 2, 1]):
+            H = dense_inv_bfgs_update(H, np.eye(3)[i], R[:, k])
+        np.testing.assert_array_equal(dense_H_from_pairs([1, 2, 1], R, 0.5), H)
+        np.testing.assert_allclose(dense_B_from_pairs([1, 2, 1], R, 0.5) @ H,
+                                   np.eye(3), atol=1e-12)
 
     def test_direct_fold_inverts_inverse_fold(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             store = random_store(rng, 5, 3)
-            H = dense_H_from_pairs(store)
-            B = dense_B_from_pairs(store)
+            H = dense_H(store)
+            B = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
             np.testing.assert_allclose(B @ H, np.eye(5), atol=1e-9)
 
 
@@ -161,8 +184,7 @@ class TestTwoLoop:
         )
 
     def test_single_pair_hand_value(self):
-        store = PairStore(dim=2, tau=1, h0_scale=1.0,
-                          pairs=[CurvaturePair(0, 2 * E0)])
+        store = single_pair_store()
         np.testing.assert_allclose(
             two_loop_direction(store, np.ones(2)), [-0.5, -1.0], atol=1e-14
         )
@@ -176,7 +198,7 @@ class TestTwoLoop:
             size = int(rng.integers(0, min(d, 10) + 1))
             store = random_store(rng, d, size)
             g = rng.standard_normal(d)
-            dense = dense_H_from_pairs(store) @ g
+            dense = dense_H(store) @ g
             got = two_loop_direction(store, g)
             worst = max(worst, np.linalg.norm(got + dense)
                         / max(np.linalg.norm(dense), 1e-300))
@@ -228,8 +250,7 @@ class TestCompactRepresentation:
         np.testing.assert_allclose(compact_B_column(store, 1), [0.0, 2.0, 0.0])
 
     def test_single_pair_hand_value(self):
-        store = PairStore(dim=2, tau=1, h0_scale=1.0,
-                          pairs=[CurvaturePair(0, 2 * E0)])
+        store = single_pair_store()
         np.testing.assert_allclose(compact_B_column(store, 0), [2.0, 0.0],
                                    atol=1e-14)
 
@@ -240,7 +261,7 @@ class TestCompactRepresentation:
             d = int(rng.integers(2, 21))
             size = int(rng.integers(0, min(d, 10) + 1))
             store = random_store(rng, d, size)
-            B = np.linalg.inv(dense_H_from_pairs(store))
+            B = np.linalg.inv(dense_H(store))
             i = int(rng.integers(0, d))
             col = compact_B_column(store, i)
             worst = max(worst, np.linalg.norm(col - B[:, i])

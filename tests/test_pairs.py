@@ -1,61 +1,91 @@
 """Pair store: classification, mutations, and capacity/index invariants."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from lgbfgs.aggregation import aggregate_c3
+from lgbfgs.correction import apply_scaling
 from lgbfgs.errors import CurvatureError
-from lgbfgs.pairs import CaseTag, CurvaturePair, PairStore
+from lgbfgs.kernels import dense_H_from_pairs, dense_inv_bfgs_update
+from lgbfgs.pairs import CaseTag, PairStore
 
 
-def pair(idx, d=5, scale=2.0):
+def unit_r(idx, d=5, scale=2.0):
     r = np.zeros(d)
     r[idx] = scale
-    return CurvaturePair(idx, r)
+    return r
 
 
-def dense_pair(idx, rng, d=5):
+def dense_r(idx, rng, d=5):
     a = rng.standard_normal((d, d))
     spd = a @ a.T + d * np.eye(d)
-    return CurvaturePair(idx, spd[:, idx].copy())
+    return spd[:, idx].copy()
+
+
+def store_with(indices, dim=5, tau=4, scales=None):
+    store = PairStore(dim=dim, tau=tau)
+    for k, i in enumerate(indices):
+        store.insert_c1(i, unit_r(i, dim, 2.0 if scales is None else scales[k]))
+    return store
 
 
 class TestCurvaturePair:
+    """The checks a pair (index, r) passes on its way into the store."""
+
     def test_positive_curvature_required(self):
+        store = PairStore(dim=2, tau=2)
         with pytest.raises(CurvatureError):
-            CurvaturePair(0, np.array([-1.0, 0.0]))
+            store.insert_c1(0, np.array([-1.0, 0.0]))
         with pytest.raises(CurvatureError):
-            CurvaturePair(1, np.array([1.0, 0.0]))
+            store.insert_c1(1, np.array([1.0, 0.0]))
+        assert store.size == 0
 
     def test_bad_index(self):
+        store = PairStore(dim=2, tau=2)
         with pytest.raises(IndexError):
-            CurvaturePair(3, np.ones(2))
+            store.insert_c1(3, np.ones(2))
 
     def test_dense_variation(self):
-        p = pair(1, d=3)
-        np.testing.assert_allclose(p.s_dense(), [0.0, 1.0, 0.0])
-        assert p.curvature == 2.0
+        """The variation is stored as a dense float column, copied on entry."""
+        store = PairStore(dim=3, tau=2)
+        r = np.array([0, 2, 1])
+        store.insert_c1(1, r)
+        r[:] = 9
+        assert store.R.dtype == np.float64
+        np.testing.assert_array_equal(store.R, [[0.0], [2.0], [1.0]])
+        assert store.R[store.indices[0], 0] == 2.0
+
+    def test_shape_and_finiteness(self):
+        store = PairStore(dim=3, tau=2)
+        with pytest.raises(ValueError):
+            store.insert_c1(0, np.ones(2))
+        with pytest.raises(ValueError):
+            store.insert_c1(0, np.array([1.0, np.nan, 0.0]))
+        assert store.size == 0
 
 
 class TestClassify:
     def test_matches_last_is_c2(self):
-        store = PairStore(dim=5, tau=4, pairs=[pair(1), pair(3)])
+        store = store_with([1, 3])
         assert store.classify(3) == CaseTag("C2")
 
     def test_matches_earlier_is_c3(self):
-        store = PairStore(dim=5, tau=4, pairs=[pair(1), pair(3)])
+        store = store_with([1, 3])
         assert store.classify(1) == CaseTag("C3", j=0)
 
     def test_absent_below_capacity_is_c1(self):
-        store = PairStore(dim=5, tau=4, pairs=[pair(1), pair(3)])
+        store = store_with([1, 3])
         assert store.classify(2) == CaseTag("C1")
 
     def test_absent_at_capacity_is_internal_error(self):
-        store = PairStore(dim=5, tau=2, pairs=[pair(1), pair(3)])
+        store = store_with([1, 3], tau=2)
         with pytest.raises(CurvatureError):
             store.classify(2)
 
     def test_ignores_r_values(self):
-        store = PairStore(dim=5, tau=3, pairs=[pair(1, scale=9.0), pair(3, scale=0.1)])
+        store = store_with([1, 3], tau=3, scales=[9.0, 0.1])
         assert store.classify(1).kind == "C3"
 
     def test_out_of_range(self):
@@ -67,52 +97,94 @@ class TestClassify:
 class TestMutations:
     def test_insert_into_empty(self):
         store = PairStore(dim=5, tau=2)
-        store.insert_c1(pair(0))
+        store.insert_c1(0, unit_r(0))
         assert store.indices == [0]
 
     def test_insert_appends(self):
-        store = PairStore(dim=5, tau=2, pairs=[pair(1)])
-        store.insert_c1(pair(3))
+        store = store_with([1], tau=2)
+        store.insert_c1(3, unit_r(3))
         assert store.indices == [1, 3]
 
     def test_insert_at_capacity_fails(self):
-        store = PairStore(dim=5, tau=2, pairs=[pair(1), pair(3)])
+        store = store_with([1, 3], tau=2)
         with pytest.raises(CurvatureError):
-            store.insert_c1(pair(0))
+            store.insert_c1(0, unit_r(0))
 
     def test_replace_last(self):
-        store = PairStore(dim=5, tau=2, pairs=[pair(1), pair(3, scale=1.0)])
-        store.replace_c2(pair(3, scale=7.0))
+        store = store_with([1, 3], tau=2, scales=[2.0, 1.0])
+        store.replace_c2(3, unit_r(3, scale=7.0))
         assert store.indices == [1, 3]
-        assert store.pairs[-1].curvature == 7.0
+        assert store.R[3, -1] == 7.0
 
     def test_replace_single(self):
-        store = PairStore(dim=5, tau=2, pairs=[pair(1, scale=1.0)])
-        store.replace_c2(pair(1, scale=2.0))
+        store = store_with([1], tau=2, scales=[1.0])
+        store.replace_c2(1, unit_r(1, scale=2.0))
         assert store.size == 1
-        assert store.pairs[0].curvature == 2.0
+        assert store.R[1, 0] == 2.0
 
     def test_replace_empty_fails(self):
         store = PairStore(dim=5, tau=2)
         with pytest.raises(CurvatureError):
-            store.replace_c2(pair(1))
+            store.replace_c2(1, unit_r(1))
+
+    def test_replace_index_mismatch_fails(self):
+        store = store_with([1, 3], tau=2)
+        with pytest.raises(CurvatureError):
+            store.replace_c2(1, unit_r(1))
+        assert store.R[1, 0] == 2.0
 
     def test_replace_preserves_size_on_random_sequences(self):
         rng = np.random.default_rng(0)
         store = PairStore(dim=6, tau=3)
-        store.insert_c1(dense_pair(2, rng, d=6))
+        store.insert_c1(2, dense_r(2, rng, d=6))
         for _ in range(100):
             before = store.size
-            store.replace_c2(dense_pair(store.indices[-1], rng, d=6))
+            store.replace_c2(store.indices[-1], dense_r(store.indices[-1], rng, d=6))
             assert store.size == before
 
-    def test_snapshot_is_a_copy(self):
+    def test_copy_is_independent(self):
         rng = np.random.default_rng(1)
-        store = PairStore(dim=6, tau=3,
-                          pairs=[dense_pair(0, rng, 6), dense_pair(2, rng, 6)])
-        snap = store.snapshot()
-        snap.pairs[0].r[:] = 99.0
-        assert store.pairs[0].r[0] != 99.0
+        store = PairStore(dim=6, tau=3)
+        store.insert_c1(0, dense_r(0, rng, 6))
+        store.insert_c1(2, dense_r(2, rng, 6))
+        copy = store.copy()
+        copy.R[:] = 99.0
+        copy.h0_scale = 5.0
+        copy.insert_c1(4, dense_r(4, rng, 6))
+        assert store.R[0, 0] != 99.0
+        assert store.h0_scale == 1.0
+        assert store.indices == [0, 2]
+
+    def test_r_is_a_live_column_major_view(self):
+        store = store_with([1, 3, 0])
+        assert store.R.shape == (5, 3)
+        assert store.R.flags.f_contiguous
+        store.R[:] *= 2.0
+        assert store.R[1, 0] == 4.0
+
+
+class TestReplaceSuffix:
+    def test_rewrites_from_slot(self):
+        store = store_with([1, 3, 0])
+        store.replace_suffix(1, [0, 3], np.column_stack([unit_r(0, scale=5.0),
+                                                          unit_r(3, scale=6.0)]))
+        assert store.indices == [1, 0, 3]
+        assert (store.R[1, 0], store.R[0, 1], store.R[3, 2]) == (2.0, 5.0, 6.0)
+
+    @pytest.mark.parametrize("indices, scales, error", [
+        ([1, 3], [2.0, 2.0], CurvatureError),  # duplicates the prefix index 1
+        ([0, 2], [2.0, -1.0], CurvatureError),  # non-positive curvature
+        ([0, 2, 4, 3], [2.0] * 4, CurvatureError),  # over capacity
+        ([0, 7], [2.0, 2.0], IndexError),  # index out of range
+    ])
+    def test_rejected_suffix_leaves_store_unchanged(self, indices, scales, error):
+        store = store_with([1, 3, 0])
+        before = (store.indices, store.R.copy())
+        R = np.column_stack([unit_r(min(i, 4), scale=s) for i, s in zip(indices, scales)])
+        with pytest.raises(error):
+            store.replace_suffix(1, indices, R)
+        assert store.indices == before[0]
+        np.testing.assert_array_equal(store.R, before[1])
 
 
 class TestInvariantFuzz:
@@ -124,16 +196,89 @@ class TestInvariantFuzz:
         for _ in range(1000):
             if store.size < tau and rng.random() < 0.5:
                 free = [i for i in range(d) if i not in store.indices]
-                store.insert_c1(dense_pair(int(rng.choice(free)), rng, d))
+                i = int(rng.choice(free))
+                store.insert_c1(i, dense_r(i, rng, d))
             elif store.size:
-                store.replace_c2(dense_pair(store.indices[-1], rng, d))
+                store.replace_c2(store.indices[-1], dense_r(store.indices[-1], rng, d))
             assert store.size <= tau
             assert len(set(store.indices)) == store.size
 
     def test_validation_rejects_duplicates(self):
+        store = store_with([1], tau=3)
         with pytest.raises(CurvatureError):
-            PairStore(dim=5, tau=3, pairs=[pair(1), pair(1)])
+            store.insert_c1(1, unit_r(1))
+        assert store.indices == [1]
 
     def test_validation_rejects_oversize(self):
+        with pytest.raises(ValueError):
+            PairStore(dim=5, tau=6)
+        store = store_with([1], tau=1)
         with pytest.raises(CurvatureError):
-            PairStore(dim=5, tau=1, pairs=[pair(1), pair(2)])
+            store.insert_c1(2, unit_r(2))
+
+
+def reference_fold(pairs, h0, dim):
+    """Inverse fold over a plain list of (index, r) pairs from h0 * I."""
+    H = h0 * np.eye(dim)
+    for i, r in pairs:
+        H = dense_inv_bfgs_update(H, np.eye(dim)[i], r)
+    return H
+
+
+OPS = st.lists(
+    st.tuples(st.sampled_from(["C1", "C2", "C3", "scale"]),
+              st.integers(0, 2**32 - 1), st.floats(1.0, 3.0)),
+    min_size=1, max_size=25,
+)
+
+
+class TestStoreProperty:
+    """Random C1/C2/C3/scaling sequences against a list-of-pairs reference model.
+
+    The model mirrors every C1, C2 and scaling exactly; a C3 is checked against
+    the dense fold of the model's full history plus the new pair, after which
+    the model takes over the store's rewritten pairs.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 9), tau_frac=st.floats(0.0, 1.0), ops=OPS)
+    def test_store_follows_reference_model(self, dim, tau_frac, ops):
+        tau = 1 + int(tau_frac * (dim - 1))
+        store = PairStore(dim=dim, tau=tau, h0_scale=0.7)
+        model, h0 = [], 0.7
+        for kind, seed, psi in ops:
+            rng = np.random.default_rng(seed)
+            copy = store.copy()
+            frozen = (copy.indices, copy.R.tobytes(), copy.h0_scale)
+            if kind == "C1" and store.size < tau:
+                free = [i for i in range(dim) if i not in store.indices]
+                i = int(rng.choice(free))
+                r = dense_r(i, rng, dim)
+                store.insert_c1(i, r)
+                model.append((i, r))
+            elif kind == "C2" and store.size:
+                i = store.indices[-1]
+                r = dense_r(i, rng, dim)
+                store.replace_c2(i, r)
+                model[-1] = (i, r)
+            elif kind == "C3" and store.size >= 2:
+                j = int(rng.integers(0, store.size - 1))
+                i = store.indices[j]
+                r = dense_r(i, rng, dim)
+                target = reference_fold(model + [(i, r)], h0, dim)
+                aggregate_c3(store, j, i, r)
+                got = dense_H_from_pairs(store.indices, store.R, store.h0_scale)
+                assert np.linalg.norm(got - target) <= 1e-8 * np.linalg.norm(target)
+                model = [(i, store.R[:, k].copy()) for k, i in enumerate(store.indices)]
+            elif kind == "scale":
+                apply_scaling(store, psi)
+                if psi != 1.0:
+                    model = [(i, psi * r) for i, r in model]
+                    h0 /= psi
+            assert store.indices == [i for i, _ in model]
+            for k, (_, r) in enumerate(model):
+                assert store.R[:, k].tobytes() == r.tobytes()
+            assert store.h0_scale == h0
+            assert store.size <= tau
+            assert len(set(store.indices)) == store.size
+            assert (copy.indices, copy.R.tobytes(), copy.h0_scale) == frozen

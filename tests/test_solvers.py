@@ -270,7 +270,9 @@ class TestCorrectedRunProperties:
                            correction=CorrectionConfig("basic"))
         run(obj, np.ones(6), cfg, observer=snaps.append)
         for snap in snaps:
-            scaled = snap.psi * dense_B_from_pairs(snap.store_before)
+            before = snap.store_before
+            scaled = snap.psi * dense_B_from_pairs(before.indices, before.R,
+                                                   before.h0_scale)
             numer = np.diag(scaled)[snap.candidates]
             denom = obj.hess_diag(snap.x_next, snap.candidates)
             assert np.max(numer / denom) >= 1.0 - 1e-12
