@@ -22,14 +22,30 @@ variations still to be swapped are carried: one batched two-loop over the
 untouched prefix starts them; the images of the two rewritten variations
 follow from H_p B_p e_i = e_i, since both are combinations of the old
 variations and the direct columns B_p e_ia, B_p e_ib; and the inverse update
-moves the rest to H_{p+1} in O(m d).  The two direct columns are instead
-re-solved at every swap from the compact representation, one 2p x 2p solve
-with two right-hand sides.  Carried by rank-two direct updates they would
-drift: by 4e-11 relative on a stress history with pair condition numbers
-near 1e8, which the swaps amplify into a relative defect of 1.3e-8 against
-the 1e-8 gate, where re-solved columns give 8e-10.  Cost per swap is
-O(m d + m^3), per event O(m^2 d + m^4).  The store commits the rewritten
-suffix in one call.
+moves the rest to H_{p+1} in O(m d).
+
+The direct columns come from the prefix's compact representation (Byrd,
+Nocedal and Schnabel 1994) with the seed block eliminated.  With S the
+prefix basis vectors and L the strictly lower part of S'R,
+B_p = (I - S S')/h0 + V K^-1 V', where V is R with, in each column l, the
+rows of the indices stored after l set to zero, and K = D + h0 L'L.  The
+bubble carries the d x p factor F = V C, C C' = K^-1, so for i outside the
+prefix B_p e_i = e_i/h0 + F F[i, :]' and no 1/h0 term cancels.  Appending
+the rewritten pair (ib, rho) turns K into blockdiag(K + h0 l l', rho[ib])
+with l = V[ib, :]', so F becomes [F (I - beta w w'), rho / sqrt(rho[ib])]
+with w = F[ib, :]', s = sqrt(1 + h0 w'w), beta = h0 / (s (1 + s)), and row
+ib leaves its old columns: one rank-one update and no solve.  Cost per swap
+is O(m d), per event O(m^2 d).  The store commits the rewritten suffix in
+one call.
+
+The factor does not drift.  It is never inverted, and I - beta w w' shrinks
+w by 1/s <= 1 and leaves its complement alone, so no update amplifies the
+rounding already in F.  On ill-conditioned stress histories (pair condition
+numbers up to 1e10) the carried columns are as close to a long-double fold
+as columns re-solved from the 2p x 2p compact system, both within 1.1e-12
+relative.  Rank-two updates of the columns themselves drift by 4e-11.  A
+Sherman-Morrison update of K^-1 drifts by 8e-10: along w it cancels a factor
+1 + h0 w'w, where the factor update cancels only its square root s.
 
 Every event is gated on the exact defect between the rewritten and the
 full-history fold, evaluated in a reduced subspace containing every vector
@@ -45,7 +61,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AggregationError
-from .kernels import _compact_columns, _two_loop
+from .kernels import _two_loop
 from .pairs import PairStore
 
 
@@ -144,28 +160,23 @@ def _swap_adjacent(
 
     # rho_b' = lam1*rho_a + rho_b + x3*u_a + x4*u_b with x4 tied to x3 by the
     # curvature-preservation constraint; one quadratic remains in x3
-    gram = np.array(
-        [
-            [q_aa, q_ab, kappa_a, p_ba],
-            [q_ab, q_bb, p_ab, kappa_b],
-            [kappa_a, p_ab, float(u_a[ia]), beta_ab],
-            [p_ba, kappa_b, beta_ab, beta_bb],
-        ]
-    )
     if abs(beta_bb) < 1e-300:
         return None
     rhs_lin = c_a * p_ab * p_ba
 
-    # xi = [lam1, 1, x3, x4] is affine in x3, so the quadratic
+    # xi = [lam1, 1, x3, x4] = xi0 + x3 dxi is affine in x3, so over the Gram
+    # matrix G of [rho_a, rho_b, u_a, u_b] the quadratic
     # f(x3) = xi'G xi + kappa_b - k_target kappa_b^2 - 2 kappa_b x4 has exact
-    # coefficients (interpolating f loses them to cancellation)
+    # coefficients (interpolating f loses them to cancellation); g = G xi0
     x4_0 = rhs_lin / beta_bb
-    xi0 = np.array([lam1, 1.0, 0.0, x4_0])
-    dxi = np.array([0.0, 0.0, 1.0, -beta_ab / beta_bb])
-    g_xi0 = gram @ xi0
-    a2 = float(dxi @ gram @ dxi)
-    a1 = 2.0 * float(dxi @ g_xi0) + 2.0 * kappa_b * beta_ab / beta_bb
-    f0 = float(xi0 @ g_xi0) + kappa_b - k_target * kappa_b * kappa_b \
+    t = -beta_ab / beta_bb  # xi0 = [lam1, 1, 0, x4_0], dxi = [0, 0, 1, t]
+    g_a = q_aa * lam1 + q_ab + p_ba * x4_0
+    g_b = q_ab * lam1 + q_bb + kappa_b * x4_0
+    g_ua = kappa_a * lam1 + p_ab + beta_ab * x4_0
+    g_ub = p_ba * lam1 + kappa_b + beta_bb * x4_0
+    a2 = float(u_a[ia]) + t * beta_ab + t * (beta_ab + t * beta_bb)
+    a1 = 2.0 * (g_ua + t * g_ub) + 2.0 * kappa_b * beta_ab / beta_bb
+    f0 = lam1 * g_a + g_b + x4_0 * g_ub + kappa_b - k_target * kappa_b * kappa_b \
         - 2.0 * kappa_b * x4_0
     # a near-double root can push the discriminant slightly negative, so the
     # vertex serves as a candidate and the event-level defect gate has the
@@ -222,25 +233,44 @@ def _bubble_rewrite(store: PairStore, j: int) -> tuple[list[int], np.ndarray] | 
     the stale one; None when a swap has no admissible root.  While the stale
     pair sits at slot p, R[:, :p] is the grown prefix, R[:, p] the stale
     variation and R[:, p + 1:] the pairs still to pass; W[:, p:] holds the
-    images of R[:, p:] under the inverse operator H_p of the grown prefix.
+    images of R[:, p:] under the inverse operator H_p of the grown prefix, and
+    F[:, :p] is the factor of its direct operator B_p = (I - S S')/h0 + F F'.
     """
     m, h0 = store.size, store.h0_scale
     idx = store.indices
     R = store.R.copy(order="F")
     W = np.zeros_like(R)
     W[:, j:] = _two_loop(R[:, :j], idx[:j], h0, R[:, j:])
-    for p in range(j, m - 1):
-        ia, ib = idx[p], idx[p + 1]
-        u = _compact_columns(R[:, :p], idx[:p], h0, [ia, ib])
-        swapped = _swap_adjacent(ia, ib, R[:, p:p + 2], u, W[:, p:p + 2])
-        if swapped is None:
-            return None
-        R[:, p], R[:, p + 1], W[:, p], W[:, p + 1] = swapped
-        idx[p], idx[p + 1] = ib, ia
-        # H_{p+1} y = z + e_ib (y[ib] - r'z) / r[ib], z = H_p y - (y[ib] / r[ib]) H_p r
-        r, y_ib, hy = R[:, p], R[ib, p + 1:], W[:, p + 1:]
-        hy -= np.outer(W[:, p], y_ib / r[ib])
-        hy[ib] += (y_ib - r @ hy) / r[ib]
+    F = np.zeros((store.dim, m - 1), order="F")
+    for p in range(m - 1):
+        if p < j:
+            fw = F[:, :p] @ F[idx[p], :p]
+        else:
+            ia, ib = idx[p], idx[p + 1]
+            # neither index is in the prefix, so B_p e_i = e_i/h0 + F F[i, :]'
+            u = F[:, :p] @ F[[ia, ib], :p].T
+            fw = u[:, 1].copy()
+            u[ia, 0] += 1.0 / h0
+            u[ib, 1] += 1.0 / h0
+            swapped = _swap_adjacent(ia, ib, R[:, p:p + 2], u, W[:, p:p + 2])
+            if swapped is None:
+                return None
+            R[:, p], R[:, p + 1], W[:, p], W[:, p + 1] = swapped
+            idx[p], idx[p + 1] = ib, ia
+            # H_{p+1} y = z + e_ib (y[ib] - r'z) / r[ib], z = H_p y - (y[ib] / r[ib]) H_p r
+            # (rank-one terms are built transposed to run in W's and F's
+            # column-major order, twice as fast as a broadcast and bit-identical)
+            r, y_ib, hy = R[:, p], R[ib, p + 1:], W[:, p + 1:]
+            hy -= np.multiply.outer(y_ib / r[ib], W[:, p]).T
+            hy[ib] += (y_ib - r @ hy) / r[ib]
+        # append pair p, index i: F <- [F (I - beta w w'), R[:, p] / sqrt(R[i, p])]
+        # with w = F[i, :]' and fw = F w; then row i leaves the older columns
+        i = idx[p]
+        w = F[i, :p]
+        s = np.sqrt(1.0 + h0 * float(w @ w))
+        F[:, :p] -= np.multiply.outer(w, fw * (h0 / (s * (1.0 + s)))).T
+        F[i, :p] = 0.0
+        F[:, p] = R[:, p] / np.sqrt(R[i, p])
     return idx, R
 
 

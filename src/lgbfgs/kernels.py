@@ -132,29 +132,19 @@ def _compact_solve(
     return W, Z
 
 
-def _compact_columns(R: np.ndarray, stored, h0: float, cols) -> np.ndarray:
-    """Direct columns B e_i, i in ``cols``, for the pairs (e_stored[k], R[:, k]).
-
-    Keeping the pairs as one d x m array lets a caller grow them column by
-    column without rebuilding a store.
-    """
-    out = np.zeros((R.shape[0], len(cols)))
-    out[cols, np.arange(len(cols))] = 1.0 / h0
-    m = len(stored)
-    if m == 0:
-        return out
-    _, Z = _compact_solve(R, stored, h0, cols)
-    out[stored, :] -= Z[:m] / h0
-    out -= R @ Z[m:]
-    return out
-
-
 def compact_B_column(store: PairStore, i: int) -> np.ndarray:
     """Column B e_i of the implicit direct operator via the compact representation."""
     i = int(i)
     if not 0 <= i < store.dim:
         raise IndexError(f"basis index {i} out of range [0, {store.dim})")
-    return _compact_columns(store.R, store.indices, store.h0_scale, [i])[:, 0]
+    out = np.zeros(store.dim)
+    out[i] = 1.0 / store.h0_scale
+    if store.size == 0:
+        return out
+    _, Z = _compact_solve(store.R, store.indices, store.h0_scale, [i])
+    out[store.indices] -= Z[:store.size, 0] / store.h0_scale
+    out -= store.R @ Z[store.size:, 0]
+    return out
 
 
 def compact_B_diag(store: PairStore, indices) -> np.ndarray:

@@ -35,8 +35,6 @@ class CheckResult:
 
 
 def _random_store(rng, d, size, h0=None) -> PairStore:
-    spd = rng.standard_normal((d, d))
-    spd = spd @ spd.T + d * np.eye(d)
     idxs = rng.permutation(d)[:size]
     store = PairStore(dim=d, tau=max(size, 1), h0_scale=h0 or float(rng.uniform(0.5, 2.0)))
     for i in idxs:
@@ -169,9 +167,9 @@ def check_aggregation_stress_harsh() -> CheckResult:
     """The stress check on larger and worse-conditioned histories.
 
     d up to 30, up to 15 pairs, condition numbers up to 1e10; 900 histories,
-    enough to reach history 870 of seed 12, whose relative defect goes from
-    8e-10 to 1.3e-8, over the gate, when the swaps' direct columns are
-    carried by rank-two updates instead of re-solved.
+    enough to reach history 870 of seed 12, whose relative defect goes to
+    1.3e-8, over the gate, when the swaps' direct columns are carried by
+    rank-two updates of the columns themselves.
     """
     result = check_aggregation_stress(
         cases=900, seed=12, d_max=30, size_max=15, log10_cond=10.0

@@ -1,9 +1,12 @@
 """Aggregation: fold equivalence, structure preservation, failure handling."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
 
-from lgbfgs import aggregation, verify
+from lgbfgs import aggregation, kernels, verify
 from lgbfgs.aggregation import AggregationError, aggregate_c3
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import (
@@ -191,6 +194,77 @@ class TestCarriedPrefix:
                     )
                 grown.insert_c1(ib, rho_b_new)
         assert worst <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 16),
+           size_frac=st.floats(0.0, 1.0), j_frac=st.floats(0.0, 1.0),
+           log10_h0=st.floats(-6.0, 2.0), log10_cond=st.floats(0.0, 8.0))
+    def test_carried_columns_match_compact_columns(self, seed, d, size_frac, j_frac,
+                                                   log10_h0, log10_cond):
+        """On ill-conditioned stores and seed scales from 1e-6 to 1e2, every
+        swap's direct columns equal compact columns of the grown prefix."""
+        rng = np.random.default_rng(seed)
+        size = 2 + int(size_frac * (min(d, 8) - 2))
+        j = int(j_frac * (size - 2))
+        store = PairStore(dim=d, tau=size, h0_scale=10.0**log10_h0)
+        for i in rng.permutation(d)[:size]:
+            store.insert_c1(i, verify._ill_conditioned_spd(rng, d, 10.0**log10_cond)[:, i])
+        idx = store.indices[j]
+        new = verify._ill_conditioned_spd(rng, d, 10.0**log10_cond)[:, idx]
+        grown = PairStore(dim=d, tau=size, h0_scale=store.h0_scale)
+        for k, i in enumerate(store.indices[:j]):
+            grown.insert_c1(i, store.R[:, k])
+        swaps = []
+        swap = aggregation._swap_adjacent
+
+        def recording(ia, ib, rho, u, w):
+            out = swap(ia, ib, rho, u, w)
+            swaps.append((ia, ib, u.copy(), out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aggregation, "_swap_adjacent", recording)
+            try:
+                aggregate_c3(store, j, idx, new)
+            except AggregationError:
+                pass
+        assert swaps
+        for ia, ib, u, out in swaps:
+            for k, i in enumerate((ia, ib)):
+                col = compact_B_column(grown, i)
+                assert np.linalg.norm(u[:, k] - col) <= 1e-10 * np.linalg.norm(col)
+            if out is None:
+                break
+            grown.insert_c1(ib, out[0])
+
+
+class TestBubbleCost:
+    def test_event_factors_nothing(self, monkeypatch):
+        """The bubble's direct columns come from the carried compact factor:
+        a full-width event makes no linear solve, inversion or compact solve."""
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, name in [
+            (np.linalg, "solve"), (np.linalg, "inv"), (np.linalg, "cholesky"),
+            (np.linalg, "lstsq"), (scipy.linalg, "solve"), (scipy.linalg, "lu_factor"),
+            (scipy.linalg, "cho_factor"), (scipy.linalg, "solve_triangular"),
+            (kernels, "_compact_solve"),
+        ]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        swaps = []
+        swap = aggregation._swap_adjacent
+        monkeypatch.setattr(aggregation, "_swap_adjacent",
+                            lambda *args: swaps.append(args[:2]) or swap(*args))
+        store = random_store(np.random.default_rng(15), 30, 12)
+        assert aggregation._bubble_rewrite(store, 0) is not None
+        assert len(swaps) == 11
+        assert calls == []
 
 
 class TestFoldEquivalence:
