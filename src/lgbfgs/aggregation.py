@@ -6,14 +6,13 @@ rewritten so that the implicit inverse operator built from the shortened
 history equals the one built from the full history plus the new pair.
 
 The stale pair is bubbled to the end of the history by adjacent
-transpositions.  Swapping two consecutive pairs rests on two facts about the
-inverse-form update: the most recent pair of any fold satisfies the fold's
-secant equation (pinning the trailing pair of the swapped order in closed
-form), and matching the remaining defect costs one scalar quadratic whose
-canonical branch preserves the rewritten pair's curvature.  The quadratic's
-coefficients are read off a 4 x 4 Gram matrix in closed form, since the
-rewritten variation is affine in the unknown.  Once the stale direction is
-last, appending the new same-direction pair erases it exactly.
+transpositions.  A swap pins the trailing pair of the swapped order by the
+fold's secant equation (the most recent pair of any fold satisfies it) and
+the leading one by a scalar quadratic whose coefficients are closed-form in
+the entries of the direct columns and variations at the two indices.  The
+entries a swap knows exactly are set, not summed, so a tiny seed scale costs
+them no digits.  Once the stale direction is last, appending the new
+same-direction pair erases it exactly.
 
 The swaps share one prefix state instead of rebuilding it.  The variations
 sit in one copy of the store's d x m array, m the store size, whose first p
@@ -24,34 +23,26 @@ follow from H_p B_p e_i = e_i, since both are combinations of the old
 variations and the direct columns B_p e_ia, B_p e_ib; and the inverse update
 moves the rest to H_{p+1} in O(m d).
 
-The direct columns come from the prefix's compact representation (Byrd,
-Nocedal and Schnabel 1994) with the seed block eliminated.  With S the
-prefix basis vectors and L the strictly lower part of S'R,
-B_p = (I - S S')/h0 + V K^-1 V', where V is R with, in each column l, the
-rows of the indices stored after l set to zero, and K = D + h0 L'L.  The
-bubble carries the d x p factor F = V C, C C' = K^-1, so for i outside the
-prefix B_p e_i = e_i/h0 + F F[i, :]' and no 1/h0 term cancels.  Appending
+The direct columns come from the prefix's seed-free compact form
+B_p = (I - S S')/h0 + F F' of ``kernels._compact_factor``, F = V C with
+C C' = K^-1, so for i outside the prefix B_p e_i = e_i/h0 + F F[i, :]' and no
+1/h0 term cancels.  The bubble carries F rather than factoring K: appending
 the rewritten pair (ib, rho) turns K into blockdiag(K + h0 l l', rho[ib])
 with l = V[ib, :]', so F becomes [F (I - beta w w'), rho / sqrt(rho[ib])]
 with w = F[ib, :]', s = sqrt(1 + h0 w'w), beta = h0 / (s (1 + s)), and row
-ib leaves its old columns: one rank-one update and no solve.  Cost per swap
-is O(m d), per event O(m^2 d).  The store commits the rewritten suffix in
-one call.
-
-The factor does not drift.  It is never inverted, and I - beta w w' shrinks
-w by 1/s <= 1 and leaves its complement alone, so no update amplifies the
-rounding already in F.  On ill-conditioned stress histories (pair condition
-numbers up to 1e10) the carried columns are as close to a long-double fold
-as columns re-solved from the 2p x 2p compact system, both within 1.1e-12
-relative.  Rank-two updates of the columns themselves drift by 4e-11.  A
-Sherman-Morrison update of K^-1 drifts by 8e-10: along w it cancels a factor
-1 + h0 w'w, where the factor update cancels only its square root s.
+ib leaves its old columns: one rank-one update, O(m d) per swap and
+O(m^2 d) per event.  The update shrinks w by 1/s <= 1 and leaves its
+complement alone, so it never amplifies the rounding already in F; on stress
+histories with pair condition numbers up to 1e10 the carried columns stay
+within 1.1e-12 of a long-double fold, where a Sherman-Morrison update of
+K^-1, which cancels 1 + h0 w'w along w, drifts by 8e-10.  The store commits
+the rewritten suffix in one call.
 
 Every event is gated on the exact defect between the rewritten and the
 full-history fold, evaluated in a reduced subspace containing every vector
 either fold can touch, so the reduced defect norm equals the true full-space
 Frobenius defect at a cost independent of the ambient dimension.  If a swap
-has no admissible root or the defect exceeds the tolerance, the event raises
+loses positive curvature or the defect exceeds the tolerance, the event raises
 ``AggregationError`` and leaves the store unchanged.
 """
 
@@ -140,77 +131,50 @@ def _swap_adjacent(
     ``rho``, ``u`` and ``w`` are d x 2: the variations [rho_a, rho_b], the
     prefix direct columns [B e_ia, B e_ib] and the prefix inverse images
     [H rho_a, H rho_b].  The trailing pair is pinned by the fold's secant
-    equation; the leading one is the canonical curvature-preserving branch of
-    a scalar quadratic.  Returns (rho_b', rho_a', H rho_b', H rho_a'), or None
-    when no root keeps both rewritten curvatures positive.
+    equation, the leading one by the smaller root of a scalar quadratic.
+    Returns (rho_b', rho_a', H rho_b', H rho_a'), or None when rho_a' loses
+    positive curvature.
+
+    Three entries are exact in closed form and are set, not summed:
+    rho_b'[ib] = kappa_b (the constraint tying x4 to x3), rho_a'[ib] =
+    rho_b[ia] (B_2 e_ib = rho_b) and v_b[ia] = rho_a[ib] (B_1 e_ia = rho_a).
+    Summed, they add terms as large as the 1/h0 seed, up to 1e13 times the
+    result when h0 is tiny, and later swaps and the fold read them as
+    curvatures and cross terms.
     """
     rho_a, rho_b = rho.T
     u_a, u_b = u.T
     w_a, w_b = w.T
     kappa_a, kappa_b = float(rho_a[ia]), float(rho_b[ib])
     c_a, c_b = 1.0 / kappa_a, 1.0 / kappa_b
-    beta_ab, beta_bb = float(u_b[ia]), float(u_b[ib])
+    beta_aa, beta_ab, beta_bb = float(u_a[ia]), float(u_b[ia]), float(u_b[ib])
     p_ab, p_ba = float(rho_b[ia]), float(rho_a[ib])
-    q_aa, q_ab, q_bb = float(rho_a @ w_a), float(rho_a @ w_b), float(rho_b @ w_b)
 
+    # rho_b' = lam1 rho_a + rho_b + x3 u_a + x4 u_b; x4 = (rhs - x3 beta_ab) / beta_bb
+    # keeps rho_b'[ib] = kappa_b.  The rest of the defect is a quadratic
+    # a2 x3^2 + a1 x3 + f0 whose inverse-image terms rho'H rho cancel in closed
+    # form: a2 = beta_aa - beta_ab^2 / beta_bb > 0 (a Schur complement of B) and
+    # f0 <= 0.  Its smaller root is taken in the form that does not cancel
     lam1 = -c_a * p_ab
-    lam2 = -c_a * q_ab + (c_a * c_a * q_aa + c_a) * p_ab
-    rb_x1_rb = q_bb + lam1 * q_ab + lam2 * p_ab
-    k_target = c_b * c_b * rb_x1_rb + c_b
-
-    # rho_b' = lam1*rho_a + rho_b + x3*u_a + x4*u_b with x4 tied to x3 by the
-    # curvature-preservation constraint; one quadratic remains in x3
-    if abs(beta_bb) < 1e-300:
-        return None
-    rhs_lin = c_a * p_ab * p_ba
-
-    # xi = [lam1, 1, x3, x4] = xi0 + x3 dxi is affine in x3, so over the Gram
-    # matrix G of [rho_a, rho_b, u_a, u_b] the quadratic
-    # f(x3) = xi'G xi + kappa_b - k_target kappa_b^2 - 2 kappa_b x4 has exact
-    # coefficients (interpolating f loses them to cancellation); g = G xi0
-    x4_0 = rhs_lin / beta_bb
-    t = -beta_ab / beta_bb  # xi0 = [lam1, 1, 0, x4_0], dxi = [0, 0, 1, t]
-    g_a = q_aa * lam1 + q_ab + p_ba * x4_0
-    g_b = q_ab * lam1 + q_bb + kappa_b * x4_0
-    g_ua = kappa_a * lam1 + p_ab + beta_ab * x4_0
-    g_ub = p_ba * lam1 + kappa_b + beta_bb * x4_0
-    a2 = float(u_a[ia]) + t * beta_ab + t * (beta_ab + t * beta_bb)
-    a1 = 2.0 * (g_ua + t * g_ub) + 2.0 * kappa_b * beta_ab / beta_bb
-    f0 = lam1 * g_a + g_b + x4_0 * g_ub + kappa_b - k_target * kappa_b * kappa_b \
-        - 2.0 * kappa_b * x4_0
-    # a near-double root can push the discriminant slightly negative, so the
-    # vertex serves as a candidate and the event-level defect gate has the
-    # final say
-    roots: list[float] = []
-    if abs(a2) > 1e-300:
-        disc = a1 * a1 - 4.0 * a2 * f0
-        if disc >= 0.0:
-            sq = np.sqrt(disc)
-            roots = [(-a1 + sq) / (2.0 * a2), (-a1 - sq) / (2.0 * a2)]
-        else:
-            roots = [-a1 / (2.0 * a2)]
-    elif abs(a1) > 1e-300:
-        roots = [-f0 / a1]
-    else:
-        roots = [0.0]
-    rho_b_new = None
-    for x3 in sorted(roots, key=abs):
-        x4 = (rhs_lin - x3 * beta_ab) / beta_bb
-        cand = lam1 * rho_a + rho_b + x3 * u_a + x4 * u_b
-        if cand[ib] > 0.0:
-            rho_b_new = cand
-            break
-    if rho_b_new is None:
-        return None
+    rhs = c_a * p_ab * p_ba
+    x4_0 = rhs / beta_bb
+    a2 = beta_aa - beta_ab * beta_ab / beta_bb
+    a1 = 2.0 * beta_ab * x4_0
+    f0 = -c_a * p_ab * p_ab - x4_0 * rhs
+    den = a1 + np.copysign(np.sqrt(max(a1 * a1 - 4.0 * a2 * f0, 0.0)), a1)
+    x3 = -2.0 * f0 / den if den else 0.0
+    x4 = (rhs - x3 * beta_ab) / beta_bb
+    rho_b_new = lam1 * rho_a + rho_b + x3 * u_a + x4 * u_b
+    rho_b_new[ib] = kappa_b
 
     # trailing pair: the secant equation pins it to B_2 e_a, where B_1 is the
     # direct prefix operator updated with pair a and B_2 is B_1 updated with
-    # pair b; v_b = B_1 e_b.  Building it from the prefix columns, not from a
-    # compact column of the two-pair store, avoids cancelling the 1/h0 seed
-    # term, which dwarfs the curvatures when h0 is tiny
-    v_b = u_b + (p_ba * c_a) * rho_a - (beta_ab / u_a[ia]) * u_a
+    # pair b; v_b = B_1 e_b
+    v_b = u_b + (p_ba * c_a) * rho_a - (beta_ab / beta_aa) * u_a
+    v_b[ia] = p_ba
     v_bb = float(v_b[ib])
     rho_a_new = rho_a + (p_ab * c_b) * rho_b - (p_ba / v_bb) * v_b
+    rho_a_new[ib] = p_ab
     if rho_a_new[ia] <= 0.0:
         return None
 
@@ -221,7 +185,7 @@ def _swap_adjacent(
     h_b[ib] += x4
     h_vb = (p_ba * c_a) * w_a
     h_vb[ib] += 1.0
-    h_vb[ia] -= beta_ab / u_a[ia]
+    h_vb[ia] -= beta_ab / beta_aa
     h_a = w_a + (p_ab * c_b) * w_b - (p_ba / v_bb) * h_vb
     return rho_b_new, rho_a_new, h_b, h_a
 
@@ -230,7 +194,7 @@ def _bubble_rewrite(store: PairStore, j: int) -> tuple[list[int], np.ndarray] | 
     """Indices and variations after bubbling stale pair j to the end, or None.
 
     Returns a rewritten copy (idx, R) of the store's history whose last pair is
-    the stale one; None when a swap has no admissible root.  While the stale
+    the stale one; None when a swap loses positive curvature.  While the stale
     pair sits at slot p, R[:, :p] is the grown prefix, R[:, p] the stale
     variation and R[:, p + 1:] the pairs still to pass; W[:, p:] holds the
     images of R[:, p:] under the inverse operator H_p of the grown prefix, and
@@ -283,7 +247,7 @@ def aggregate_c3(
     the implicit inverse operator matches the full-history one within ``tol``
     (relative, gated on the exact reduced defect).  Raises
     ``AggregationError``, leaving the store unchanged, when the event is not
-    C3 at slot j, a swap has no admissible root, or the defect exceeds
+    C3 at slot j, a swap loses positive curvature, or the defect exceeds
     ``tol``.
     """
     r = store.check_pair(index, r)
@@ -295,7 +259,7 @@ def aggregate_c3(
     rewritten = _bubble_rewrite(store, j)
     if rewritten is None:
         raise AggregationError(
-            "an adjacent swap has no root with positive curvature "
+            "an adjacent swap lost positive curvature "
             f"(block size {store.size - j}, dropped slot {j})"
         )
     idx, R = rewritten

@@ -6,12 +6,15 @@ production paths: they read a :class:`~lgbfgs.pairs.PairStore`'s variation
 array ``R`` and index list directly, or any d x m variation array with its
 indices, and never materialize a d x d matrix.  Folding the inverse update
 over a history (indices, R, h0) in storage order from ``h0 * I`` defines the
-implicit operator every equivalence test refers back to.
+implicit operator every equivalence test refers back to.  The compact
+representation is seed-free, B = (I - S S')/h0 + F F', so no 1/h0 term
+cancels at a stored index and its entries stay accurate at any seed scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dtrtrs
 
 from .errors import CurvatureError
 from .pairs import PairStore
@@ -104,57 +107,56 @@ def two_loop_direction(store: PairStore, g: np.ndarray) -> np.ndarray:
     return -apply_inverse_hessian(store, g)
 
 
-def _compact_solve(
-    R: np.ndarray, stored, h0: float, cols
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compact solve for the pairs (e_stored[k], R[:, k]) and columns e_i, i in cols.
+def _compact_factor(R: np.ndarray, stored, h0: float, rows) -> np.ndarray:
+    """Rows ``rows`` of F in B = (I - S S')/h0 + F F', the direct operator of
+    the pairs (e_stored[k], R[:, k]) in the compact form of Byrd, Nocedal and
+    Schnabel (1994) with the seed block eliminated.
 
-    Returns the right-hand sides W = [B0 S, R]' [e_i ...] and Z = M^-1 W, where
-    M is the middle matrix of B = B0 - [B0 S, R] M^-1 [B0 S, R]'.  With basis
-    variations and distinct indices, S'B0S = (1/h0) I and the strictly-lower /
-    diagonal parts of S'R come straight from R's rows at the stored indices.
+    With S the basis vectors, L and D the strictly lower and diagonal parts of
+    S'R, and V = R with V[stored[l], k] = 0 for l > k, F F' = V K^-1 V' for
+    K = D + h0 L'L = D^1/2 (I + M'M) D^1/2, M = sqrt(h0) L D^-1/2.  The R
+    factor T of a QR of [I; M] gives I + M'M = T'T without forming the normal
+    equations, so F[rows] = V[rows] D^-1/2 T^-1 is one triangular solve.
     """
     m = len(stored)
     sr = R[stored, :]
-    lower = np.tril(sr, k=-1)
-    middle = np.empty((2 * m, 2 * m))
-    middle[:m, :m] = np.eye(m) / h0
-    middle[:m, m:] = lower
-    middle[m:, :m] = lower.T
-    middle[m:, m:] = -np.diag(np.diag(sr))
-    W = np.empty((2 * m, len(cols)))
-    W[:m] = np.equal.outer(stored, cols) / h0
-    W[m:] = R[cols, :].T
-    try:
-        Z = np.linalg.solve(middle, W)
-    except np.linalg.LinAlgError as exc:
-        raise CurvatureError(f"singular compact middle matrix: {exc}") from exc
-    return W, Z
+    inv_sqrt_d = 1.0 / np.sqrt(sr.diagonal())
+    stack = np.zeros((2 * m, m), order="F")
+    np.fill_diagonal(stack, 1.0)
+    stack[m:] = np.tril(sr, -1) * (np.sqrt(h0) * inv_sqrt_d)
+    level = np.zeros(R.shape[0], dtype=np.intp)
+    level[stored] = np.arange(m)
+    V = R[rows, :] * inv_sqrt_d
+    V[np.arange(m) < level[rows][:, None]] = 0.0
+    return dtrtrs(dgeqrf(stack, overwrite_a=1)[0], V.T, trans=1)[0].T
+
+
+def _seed(store: PairStore, rows: list[int]) -> np.ndarray:
+    """The seed terms [i not stored] / h0 of B's diagonal at ``rows``."""
+    for i in rows:
+        if not 0 <= i < store.dim:
+            raise IndexError(f"basis index {i} out of range [0, {store.dim})")
+    out = np.full(store.dim, 1.0 / store.h0_scale)
+    out[store.indices] = 0.0
+    return out[rows]
 
 
 def compact_B_column(store: PairStore, i: int) -> np.ndarray:
-    """Column B e_i of the implicit direct operator via the compact representation."""
+    """Column B e_i = F F[i, :]' + e_i [i not stored] / h0 of the direct operator."""
     i = int(i)
-    if not 0 <= i < store.dim:
-        raise IndexError(f"basis index {i} out of range [0, {store.dim})")
     out = np.zeros(store.dim)
-    out[i] = 1.0 / store.h0_scale
-    if store.size == 0:
-        return out
-    _, Z = _compact_solve(store.R, store.indices, store.h0_scale, [i])
-    out[store.indices] -= Z[:store.size, 0] / store.h0_scale
-    out -= store.R @ Z[store.size:, 0]
+    out[i] = _seed(store, [i])[0]
+    if store.size:
+        F = _compact_factor(store.R, store.indices, store.h0_scale, np.arange(store.dim))
+        out += F @ F[i]
     return out
 
 
 def compact_B_diag(store: PairStore, indices) -> np.ndarray:
-    """Diagonal entries e_i' B e_i for a batch of indices; one factorization."""
+    """Diagonal entries e_i' B e_i = |F[i, :]|^2 + [i not stored] / h0 for a batch."""
     indices = [int(i) for i in indices]
-    for i in indices:
-        if not 0 <= i < store.dim:
-            raise IndexError(f"basis index {i} out of range [0, {store.dim})")
-    base = np.full(len(indices), 1.0 / store.h0_scale)
-    if store.size == 0:
-        return base
-    W, Z = _compact_solve(store.R, store.indices, store.h0_scale, indices)
-    return base - np.sum(W * Z, axis=0)
+    out = _seed(store, indices)
+    if store.size:
+        F = _compact_factor(store.R, store.indices, store.h0_scale, indices)
+        out += np.einsum("ij,ij->i", F, F)
+    return out

@@ -9,6 +9,7 @@ scope and renders one pass/fail line per check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -78,6 +79,38 @@ def check_compact_column_vs_dense(cases: int = 200, seed: int = 1) -> CheckResul
         worst = max(worst, float(np.linalg.norm(col - B[:, i]))
                     / max(float(np.linalg.norm(B[:, i])), 1e-300))
     return CheckResult("compact_column_vs_dense_inverse", worst <= 1e-9, worst, 1e-9)
+
+
+def _exact_direct_fold(indices, R: np.ndarray, h0: float) -> list[list[Fraction]]:
+    """The direct fold of the pairs (e_indices[k], R[:, k]) from I / h0 in exact
+    rational arithmetic: every float is read exactly and nothing rounds."""
+    dim = R.shape[0]
+    B = [[Fraction(int(a == e)) / Fraction(h0) for e in range(dim)] for a in range(dim)]
+    for i, r in zip(indices, R.T.tolist()):
+        r, b = [Fraction(x) for x in r], list(B[i])
+        B = [[B[a][e] + r[a] * r[e] / r[i] - b[a] * b[e] / b[i] for e in range(dim)]
+             for a in range(dim)]
+    return B
+
+
+def check_compact_tiny_h0(cases: int = 20, seed: int = 13) -> CheckResult:
+    """Compact diagonals at the stored indices and one stored column match the
+    exact rational fold at seed scales 1e-6, 1e-12 and 1e-22 (relative)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(cases):
+        d = int(rng.integers(4, 10))
+        store = _random_store(rng, d, int(rng.integers(1, d + 1)))
+        i = int(rng.choice(store.indices))
+        for h0 in (1e-6, 1e-12, 1e-22):
+            store.h0_scale = h0
+            exact = _exact_direct_fold(store.indices, store.R, h0)
+            diag = np.array([float(exact[k][k]) for k in store.indices])
+            col = np.array([float(x) for x in exact[i]])
+            err = np.abs(kernels.compact_B_diag(store, store.indices) - diag) / diag
+            err_col = np.linalg.norm(kernels.compact_B_column(store, i) - col)
+            worst = max(worst, float(np.max(err)), err_col / np.linalg.norm(col))
+    return CheckResult("compact_tiny_h0_vs_exact_fold", worst <= 1e-12, worst, 1e-12)
 
 
 def check_secant_identities(cases: int = 100, seed: int = 2) -> CheckResult:
@@ -328,6 +361,7 @@ SCOPES: dict[str, list[Callable[[], CheckResult]]] = {
     "kernels": [
         check_two_loop_vs_dense,
         check_compact_column_vs_dense,
+        check_compact_tiny_h0,
         check_secant_identities,
     ],
     "aggregation": [

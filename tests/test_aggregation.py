@@ -238,10 +238,31 @@ class TestCarriedPrefix:
             grown.insert_c1(ib, out[0])
 
 
+class TestSwapIdentities:
+    def test_closed_form_entries_are_exact(self, monkeypatch):
+        """After every swap on the stress generator, rho_b'[ib] equals
+        rho_b[ib] and rho_a'[ib] equals rho_b[ia], bit for bit."""
+        swaps = []
+        swap = aggregation._swap_adjacent
+
+        def recording(ia, ib, rho, u, w):
+            out = swap(ia, ib, rho, u, w)
+            if out is not None:
+                swaps.append((out[0][ib], rho[ib, 1], out[1][ib], rho[ia, 1]))
+            return out
+
+        monkeypatch.setattr(aggregation, "_swap_adjacent", recording)
+        assert verify.check_aggregation_stress(cases=300, seed=11).passed
+        assert len(swaps) > 500
+        for rho_b_new_ib, kappa_b, rho_a_new_ib, p_ab in swaps:
+            assert rho_b_new_ib == kappa_b
+            assert rho_a_new_ib == p_ab
+
+
 class TestBubbleCost:
     def test_event_factors_nothing(self, monkeypatch):
         """The bubble's direct columns come from the carried compact factor:
-        a full-width event makes no linear solve, inversion or compact solve."""
+        a full-width event makes no linear solve, inversion or compact factor."""
         calls = []
 
         def counting(name, fn):
@@ -254,7 +275,7 @@ class TestBubbleCost:
             (np.linalg, "solve"), (np.linalg, "inv"), (np.linalg, "cholesky"),
             (np.linalg, "lstsq"), (scipy.linalg, "solve"), (scipy.linalg, "lu_factor"),
             (scipy.linalg, "cho_factor"), (scipy.linalg, "solve_triangular"),
-            (kernels, "_compact_solve"),
+            (kernels, "_compact_factor"),
         ]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         swaps = []

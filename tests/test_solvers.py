@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lgbfgs import aggregation, greedy, verify
 from lgbfgs.correction import CorrectionConfig
 from lgbfgs.data import synth_problem
 from lgbfgs.greedy import SubsetPolicy
@@ -172,6 +173,38 @@ class TestLgBfgsStep:
         trace = run(obj, np.ones(30), cfg)
         assert trace.stop_reason == "max_iters"
         assert "C3" in {r.case_tag for r in trace.records}
+
+    def test_tiny_seed_numerators_and_c3_events_are_exact(self, monkeypatch):
+        """On that run, once h0 < 1e-20, the greedy numerators at the stored
+        indices match an exact rational fold, and every C3 event's defect is at
+        rounding level."""
+        numerators, defects = [], []
+        diag, gate = greedy.compact_B_diag, aggregation._fold_defect
+
+        def recording_diag(store, indices):
+            out = diag(store, indices)
+            if store.h0_scale < 1e-20 and len(numerators) < 3:
+                numerators.append((store.copy(), dict(zip(indices, out))))
+            return out
+
+        def recording_gate(*args):
+            defect, scale = gate(*args)
+            defects.append(defect / scale)
+            return defect, scale
+
+        monkeypatch.setattr(greedy, "compact_B_diag", recording_diag)
+        monkeypatch.setattr(aggregation, "_fold_defect", recording_gate)
+        obj = synth_problem("logistic", d=30, n=300, mu=1e-3, seed=4)
+        cfg = SolverConfig(method="lg_bfgs", tau=6, max_iters=40, grad_tol=0.0,
+                           correction=CorrectionConfig("delta"))
+        assert run(obj, np.ones(30), cfg).stop_reason == "max_iters"
+        assert len(numerators) == 3
+        for store, got in numerators:
+            exact = verify._exact_direct_fold(store.indices, store.R, store.h0_scale)
+            for i in store.indices:
+                assert got[i] == pytest.approx(float(exact[i][i]), rel=1e-12)
+        assert defects
+        assert max(defects) <= 1e-12
 
 
 class TestFullMemoryEquivalence:
