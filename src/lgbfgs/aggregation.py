@@ -32,94 +32,61 @@ with l = V[ib, :]', so F becomes [F (I - beta w w'), rho / sqrt(rho[ib])]
 with w = F[ib, :]', s = sqrt(1 + h0 w'w), beta = h0 / (s (1 + s)), and row
 ib leaves its old columns: one rank-one update, O(m d) per swap and
 O(m^2 d) per event.  The update shrinks w by 1/s <= 1 and leaves its
-complement alone, so it never amplifies the rounding already in F; on stress
-histories with pair condition numbers up to 1e10 the carried columns stay
-within 1.1e-12 of a long-double fold, where a Sherman-Morrison update of
-K^-1, which cancels 1 + h0 w'w along w, drifts by 8e-10.  The store commits
-the rewritten suffix in one call.
+complement alone, so it never amplifies the rounding already in F.  The store
+commits the rewritten suffix in one call.
 
 Every event is gated on the exact defect between the rewritten and the
-full-history fold, evaluated in a reduced subspace containing every vector
-either fold can touch, so the reduced defect norm equals the true full-space
-Frobenius defect at a cost independent of the ambient dimension.  If a swap
-loses positive curvature or the defect exceeds the tolerance, the event raises
+full-history fold (``_fold_defect``: no basis, one triangular solve per fold),
+read from the histories alone, never from the bubble's state.  If a swap loses
+positive curvature or the defect exceeds the tolerance, the event raises
 ``AggregationError`` and leaves the store unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.blas import dtrsm
 
 from .errors import AggregationError
 from .kernels import _two_loop
 from .pairs import PairStore
 
 
-def _reduced_basis(e_cols: np.ndarray, w: np.ndarray, sigma_set) -> np.ndarray:
-    """Orthonormal basis [basis vectors | independent residuals of w].
-
-    Rank-revealing QR can pad a deficient column space with arbitrary
-    completion directions that are not orthogonal to the basis block, so the
-    kept columns are re-projected and re-orthonormalized before use.
-    """
-    resid = w - e_cols @ w[sigma_set, :]
-    q2, r2, _ = scipy.linalg.qr(resid, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r2))
-    keep = int(np.sum(diag > 1e-13 * max(diag[0] if diag.size else 0.0, 1e-30)))
-    q2 = q2[:, :keep]
-    q2 -= e_cols @ (e_cols.T @ q2)
-    if q2.shape[1]:
-        q3, r3 = np.linalg.qr(q2)
-        norms = np.abs(np.diag(r3))
-        q2 = q3[:, norms > 1e-10]
-    return np.hstack([e_cols, q2])
-
-
 def _fold_defect(prefix, suffix_a, suffix_b, h0: float) -> tuple[float, float]:
     """Exact Frobenius distance between two suffix folds over a shared prefix.
 
-    ``prefix`` and both suffixes are histories (indices, R), R holding one
-    variation per column.  Both folds start from the prefix operator; the
-    comparison happens in an orthonormal basis spanning the suffix basis
-    vectors and the prefix images of every suffix gradient variation, where it
-    is exact.  Returns (defect, scale).
+    ``prefix`` and both suffixes are histories (indices, R).  A suffix with
+    basis vectors S and variations Y folds the prefix operator H_p into
+    H_p + Theta, in the inverse compact form of Byrd, Nocedal and Schnabel
+    (1994): Theta = S A S' - S X' - X S' with R = triu(S'Y), D its diagonal,
+    W = H_p Y, X = W R^-1 and A = R^-T (D + Y'W) R^-1 = G'G + Z'X for
+    G = D^1/2 R^-1, Z = Y R^-1.  Theta is zero outside its sigma x sigma block,
+    sigma the suffix indices, and its (not sigma) x sigma block and transpose,
+    so |Theta|^2 = |Theta_ss|^2 + 2 |Theta_ps|^2.  Returns (defect, scale),
+    scale the second fold's |Theta| floored at sqrt(d) h0.
     """
-    idx = list(suffix_a[0]) + list(suffix_b[0])
-    sigma_set = sorted(set(idx))
-    pos = {i: k for k, i in enumerate(sigma_set)}
-    n_sigma = len(sigma_set)
-    rho = np.ascontiguousarray(np.hstack([suffix_a[1], suffix_b[1]]))
-    dim = rho.shape[0]
-    w = _two_loop(prefix[1], prefix[0], h0, rho)
-    e_cols = np.zeros((dim, n_sigma))
-    for k, i in enumerate(sigma_set):
-        e_cols[i, k] = 1.0
-    q_mat = _reduced_basis(e_cols, w, sigma_set)
-    q = q_mat.shape[1]
-    qt_rho = q_mat.T @ rho
-    qt_w = q_mat.T @ w
-    rho_w = rho.T @ w
+    w = _two_loop(prefix[1], prefix[0], h0, np.hstack([suffix_a[1], suffix_b[1]]))
+    sigma = np.unique(np.concatenate([suffix_a[0], suffix_b[0]]).astype(np.intp))
 
-    def fold(offset, count):
-        theta = np.zeros((q, q))
-        for col in range(offset, offset + count):
-            spos = pos[idx[col]]
-            c = 1.0 / float(rho[idx[col], col])
-            hw = qt_w[:, col] + theta @ qt_rho[:, col]
-            rhr = float(rho_w[col, col]) + float(
-                qt_rho[:, col] @ theta @ qt_rho[:, col]
-            )
-            # hw and rhr are read before theta changes, so it is updated in place
-            theta[spos, :] -= c * hw
-            theta[:, spos] -= c * hw
-            theta[spos, spos] += c * c * rhr + c
-        return theta
+    def fold(idx, Y, W):
+        # one solve [Z; X; G] R = [Y; W; D^1/2] reads only R, the upper triangle
+        # of S'Y; A = G'G + Z'X never forms D + Y'W, which cancels when R is
+        # ill-conditioned
+        SY = Y[idx, :]
+        rhs = np.vstack([Y, W, np.diag(np.sqrt(SY.diagonal()))])
+        Z, X, G = np.split(dtrsm(1.0, SY, rhs, side=1), [len(Y), 2 * len(Y)])
+        # sel is S' restricted to sigma: a repeated index sums its two columns
+        sel = np.equal.outer(idx, sigma).astype(float)
+        XS = X @ sel
+        ss = sel.T @ (G.T @ G + Z.T @ X) @ sel - XS[sigma] - XS[sigma].T
+        XS[sigma] = 0.0
+        # Theta's entries as a vector whose 2-norm is Theta's Frobenius norm
+        return np.concatenate([ss.ravel(), np.sqrt(2.0) * XS.ravel()])
 
-    n_a = len(suffix_a[0])
-    theta_a = fold(0, n_a)
-    theta_b = fold(n_a, len(idx) - n_a)
-    scale = max(float(np.linalg.norm(theta_b)), np.sqrt(dim) * h0, 1e-30)
+    w_a, w_b = np.hsplit(w, [len(suffix_a[0])])
+    theta_a = fold(list(suffix_a[0]), suffix_a[1], w_a)
+    theta_b = fold(list(suffix_b[0]), suffix_b[1], w_b)
+    scale = max(float(np.linalg.norm(theta_b)), np.sqrt(len(w)) * h0, 1e-30)
     return float(np.linalg.norm(theta_a - theta_b)), scale
 
 
@@ -238,6 +205,17 @@ def _bubble_rewrite(store: PairStore, j: int) -> tuple[list[int], np.ndarray] | 
     return idx, R
 
 
+def _event_histories(store: PairStore, j: int, index: int, r: np.ndarray):
+    """The histories (indices, R) prefix, rewritten suffix and full suffix of the
+    C3 event at slot j for the pair (index, r); None when a swap loses curvature."""
+    if (rewritten := _bubble_rewrite(store, j)) is None:
+        return None
+    idx, R = rewritten
+    idx[-1], R[:, -1] = int(index), r
+    full = (store.indices[j:] + [int(index)], np.column_stack([store.R[:, j:], r]))
+    return (idx[:j], R[:, :j]), (idx[j:], R[:, j:]), full
+
+
 def aggregate_c3(
     store: PairStore, j: int, index: int, r: np.ndarray, tol: float = 1e-8
 ) -> None:
@@ -245,10 +223,9 @@ def aggregate_c3(
 
     Mutates the store in place; size and index-distinctness are preserved and
     the implicit inverse operator matches the full-history one within ``tol``
-    (relative, gated on the exact reduced defect).  Raises
-    ``AggregationError``, leaving the store unchanged, when the event is not
-    C3 at slot j, a swap loses positive curvature, or the defect exceeds
-    ``tol``.
+    (relative, gated on the exact defect).  Raises ``AggregationError``, leaving
+    the store unchanged, when the event is not C3 at slot j, a swap loses
+    positive curvature, or the defect exceeds ``tol``.
     """
     r = store.check_pair(index, r)
     tag = store.classify(index)
@@ -256,21 +233,16 @@ def aggregate_c3(
         raise AggregationError(
             f"aggregation requires a C3 event at slot {j}; classification gave {tag}"
         )
-    rewritten = _bubble_rewrite(store, j)
-    if rewritten is None:
+    histories = _event_histories(store, j, index, r)
+    if histories is None:
         raise AggregationError(
             "an adjacent swap lost positive curvature "
             f"(block size {store.size - j}, dropped slot {j})"
         )
-    idx, R = rewritten
-    idx[-1] = int(index)
-    R[:, -1] = r
-    full = (store.indices[j:] + [int(index)], np.column_stack([store.R[:, j:], r]))
-    prefix = (idx[:j], R[:, :j])
-    defect, scale = _fold_defect(prefix, (idx[j:], R[:, j:]), full, store.h0_scale)
+    defect, scale = _fold_defect(*histories, store.h0_scale)
     if defect > tol * scale:
         raise AggregationError(
             f"aggregation defect {defect:.3e} exceeds {tol:.1e} * scale "
             f"{scale:.3e} (block size {store.size - j}, dropped slot {j})"
         )
-    store.replace_suffix(j, idx[j:], R[:, j:])
+    store.replace_suffix(j, *histories[1])

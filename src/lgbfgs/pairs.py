@@ -110,19 +110,24 @@ class PairStore:
     def check_pair(self, index: int, r) -> np.ndarray:
         """r as a float vector, once the pair (index, r) has an index in
         [0, dim), shape (dim,), finite entries and curvature r[index] > 0."""
-        index = int(index)
-        if not 0 <= index < self.dim:
-            raise IndexError(f"basis index {index} out of range for dim {self.dim}")
         r = np.asarray(r, dtype=float)
         if r.shape != (self.dim,):
-            raise ValueError(
-                f"gradient variation has shape {r.shape}, expected ({self.dim},)"
-            )
-        if not np.all(np.isfinite(r)):
-            raise ValueError("gradient variation has non-finite entries")
-        if not r[index] > 0.0:
-            raise CurvatureError(f"pair at index {index} has curvature {r[index]:.3e} <= 0")
+            raise ValueError(f"gradient variation has shape {r.shape}, expected ({self.dim},)")
+        self._check_columns([int(index)], r[:, None])
         return r
+
+    def _check_columns(self, indices, R: np.ndarray) -> None:
+        """Checks index range, finite entries and curvature R[indices[k], k] > 0 of
+        the pairs (indices[k], R[:, k]) in one pass each, naming the first offender."""
+        idx = np.asarray(indices, dtype=np.intp)
+        if np.any(bad := (idx < 0) | (idx >= self.dim)):
+            raise IndexError(f"basis index {idx[bad][0]} out of range for dim {self.dim}")
+        if np.any(bad := ~np.isfinite(R).all(axis=0)):
+            raise ValueError(f"gradient variation at index {idx[bad][0]} has non-finite entries")
+        curv = R[idx, np.arange(idx.size)]
+        if np.any(bad := ~(curv > 0.0)):
+            raise CurvatureError(f"pair at index {idx[bad][0]} has curvature "
+                                 f"{curv[bad][0]:.3e} <= 0")
 
     def insert_c1(self, index: int, r) -> None:
         """Append a pair whose index is not stored yet."""
@@ -157,8 +162,7 @@ class PairStore:
             raise ValueError(
                 f"suffix has shape {R.shape}, expected ({self.dim}, {len(indices)})"
             )
-        for k, i in enumerate(indices):
-            self.check_pair(i, R[:, k])
+        self._check_columns(indices, R)
         new = self._idx[:j] + indices
         if len(new) > self.tau:
             raise CurvatureError(f"store size {len(new)} exceeds tau={self.tau}")

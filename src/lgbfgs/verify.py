@@ -29,10 +29,12 @@ class CheckResult:
     passed: bool
     worst: float
     tol: float
+    note: str = ""
 
     def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: worst={self.worst:.3e} (tol {self.tol:.1e})"
+        note = f"; {self.note}" if self.note else ""
+        return f"[{status}] {self.name}: worst={self.worst:.3e} (tol {self.tol:.1e}){note}"
 
 
 def _random_store(rng, d, size, h0=None) -> PairStore:
@@ -163,22 +165,11 @@ def _ill_conditioned_spd(rng, d, cond) -> np.ndarray:
     return (q * eigs) @ q.T
 
 
-def check_aggregation_stress(
-    cases: int = 1500,
-    seed: int = 11,
-    d_max: int = 12,
-    size_max: int = 6,
-    log10_cond: float = 8.0,
-) -> CheckResult:
-    """Aggregation meets its gate on ill-conditioned pair histories.
-
-    Each history has dimension d in [3, d_max] and 2 to min(d, size_max)
-    pairs.  Every pair comes from its own Hessian, with condition number
-    log-uniform up to 10**log10_cond, and the seed scale is log-uniform in
-    [1e-4, 10].  Reports the number of events that raised ``AggregationError``.
-    """
+def _stress_histories(cases=1500, seed=11, d_max=12, size_max=6, log10_cond=8.0):
+    """C3 events (store, j, index, r): d in [3, d_max], 2 to min(d, size_max) stored
+    pairs, each pair and the new one from its own Hessian of condition number
+    log-uniform up to 10**log10_cond, seed scale log-uniform in [1e-4, 10]."""
     rng = np.random.default_rng(seed)
-    failures = 0
     for _ in range(cases):
         d = int(rng.integers(3, d_max + 1))
         size = int(rng.integers(2, min(d, size_max) + 1))
@@ -188,26 +179,57 @@ def check_aggregation_stress(
             store.insert_c1(i, _ill_conditioned_spd(rng, d, cond)[:, i])
         j = int(rng.integers(0, size - 1))
         idx = store.indices[j]
-        r = _ill_conditioned_spd(rng, d, cond)[:, idx]
+        yield store, j, idx, _ill_conditioned_spd(rng, d, cond)[:, idx]
+
+
+def check_aggregation_stress(**params) -> CheckResult:
+    """Aggregation meets its gate on the ill-conditioned ``_stress_histories(**params)``;
+    reports the number of events that raised ``AggregationError``."""
+    failures = 0
+    for event in _stress_histories(**params):
         try:
-            aggregation.aggregate_c3(store, j, idx, r)
+            aggregation.aggregate_c3(*event)
         except AggregationError:
             failures += 1
     return CheckResult("aggregation_stress", failures == 0, float(failures), 0.0)
 
 
-def check_aggregation_stress_harsh() -> CheckResult:
-    """The stress check on larger and worse-conditioned histories.
+_HARSH = dict(cases=900, seed=12, d_max=30, size_max=15, log10_cond=10.0)
 
-    d up to 30, up to 15 pairs, condition numbers up to 1e10; 900 histories,
-    enough to reach history 870 of seed 12, whose relative defect goes to
-    1.3e-8, over the gate, when the swaps' direct columns are carried by
-    rank-two updates of the columns themselves.
-    """
-    result = check_aggregation_stress(
-        cases=900, seed=12, d_max=30, size_max=15, log10_cond=10.0
-    )
-    return replace(result, name="aggregation_stress_harsh")
+
+def check_aggregation_stress_harsh() -> CheckResult:
+    """The stress check with d up to 30, up to 15 pairs and condition numbers up
+    to 1e10: history 870's relative defect goes to 1.3e-8, over the gate, when
+    the swaps' direct columns are carried by rank-two updates of themselves."""
+    return replace(check_aggregation_stress(**_HARSH), name="aggregation_stress_harsh")
+
+
+def _gate_error(store: PairStore, j: int, index: int, r: np.ndarray):
+    """(error, defect/scale) of the aggregation gate on a C3 event, error the
+    largest gap of its (defect, scale) to the dense folds of the same histories
+    in ``np.longdouble``, over their scale; None when a swap loses curvature."""
+    if (histories := aggregation._event_histories(store, j, index, r)) is None:
+        return None
+    (ip, Rp), (ia, Ra), (ib, Rb) = histories
+    h0 = np.longdouble(store.h0_scale)
+    H_p, H_a, H_b = (kernels.dense_H_from_pairs(i, R.astype(np.longdouble), h0) for i, R in
+                     [(ip, Rp), (ip + ia, np.hstack([Rp, Ra])), (ip + ib, np.hstack([Rp, Rb]))])
+    exact = np.linalg.norm(H_a - H_b), max(np.linalg.norm(H_b - H_p), store.dim ** 0.5 * h0, 1e-30)
+    defect, scale = aggregation._fold_defect(*histories, store.h0_scale)
+    return float(max(abs(defect - exact[0]), abs(scale - exact[1])) / exact[1]), defect / scale
+
+
+def check_fold_defect_vs_long_double() -> CheckResult:
+    """The aggregation gate matches a long-double dense fold to 1e-10 * scale on
+    the plain and harsh stress events; notes harsh history 870's defect/scale."""
+    worst, note = 0.0, ""
+    for params in ({}, _HARSH):
+        for k, event in enumerate(_stress_histories(**params)):
+            if (out := _gate_error(*event)) is not None:
+                worst = max(worst, out[0])
+                if params is _HARSH and k == 870:
+                    note = f"harsh #870 defect/scale {out[1]:.2e}"
+    return CheckResult("fold_defect_vs_long_double", worst <= 1e-10, worst, 1e-10, note)
 
 
 def check_store_invariants_fuzz(ops: int = 1000, seed: int = 4) -> CheckResult:
@@ -368,6 +390,7 @@ SCOPES: dict[str, list[Callable[[], CheckResult]]] = {
         check_aggregation_equivalence,
         check_aggregation_stress,
         check_aggregation_stress_harsh,
+        check_fold_defect_vs_long_double,
         check_store_invariants_fuzz,
     ],
     "theory": [

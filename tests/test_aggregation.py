@@ -4,13 +4,12 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from lgbfgs import aggregation, kernels, verify
 from lgbfgs.aggregation import AggregationError, aggregate_c3
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import (
-    _two_loop,
     apply_inverse_hessian,
     compact_B_column,
     dense_H_from_pairs,
@@ -359,59 +358,33 @@ class TestFoldEquivalence:
         assert result.passed, result.render()
 
 
-def copying_fold_defect(prefix, suffix_a, suffix_b, h0):
-    """``aggregation._fold_defect`` as it was when ``fold`` copied theta for
-    every pair; the reference for the in-place fold."""
-    pairs = list(zip(suffix_a[0], suffix_a[1].T)) + list(zip(suffix_b[0], suffix_b[1].T))
-    sigma_set = sorted({i for i, _ in pairs})
-    pos = {i: k for k, i in enumerate(sigma_set)}
-    rho = np.column_stack([r for _, r in pairs])
-    dim = rho.shape[0]
-    w = _two_loop(prefix[1], prefix[0], h0, rho)
-    e_cols = np.zeros((dim, len(sigma_set)))
-    for k, i in enumerate(sigma_set):
-        e_cols[i, k] = 1.0
-    q_mat = aggregation._reduced_basis(e_cols, w, sigma_set)
-    q = q_mat.shape[1]
-    qt_rho, qt_w, rho_w = q_mat.T @ rho, q_mat.T @ w, rho.T @ w
-
-    def fold(pair_list, offset):
-        theta = np.zeros((q, q))
-        for k, (i, r) in enumerate(pair_list):
-            col = offset + k
-            spos = pos[i]
-            c = 1.0 / float(r[i])
-            hw = qt_w[:, col] + theta @ qt_rho[:, col]
-            rhr = float(rho_w[col, col]) + float(qt_rho[:, col] @ theta @ qt_rho[:, col])
-            out = theta.copy()
-            out[spos, :] -= c * hw
-            out[:, spos] -= c * hw
-            out[spos, spos] += c * c * rhr + c
-            theta = out
-        return theta
-
-    n_a = len(suffix_a[0])
-    theta_a = fold(pairs[:n_a], 0)
-    theta_b = fold(pairs[n_a:], n_a)
-    scale = max(float(np.linalg.norm(theta_b)), np.sqrt(dim) * h0, 1e-30)
-    return float(np.linalg.norm(theta_a - theta_b)), scale
-
-
 class TestFoldDefect:
-    def test_in_place_fold_matches_copying_fold_bit_for_bit(self, monkeypatch):
-        """On the stress generator's histories the gate's (defect, scale) equals
-        the copying fold's exactly."""
-        gate = aggregation._fold_defect
-        calls = []
+    def test_gate_matches_long_double_fold(self):
+        """The gate's (defect, scale) on the plain and harsh stress events match
+        a long-double dense fold to 1e-10 * scale."""
+        result = verify.check_fold_defect_vs_long_double()
+        assert result.passed, result.render()
+        assert "harsh #870 defect/scale" in result.note
 
-        def recording(prefix, suffix_a, suffix_b, h0):
-            out = gate(prefix, suffix_a, suffix_b, h0)
-            calls.append((out, copying_fold_defect(prefix, suffix_a, suffix_b, h0)))
-            return out
-
-        monkeypatch.setattr(aggregation, "_fold_defect", recording)
-        result = verify.check_aggregation_stress(cases=80, seed=11)
-        assert result.passed
-        assert len(calls) >= 50
-        for got, want in calls:
-            assert got == want
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(3, 16),
+        size=st.integers(2, 8),
+        log10_h0=st.floats(-6.0, 2.0),
+        log10_cond=st.floats(0.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gate_matches_long_double_fold_property(self, d, size, log10_h0,
+                                                    log10_cond, seed):
+        """The same oracle on histories with d 3-16, up to 8 pairs, seed scale
+        log-uniform in [1e-6, 1e2] and pair condition numbers up to 1e8."""
+        rng, size, cond = np.random.default_rng(seed), min(size, d), 10.0**log10_cond
+        store = PairStore(dim=d, tau=size, h0_scale=10.0**log10_h0)
+        for i in rng.permutation(d)[:size]:
+            store.insert_c1(i, verify._ill_conditioned_spd(rng, d, cond)[:, i])
+        j = int(rng.integers(0, size - 1))
+        idx = store.indices[j]
+        out = verify._gate_error(store, j, idx,
+                                 verify._ill_conditioned_spd(rng, d, cond)[:, idx])
+        assume(out is not None)
+        assert out[0] <= 1e-10

@@ -187,6 +187,41 @@ class TestReplaceSuffix:
         np.testing.assert_array_equal(store.R, before[1])
 
 
+class TestReplaceSuffixChecks:
+    """Each check of ``replace_suffix`` runs over the whole block at once, names
+    the first offending column and leaves the store unchanged."""
+
+    @staticmethod
+    def suffix(cols):
+        """A 5 x 2 suffix block of unit variations at indices 0 and 2."""
+        R = np.column_stack([unit_r(0), unit_r(2)])
+        for (row, col), value in cols.items():
+            R[row, col] = value
+        return R
+
+    @pytest.mark.parametrize("j, indices, R, error, message", [
+        (4, [0, 2], None, IndexError, r"slot 4 out of range \[0, 3\]"),
+        (1, [0, 2], np.ones((5, 3)), ValueError, r"suffix has shape \(5, 3\)"),
+        (1, [7, 9], None, IndexError, "basis index 7 out of range for dim 5"),
+        (1, [0, 2], {(1, 0): np.inf, (4, 1): np.nan}, ValueError,
+         "gradient variation at index 0 has non-finite entries"),
+        (1, [0, 2], {(2, 1): -1.0}, CurvatureError,
+         "pair at index 2 has curvature -1.000e\\+00 <= 0"),
+        (1, [0, 2], {(0, 0): 0.0, (2, 1): -1.0}, CurvatureError, "pair at index 0 has"),
+        (0, [0, 2, 4, 3, 1], np.ones((5, 5)), CurvatureError, "store size 5 exceeds tau=4"),
+        (1, [1, 2], np.ones((5, 2)), CurvatureError, "stored indices are not pairwise distinct"),
+    ])
+    def test_error_path(self, j, indices, R, error, message):
+        store = store_with([1, 3, 0])
+        before = (store.indices, store.R.copy())
+        if not isinstance(R, np.ndarray):
+            R = self.suffix(R or {})
+        with pytest.raises(error, match=message):
+            store.replace_suffix(j, indices, R)
+        assert store.indices == before[0]
+        np.testing.assert_array_equal(store.R, before[1])
+
+
 class TestInvariantFuzz:
     def test_random_insert_replace_sequences(self):
         """Size stays bounded and indices stay distinct over 1000 random ops."""
