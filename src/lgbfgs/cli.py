@@ -177,25 +177,29 @@ def _solver_cells(cfg: ExperimentConfig) -> list[SolverConfig]:
         taus = entry.get("taus", [entry.get("tau", 10)])
         if isinstance(taus, int):
             taus = [taus]
-        for tau in taus:
-            tau = int(tau)
-            if tau < 1:
-                raise TauError(f"invalid tau {tau} for solver {method}")
-            correction = entry.get("correction", "off")
-            cells.append(
-                SolverConfig(
-                    method=method,
-                    tau=tau,
-                    alpha=entry.get("alpha"),
-                    max_iters=cfg.max_iters,
-                    grad_tol=cfg.grad_tol,
-                    correction=CorrectionConfig(mode=correction),
-                    subset_policy=SubsetPolicy(entry.get("subset_policy", "adaptive")),
-                    h0_scale=entry.get("h0_scale"),
-                    lbfgs_scaling=entry.get("lbfgs_scaling", "fixed"),
-                    record_dense_diags=cfg.record_dense_diags,
+        try:
+            for tau in taus:
+                tau = int(tau)
+                if tau < 1:
+                    raise TauError(f"invalid tau {tau} for solver {method}")
+                cells.append(
+                    SolverConfig(
+                        method=method,
+                        tau=tau,
+                        alpha=entry.get("alpha"),
+                        max_iters=cfg.max_iters,
+                        grad_tol=cfg.grad_tol,
+                        correction=CorrectionConfig(mode=entry.get("correction", "off")),
+                        subset_policy=SubsetPolicy(entry.get("subset_policy", "adaptive")),
+                        h0_scale=entry.get("h0_scale"),
+                        lbfgs_scaling=entry.get("lbfgs_scaling", "fixed"),
+                        record_dense_diags=cfg.record_dense_diags,
+                    )
                 )
-            )
+        except ConfigError:
+            raise
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid {method} solver entry: {exc}") from exc
     return cells
 
 

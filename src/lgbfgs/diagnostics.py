@@ -108,13 +108,14 @@ def contraction_residual(
     B_before: np.ndarray,
     B_after: np.ndarray,
     subset,
-) -> float:
+) -> float | None:
     """Slack of the per-step trace-metric contraction inequality.
 
     ``B_before`` is the approximation at x (before correction scaling),
-    ``B_after`` the one after the greedy update at x_next.  Returns
-    bound - achieved; nonnegative when the step obeys the contraction.
-    Requires B_before to dominate the Hessian at x.
+    ``B_after`` the one after the greedy update at x_next, and ``subset`` the
+    candidate indices of the greedy selection.  Returns bound - achieved,
+    nonnegative when the step obeys the contraction, or None when B_before does
+    not dominate the Hessian at x (the inequality's premise; 1e-9 slack).
     """
     x = np.asarray(x, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
@@ -124,10 +125,7 @@ def contraction_residual(
     min_eig = float(scipy.linalg.eigvalsh(gap)[0])
     slack = 1e-9 * (np.linalg.norm(hess_x) + np.linalg.norm(B_before))
     if min_eig < -slack:
-        raise DiagnosticsError(
-            f"hypothesis violated: B_before does not dominate the Hessian "
-            f"(min eig {min_eig:.3e})"
-        )
+        return None
     mu, L = obj.info.mu, obj.info.lipschitz_L
     cm = obj.info.self_concordant_CM
     phi = weighted_step_norm(obj, x, x_next)

@@ -77,12 +77,6 @@ class PairStore:
         """The stored gradient variations as a live d x size view, oldest first."""
         return self._R[:, : len(self._idx)]
 
-    def copy(self) -> "PairStore":
-        """Independent copy of the history."""
-        out = PairStore(self.dim, self.tau, self.h0_scale)
-        out._R[:], out._idx = self._R, list(self._idx)
-        return out
-
     # -- classification and mutation ------------------------------------------
 
     def classify(self, new_index: int) -> CaseTag:

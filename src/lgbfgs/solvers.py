@@ -6,10 +6,12 @@ optional correction scaling), and the limited-memory greedy method combining
 basis selection, correction scaling, and pair aggregation.  Each method is a
 step object.  ``run``, the single entry point, owns what they share: the warm
 start, one value/gradient evaluation per iterate, the stop rule, the
-divergence guard, the dense diagnostics and the trace; its observer receives
-a ``StepSnapshot`` after each ``lg_bfgs`` step.  ``run`` builds one objective
-``Point`` per iterate (``obj.at``) and passes it to every objective read at
-that iterate, so what the objective derives from x alone is computed once.
+divergence guard, the dense diagnostics (with ``record_dense_diags`` an
+``lg_bfgs`` row also carries its step's ``contraction`` slack) and the trace.
+A step's other internals are read by wrapping the names this module calls:
+``weighted_step_norm``, ``apply_scaling`` and ``greedy_pair``.  ``run`` builds
+one objective ``Point`` per iterate (``obj.at``) and passes it to every
+objective read at that iterate, so what it derives from x alone is computed once.
 
 Every run is strictly sequential, owns its state, and is deterministic for a
 given configuration; traces carry one record per evaluated iterate.  For every
@@ -24,7 +26,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -96,6 +97,7 @@ class IterationRecord:
     sigma: float | None = None
     beta_tau: float | None = None
     case_tag: str | None = None
+    contraction: float | None = None
 
 
 @dataclass
@@ -113,20 +115,6 @@ class Trace:
         return self.records[-1].grad_norm
 
 
-@dataclass
-class StepSnapshot:
-    """Observer payload for one limited-memory greedy step (dense-replay hooks);
-    the stores are copies taken before the scaling and after the retention."""
-
-    t: int
-    x: np.ndarray
-    x_next: np.ndarray
-    psi: float
-    candidates: list[int]
-    store_before: PairStore
-    store_after: PairStore
-
-
 class _Step:
     """One method's state between iterates; the base class is gradient descent.
 
@@ -140,10 +128,9 @@ class _Step:
 
     pair_count = 0
 
-    def __init__(self, obj: Objective, cfg: SolverConfig, observer=None):
+    def __init__(self, obj: Objective, cfg: SolverConfig):
         self.obj = obj
         self.cfg = cfg
-        self.observer = observer
         self.tau = cfg.tau
         L = obj.info.lipschitz_L
         self.alpha = cfg.alpha if cfg.alpha is not None else (1.0 / L if cfg.method == GD else 1.0)
@@ -193,8 +180,8 @@ def _two_loop_dense(pairs, h0: float, g: np.ndarray) -> np.ndarray:
 class _Lbfgs(_SecantStep):
     """Classic limited-memory BFGS: difference pairs, FIFO eviction."""
 
-    def __init__(self, obj, cfg, observer=None):
-        super().__init__(obj, cfg, observer)
+    def __init__(self, obj, cfg):
+        super().__init__(obj, cfg)
         self.pairs: deque = deque(maxlen=cfg.tau)
 
     def direction(self, t, x, g):
@@ -212,8 +199,8 @@ class _Lbfgs(_SecantStep):
 class _BfgsDense(_SecantStep):
     """Dense BFGS on the inverse Hessian approximation."""
 
-    def __init__(self, obj, cfg, observer=None):
-        super().__init__(obj, cfg, observer)
+    def __init__(self, obj, cfg):
+        super().__init__(obj, cfg)
         self.H = self.h0 * np.eye(obj.info.dim)
 
     def direction(self, t, x, g):
@@ -226,8 +213,8 @@ class _BfgsDense(_SecantStep):
 class _GreedyBfgs(_Step):
     """Dense greedy baseline: full-basis selection, optional correction."""
 
-    def __init__(self, obj, cfg, observer=None):
-        super().__init__(obj, cfg, observer)
+    def __init__(self, obj, cfg):
+        super().__init__(obj, cfg)
         self.B = np.eye(obj.info.dim) / self.h0
         self.full_basis = list(range(obj.info.dim))
 
@@ -262,10 +249,10 @@ class _LgBfgs(_Step):
     """Limited-memory greedy step: two-loop direction, correction scaling,
     greedy pair selection over the policy subset, and C1/C2/C3 retention."""
 
-    def __init__(self, obj, cfg, observer=None):
+    def __init__(self, obj, cfg):
         if cfg.subset_policy.mode == greedy.FIXED_PREFIX and cfg.tau > obj.info.dim:
             raise ValueError("fixed_prefix policy requires tau <= dim")
-        super().__init__(obj, cfg, observer)
+        super().__init__(obj, cfg)
         self.store = PairStore(dim=obj.info.dim, tau=min(cfg.tau, obj.info.dim),
                                h0_scale=self.h0)
         self.tau = self.store.tau
@@ -279,20 +266,12 @@ class _LgBfgs(_Step):
 
     def curvature(self, t, point, point_next):
         obj, store, cfg = self.obj, self.store, self.cfg
-        store_before = store.copy() if self.observer or cfg.record_dense_diags else None
+        B_before = self.dense_B() if cfg.record_dense_diags else None
         phi = weighted_step_norm(obj, point, point_next)
         psi = scale_factor(phi, cfg.correction, obj.info.self_concordant_CM, t)
         apply_scaling(store, psi)
         candidates = subset_indices(cfg.subset_policy, store)
         index, r = greedy_pair(obj, point_next, store, candidates)
-        extra = {}
-        if cfg.record_dense_diags:
-            B = kernels.dense_B_from_pairs(
-                store_before.indices, store_before.R, store_before.h0_scale)
-            err = psi * B - obj.hess_matrix(point_next)
-            _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
-                err, candidates, degenerate="inf"
-            )
         tag = store.classify(index)
         if tag.kind == "C1":
             store.insert_c1(index, r)
@@ -300,13 +279,15 @@ class _LgBfgs(_Step):
             store.replace_c2(index, r)
         else:
             aggregation.aggregate_c3(store, tag.j, index, r, tol=cfg.aggregation_tol)
-        if self.observer is not None:
-            self.observer(StepSnapshot(
-                t=t, x=point.x.copy(), x_next=point_next.x.copy(), psi=psi,
-                candidates=list(candidates),
-                store_before=store_before, store_after=store.copy()))
         self.pair_count = store.size
-        extra["case_tag"] = tag.kind
+        extra = {"case_tag": tag.kind}
+        if B_before is not None:
+            err = psi * B_before - obj.hess_matrix(point_next)
+            _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
+                err, candidates, degenerate="inf"
+            )
+            extra["contraction"] = diagnostics.contraction_residual(
+                obj, point.x, point_next.x, B_before, self.dense_B(), candidates)
         return extra
 
 
@@ -319,11 +300,10 @@ _STEPS = {
 }
 
 
-def run(obj: Objective, x0, cfg: SolverConfig,
-        observer: Optional[Callable[[StepSnapshot], None]] = None) -> Trace:
+def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
     """Run the configured method from x0, after ``cfg.warm_start_k0`` warm-start
-    steps; ``observer`` receives a ``StepSnapshot`` after each ``lg_bfgs`` step."""
-    method = _STEPS[cfg.method](obj, cfg, observer)
+    steps."""
+    method = _STEPS[cfg.method](obj, cfg)
     x = np.asarray(x0, dtype=float)
     if cfg.warm_start_k0 > 0:
         x = warm_start(obj, x, cfg.warm_start_k0, h0_scale=cfg.h0_scale)

@@ -232,8 +232,9 @@ def check_fold_defect_vs_long_double() -> CheckResult:
     return CheckResult("fold_defect_vs_long_double", worst <= 1e-10, worst, 1e-10, note)
 
 
-def check_store_invariants_fuzz(ops: int = 1000, seed: int = 4) -> CheckResult:
-    """Random C1/C2/C3 sequences never exceed capacity or duplicate indices."""
+def check_store_invariants_fuzz(ops: int = 1000, seed=4) -> CheckResult:
+    """Random C1/C2/C3 sequences never exceed capacity or duplicate indices;
+    ``seed`` is an int or a ``np.random.Generator`` to draw the sequence from."""
     rng = np.random.default_rng(seed)
     d, tau = 8, 4
     store = PairStore(dim=d, tau=tau, h0_scale=1.0)
@@ -305,60 +306,55 @@ def check_full_memory_equivalence(seed: int = 6) -> CheckResult:
     return CheckResult("full_memory_equivalence", worst <= 1e-8, worst, 1e-8)
 
 
-def check_linear_rate_bound(seed: int = 7) -> CheckResult:
-    """Decrement sequence on a quadratic obeys the per-iteration linear bound."""
-    d = 10
+def check_linear_rate_bound(d: int = 10, tau: int = 5, k0: int = 3,
+                            seed: int = 7) -> CheckResult:
+    """Decrement sequence on a quadratic obeys the per-iteration linear bound for
+    all of 200 steps; a run that stops early fails."""
     obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, 10.0, d),
                         seed=seed, rotate=True)
-    x0 = warm_start(obj, np.ones(d), 3)
-    cfg = SolverConfig(method="lg_bfgs", tau=5, max_iters=200, grad_tol=0.0,
+    x0 = warm_start(obj, np.ones(d), k0)
+    cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=200, grad_tol=0.0,
                        correction=CorrectionConfig("basic"),
                        record_dense_diags=True)
     trace = run(obj, x0, cfg)
     lam0 = trace.records[0].lambda_f
     factor = 1.0 - obj.info.mu / (2.0 * obj.info.lipschitz_L)
-    worst = -np.inf
+    worst = -np.inf if trace.records[-1].t == cfg.max_iters else np.inf
     for rec in trace.records:
         bound = factor**rec.t * lam0 * (1.0 + 1e-12)
         worst = max(worst, rec.lambda_f - bound)
     return CheckResult("linear_rate_bound", worst <= 0.0, worst, 0.0)
 
 
-def check_contraction_inequality(seed: int = 8) -> CheckResult:
-    """Per-step trace-metric contraction holds on a corrected quadratic run."""
-    d = 5
-    obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, 8.0, d),
+def check_contraction_inequality(d: int = 5, tau: int = 3, hi: float = 8.0,
+                                 seed: int = 8) -> CheckResult:
+    """Per-step trace-metric contraction holds on a corrected quadratic run with
+    spectrum [1, hi]: each of its 100 steps records a ``contraction`` of at least
+    -1e-9; a step without one (premise failed, or the run stopped) fails."""
+    obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, hi, d),
                         seed=seed, rotate=True)
-    residuals = []
-
-    def observer(snap):
-        B_before, B_after = (
-            kernels.dense_B_from_pairs(s.indices, s.R, s.h0_scale)
-            for s in (snap.store_before, snap.store_after)
-        )
-        residuals.append(
-            diagnostics.contraction_residual(
-                obj, snap.x, snap.x_next, B_before, B_after, snap.candidates
-            )
-        )
-
-    cfg = SolverConfig(method="lg_bfgs", tau=3, max_iters=100, grad_tol=0.0,
-                       correction=CorrectionConfig("basic"))
-    run(obj, np.ones(d), cfg, observer=observer)
-    worst = -min(residuals)
+    cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=100, grad_tol=0.0,
+                       correction=CorrectionConfig("basic"), record_dense_diags=True)
+    trace = run(obj, np.ones(d), cfg)
+    residuals = [rec.contraction for rec in trace.records[:cfg.max_iters]]
+    worst = np.inf if len(residuals) < cfg.max_iters or None in residuals else -min(residuals)
     return CheckResult("contraction_inequality", worst <= 1e-9, worst, 1e-9)
 
 
-def check_memory_bound(seed: int = 9) -> CheckResult:
-    """Pair counts never exceed tau across a benchmark-style run."""
-    obj = synth_problem("logistic", d=20, n=200, mu=1e-3, seed=seed)
-    x0 = warm_start(obj, np.zeros(20), 3)
-    worst = 0
-    for tau in (3, 7, 15):
+def check_memory_bound(d: int = 20, n: int = 200, taus=(3, 7, 15), k0: int = 3,
+                       iters: int = 60, seed: int = 9) -> CheckResult:
+    """Pair counts never exceed tau on a logistic problem, for lbfgs and lg_bfgs
+    at each tau over ``iters`` steps; a run that stops early fails."""
+    obj = synth_problem("logistic", d=d, n=n, mu=1e-3, seed=seed)
+    x0 = warm_start(obj, np.zeros(d), k0)
+    worst = 0.0
+    for tau in taus:
         for method in ("lbfgs", "lg_bfgs"):
-            cfg = SolverConfig(method=method, tau=tau, max_iters=60, grad_tol=0.0)
+            cfg = SolverConfig(method=method, tau=tau, max_iters=iters, grad_tol=0.0)
             trace = run(obj, x0, cfg)
             worst = max(worst, max(r.pair_count - tau for r in trace.records))
+            if trace.records[-1].t != iters:
+                worst = np.inf
     return CheckResult("memory_bound", worst <= 0, float(worst), 0.0)
 
 

@@ -9,13 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from lgbfgs import verify
-from lgbfgs.aggregation import aggregate_c3
-from lgbfgs.correction import CorrectionConfig
+from lgbfgs import solvers, verify
 from lgbfgs.data import synth_problem
-from lgbfgs.diagnostics import RateParams, contraction_residual, rate_bounds
-from lgbfgs.kernels import dense_B_from_pairs
-from lgbfgs.pairs import PairStore
+from lgbfgs.diagnostics import RateParams, rate_bounds
 from lgbfgs.solvers import SolverConfig, run, warm_start
 
 
@@ -23,11 +19,6 @@ def report(criterion, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] acceptance {criterion}: {detail}"
     print(line)
     return line
-
-
-def random_spd(rng, d):
-    a = rng.standard_normal((d, d))
-    return a @ a.T + d * np.eye(d)
 
 
 def grad_norm_not_better(a, b, floor=1e-13):
@@ -76,47 +67,17 @@ class TestAcceptance:
     @pytest.mark.parametrize("d,tau", [(5, 3), (20, 8)])
     def test_5_contraction_inequality(self, d, tau):
         """Per-step trace-metric contraction on corrected quadratic runs."""
-        obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, 9.0, d),
-                            seed=50 + d, rotate=True)
-        residuals = []
-
-        def observer(snap):
-            B_before, B_after = (
-                dense_B_from_pairs(s.indices, s.R, s.h0_scale)
-                for s in (snap.store_before, snap.store_after)
-            )
-            residuals.append(
-                contraction_residual(obj, snap.x, snap.x_next, B_before,
-                                     B_after, snap.candidates)
-            )
-
-        cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=100, grad_tol=0.0,
-                           correction=CorrectionConfig("basic"))
-        run(obj, np.ones(d), cfg, observer=observer)
-        worst = min(residuals)
-        ok = worst >= -1e-9 and len(residuals) == 100
-        line = report(5, ok, f"d={d}: min residual {worst:.2e} over "
-                             f"{len(residuals)} iterations (tol -1e-9)")
+        result = verify.check_contraction_inequality(d=d, tau=tau, hi=9.0, seed=50 + d)
+        ok = result.passed
+        line = report(5, ok, f"d={d}: min residual {-result.worst:.2e} over "
+                             f"100 iterations (tol -1e-9)")
         assert ok, line
 
     def test_6_linear_rate_bound(self):
         """Decrement bounded by the linear envelope, exactly, for 200 steps."""
-        d = 20
-        obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, 10.0, d),
-                            seed=60, rotate=True)
-        x0 = warm_start(obj, np.ones(d), 5)
-        cfg = SolverConfig(method="lg_bfgs", tau=8, max_iters=200, grad_tol=0.0,
-                           correction=CorrectionConfig("basic"),
-                           record_dense_diags=True)
-        trace = run(obj, x0, cfg)
-        lam0 = trace.records[0].lambda_f
-        factor = 1.0 - obj.info.mu / (2.0 * obj.info.lipschitz_L)
-        worst = -np.inf
-        for rec in trace.records:
-            bound = factor**rec.t * lam0
-            worst = max(worst, rec.lambda_f - bound * (1.0 + 1e-12))
-        ok = worst <= 0.0 and trace.records[-1].t == 200
-        line = report(6, ok, f"max bound violation {worst:.2e} over 200 "
+        result = verify.check_linear_rate_bound(d=20, tau=8, k0=5, seed=60)
+        ok = result.passed
+        line = report(6, ok, f"max bound violation {result.worst:.2e} over 200 "
                              f"iterations (slack 1e-12)")
         assert ok, line
 
@@ -162,7 +123,7 @@ class TestAcceptance:
         ds = normalize_rows(Dataset(features=sp.csr_matrix(raw), labels=labels))
         return LogisticObjective(ds, reg_mu=mu)
 
-    def test_7_superlinear_ordering(self):
+    def test_7_superlinear_ordering(self, monkeypatch):
         """Figure-style ordering on the pinned synthetic logistic problem.
 
         Both clauses are asserted as stated: the half-memory run must beat the
@@ -176,15 +137,21 @@ class TestAcceptance:
         d, k = 50, 25
         obj = self._effective_dim_logistic(seed=70, n=500, d=d, k=k)
         x_warm = warm_start(obj, np.zeros(d), 10)
-        out = {}
+        out, stores = {}, []
+        select = solvers.greedy_pair
+
+        def recording_select(objective, x_next, store, candidates):
+            stores.append(store)
+            return select(objective, x_next, store, candidates)
+
+        monkeypatch.setattr(solvers, "greedy_pair", recording_select)
         stored = None
         for method, tau in [("lbfgs", 25), ("lg_bfgs", 25),
                             ("lg_bfgs", 50), ("greedy_bfgs", 50)]:
             cfg = SolverConfig(method=method, tau=tau, max_iters=100, grad_tol=0.0)
-            snaps = []
-            trace = run(obj, x_warm, cfg, observer=snaps.append)
+            trace = run(obj, x_warm, cfg)
             if method == "lg_bfgs" and tau == k:
-                stored = sorted(snaps[-1].store_after.indices)
+                stored = sorted(stores[-1].indices)  # the live store, after the run
             out[(method, tau)] = trace.final_grad_norm
         elapsed = time.perf_counter() - start
         ratio_half = out[("lbfgs", 25)] / out[("lg_bfgs", 25)]
@@ -206,44 +173,17 @@ class TestAcceptance:
         assert ok, line
 
     def test_8_memory_bound(self):
-        """Pair counts bounded and indices distinct across runs and fuzzing."""
+        """Pair counts bounded across runs; bounded and distinct under fuzzing."""
         rng = np.random.default_rng(108)
-        violations = 0
-        for seed in range(3):
-            d = int(rng.integers(6, 15))
-            obj = synth_problem("logistic", d=d, n=80, mu=1e-3, seed=seed)
-            for tau in (2, d // 2, d):
-                for method in ("lbfgs", "lg_bfgs"):
-                    stores = []
-                    cfg = SolverConfig(method=method, tau=tau, max_iters=50,
-                                       grad_tol=0.0)
-                    trace = run(obj, np.zeros(d), cfg,
-                                observer=lambda s: stores.append(s.store_after))
-                    if any(r.pair_count > tau for r in trace.records):
-                        violations += 1
-                    for store in stores:
-                        if len(set(store.indices)) != store.size:
-                            violations += 1
-        # operation-level fuzz on the store itself
-        store = PairStore(dim=8, tau=4)
-        for _ in range(1000):
-            if store.size == 0 or (store.size < 4 and rng.random() < 0.5):
-                free = [i for i in range(8) if i not in store.indices]
-                idx = int(rng.choice(free))
-            else:
-                idx = int(rng.choice(store.indices))
-            r = random_spd(rng, 8)[:, idx]
-            tag = store.classify(idx)
-            if tag.kind == "C1":
-                store.insert_c1(idx, r)
-            elif tag.kind == "C2":
-                store.replace_c2(idx, r)
-            else:
-                aggregate_c3(store, tag.j, idx, r)
-            if store.size > 4 or len(set(store.indices)) != store.size:
-                violations += 1
-        ok = violations == 0
-        line = report(8, ok, f"{violations} violations across solver runs and "
+        dims = [int(rng.integers(6, 15)) for _ in range(3)]
+        runs = [verify.check_memory_bound(d=d, n=80, taus=(2, d // 2, d), k0=0,
+                                          iters=50, seed=seed)
+                for seed, d in enumerate(dims)]
+        # operation-level fuzz on the store itself, drawn from the same stream
+        fuzz = verify.check_store_invariants_fuzz(ops=1000, seed=rng)
+        ok = all(r.passed for r in runs) and fuzz.passed
+        line = report(8, ok, f"max pair_count - tau {max(r.worst for r in runs):.0f} "
+                             f"across solver runs; {fuzz.worst:.0f} violations in "
                              f"1000 fuzzed store operations")
         assert ok, line
 

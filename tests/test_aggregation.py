@@ -352,20 +352,8 @@ class TestFoldEquivalence:
         rel = np.linalg.norm(dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-10
 
-    def test_ill_conditioned_stress_fuzz(self):
-        """1500 histories with pair condition numbers up to 1e8: no failure."""
-        result = verify.check_aggregation_stress()
-        assert result.passed, result.render()
-
 
 class TestFoldDefect:
-    def test_gate_matches_long_double_fold(self):
-        """The gate's (defect, scale) on the plain and harsh stress events match
-        a long-double dense fold to 1e-10 * scale."""
-        result = verify.check_fold_defect_vs_long_double()
-        assert result.passed, result.render()
-        assert "harsh #870 defect/scale" in result.note
-
     @settings(max_examples=60, deadline=None)
     @given(
         d=st.integers(3, 16),

@@ -135,6 +135,18 @@ class TestRunExperiment:
         path, _ = write_config(tmp_path, output=str(tmp_path / "no_dir" / "t.csv"))
         assert main(["run", str(path)]) == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("field,value", [
+        ("taus", ["x"]),
+        ("correction", "bogus"),
+        ("subset_policy", "bogus"),
+        ("alpha", -1),
+        ("lbfgs_scaling", "zz"),
+    ])
+    def test_malformed_solver_entry_is_config_error(self, tmp_path, capsys, field, value):
+        path, _ = write_config(tmp_path, solvers=[{"method": "lg_bfgs", field: value}])
+        assert main(["run", str(path)]) == EXIT_BAD_CONFIG
+        assert "invalid lg_bfgs solver entry" in capsys.readouterr().err
+
 
 class TestVerifySuite:
     def test_kernels_scope_passes(self, capsys):
@@ -142,15 +154,13 @@ class TestVerifySuite:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == len(verify.SCOPES["kernels"])
 
-    def test_aggregation_scope_passes(self, capsys):
-        assert main(["verify", "aggregation"]) == 0
+    def test_all_scope_passes(self, capsys):
+        """The whole registered suite, once: one [PASS] line per check."""
+        assert main(["verify", "all"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == len(verify.SCOPES["aggregation"])
-
-    def test_report_line_count_matches_registry(self, capsys):
-        results, _ = verify.run_suite("all")
-        expected = sum(len(v) for v in verify.SCOPES.values())
-        assert len(results) == expected
+        assert out.count("[PASS]") == sum(len(v) for v in verify.SCOPES.values())
+        assert "[FAIL]" not in out
+        assert "harsh #870 defect/scale" in out
 
     def test_injected_sign_error_fails_kernels(self, monkeypatch, capsys):
         """A sign flip in the inverse update must blow past the tolerances."""

@@ -142,19 +142,6 @@ class TestMutations:
             store.replace_c2(store.indices[-1], dense_r(store.indices[-1], rng, d=6))
             assert store.size == before
 
-    def test_copy_is_independent(self):
-        rng = np.random.default_rng(1)
-        store = PairStore(dim=6, tau=3)
-        store.insert_c1(0, dense_r(0, rng, 6))
-        store.insert_c1(2, dense_r(2, rng, 6))
-        copy = store.copy()
-        copy.R[:] = 99.0
-        copy.h0_scale = 5.0
-        copy.insert_c1(4, dense_r(4, rng, 6))
-        assert store.R[0, 0] != 99.0
-        assert store.h0_scale == 1.0
-        assert store.indices == [0, 2]
-
     def test_r_is_a_live_column_major_view(self):
         store = store_with([1, 3, 0])
         assert store.R.shape == (5, 3)
@@ -283,8 +270,6 @@ class TestStoreProperty:
         model, h0 = [], 0.7
         for kind, seed, psi in ops:
             rng = np.random.default_rng(seed)
-            copy = store.copy()
-            frozen = (copy.indices, copy.R.tobytes(), copy.h0_scale)
             if kind == "C1" and store.size < tau:
                 free = [i for i in range(dim) if i not in store.indices]
                 i = int(rng.choice(free))
@@ -316,4 +301,3 @@ class TestStoreProperty:
             assert store.h0_scale == h0
             assert store.size <= tau
             assert len(set(store.indices)) == store.size
-            assert (copy.indices, copy.R.tobytes(), copy.h0_scale) == frozen

@@ -2,10 +2,12 @@
 
 from collections import Counter
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from lgbfgs import aggregation, greedy, verify
+from lgbfgs import aggregation, greedy, solvers, verify
 from lgbfgs.correction import CorrectionConfig
 from lgbfgs.data import synth_problem
 from lgbfgs.greedy import SubsetPolicy
@@ -184,7 +186,8 @@ class TestLgBfgsStep:
         def recording_diag(store, indices):
             out = diag(store, indices)
             if store.h0_scale < 1e-20 and len(numerators) < 3:
-                numerators.append((store.copy(), dict(zip(indices, out))))
+                numerators.append(((store.indices, store.R.copy(), store.h0_scale),
+                                   dict(zip(indices, out))))
             return out
 
         def recording_gate(*args):
@@ -199,9 +202,9 @@ class TestLgBfgsStep:
                            correction=CorrectionConfig("delta"))
         assert run(obj, np.ones(30), cfg).stop_reason == "max_iters"
         assert len(numerators) == 3
-        for store, got in numerators:
-            exact = verify._exact_direct_fold(store.indices, store.R, store.h0_scale)
-            for i in store.indices:
+        for (indices, R, h0), got in numerators:
+            exact = verify._exact_direct_fold(indices, R, h0)
+            for i in indices:
                 assert got[i] == pytest.approx(float(exact[i][i]), rel=1e-12)
         assert defects
         assert max(defects) <= 1e-12
@@ -280,64 +283,119 @@ class TestDiagnosticsRecording:
         assert all(r.sigma is not None for r in trace.records)
         stepped = [r for r in trace.records if r.case_tag is not None]
         assert all(r.beta_tau is not None and r.beta_tau >= 1.0 for r in stepped)
+        assert all(r.contraction >= -1e-9 for r in stepped)
+        assert trace.records[-1].contraction is None  # the last row takes no step
 
-    def test_observer_snapshots(self):
+    def test_wrapped_scaling_sees_every_step(self, monkeypatch):
+        """The step's internals are read by wrapping the name the solver calls:
+        five lg_bfgs steps make five scaling calls, all with psi = 1 here."""
+        psis, scale = [], solvers.apply_scaling
+
+        def recording_scale(store, psi):
+            psis.append(psi)
+            scale(store, psi)
+
+        monkeypatch.setattr(solvers, "apply_scaling", recording_scale)
         obj = quad_problem(d=4, seed=11)
-        snaps = []
         cfg = SolverConfig(method="lg_bfgs", tau=2, max_iters=5, grad_tol=0.0)
-        run(obj, np.ones(4), cfg, observer=snaps.append)
-        assert len(snaps) == 5
-        assert all(s.store_after.size <= 2 for s in snaps)
-        assert all(s.psi == 1.0 for s in snaps)  # quadratic: no correction
+        trace = run(obj, np.ones(4), cfg)
+        assert len(psis) == 5
+        assert all(r.pair_count <= 2 for r in trace.records)
+        assert all(psi == 1.0 for psi in psis)  # quadratic: no correction
+
+    def test_failed_premise_records_none_and_run_completes(self):
+        """Without correction on a logistic problem B stops dominating the
+        Hessian; those steps record no contraction, and the run still ends at
+        max_iters (a raising residual would abort it)."""
+        obj = synth_problem("logistic", d=20, n=200, mu=1e-3, seed=0)
+        x0 = warm_start(obj, np.zeros(20), 3)
+        cfg = SolverConfig(method="lg_bfgs", tau=20, max_iters=60, grad_tol=0.0,
+                           record_dense_diags=True)
+        trace = run(obj, x0, cfg)
+        assert trace.stop_reason == "max_iters"
+        assert any(r.contraction is None for r in trace.records[:-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(3, 10), tau_frac=st.floats(0.0, 1.0),
+           log10_top=st.floats(0.3, 3.0), policy=st.sampled_from(["adaptive", "fixed_prefix"]),
+           seed=st.integers(0, 2**16))
+    def test_contraction_holds_on_corrected_quadratics(self, d, tau_frac, log10_top,
+                                                       policy, seed):
+        """Basic-corrected rotated quadratics: every step's contraction slack
+        exists and is at least -1e-9 (a run may stop early at gradient zero)."""
+        tau = 1 + int(tau_frac * (d - 1))
+        obj = quad_problem(d=d, hi=10.0 ** log10_top, seed=seed)
+        cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=30, grad_tol=0.0,
+                           correction=CorrectionConfig("basic"),
+                           subset_policy=SubsetPolicy(policy), record_dense_diags=True)
+        trace = run(obj, np.ones(d), cfg)
+        steps = [r.contraction for r in trace.records if r.case_tag is not None]
+        assert steps
+        assert all(c is not None and c >= -1e-9 for c in steps)
 
 
 class TestCorrectedRunProperties:
-    def test_dominance_gives_ratio_at_least_one(self):
+    def test_dominance_gives_ratio_at_least_one(self, monkeypatch):
         """With the correction on, the scaled operator dominates the Hessian,
         so the best greedy ratio over the candidates is at least one."""
         from lgbfgs.kernels import dense_B_from_pairs
 
+        ratios, select = [], solvers.greedy_pair
+
+        def recording_select(objective, x_next, store, candidates):
+            # the store here is already scaled by psi
+            scaled = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
+            numer = np.diag(scaled)[candidates]
+            ratios.append(np.max(numer / objective.hess_diag(x_next, candidates)))
+            return select(objective, x_next, store, candidates)
+
+        monkeypatch.setattr(solvers, "greedy_pair", recording_select)
         obj = quad_problem(d=6, hi=9.0, seed=12)
-        snaps = []
         cfg = SolverConfig(method="lg_bfgs", tau=4, max_iters=40, grad_tol=0.0,
                            correction=CorrectionConfig("basic"))
-        run(obj, np.ones(6), cfg, observer=snaps.append)
-        for snap in snaps:
-            before = snap.store_before
-            scaled = snap.psi * dense_B_from_pairs(before.indices, before.R,
-                                                   before.h0_scale)
-            numer = np.diag(scaled)[snap.candidates]
-            denom = obj.hess_diag(snap.x_next, snap.candidates)
-            assert np.max(numer / denom) >= 1.0 - 1e-12
+        run(obj, np.ones(6), cfg)
+        assert len(ratios) == 40
+        assert min(ratios) >= 1.0 - 1e-12
 
-    def test_weighted_step_bounded_by_decrement(self):
+    def test_weighted_step_bounded_by_decrement(self, monkeypatch):
         """Unit quasi-Newton steps under a dominating operator stay inside the
         decrement ball: the weighted step length never exceeds it."""
-        from lgbfgs.correction import weighted_step_norm
         from lgbfgs.diagnostics import newton_decrement
+
+        steps, step_norm = [], solvers.weighted_step_norm
+
+        def recording_norm(objective, point, point_next):
+            phi = step_norm(objective, point, point_next)
+            steps.append((phi, newton_decrement(objective, point.x)))
+            return phi
 
         obj = quad_problem(d=6, hi=9.0, seed=13)
         x0 = warm_start(obj, np.ones(6), 2)
-        snaps = []
+        monkeypatch.setattr(solvers, "weighted_step_norm", recording_norm)
         cfg = SolverConfig(method="lg_bfgs", tau=4, max_iters=30, grad_tol=0.0,
                            correction=CorrectionConfig("basic"))
-        run(obj, x0, cfg, observer=snaps.append)
-        for snap in snaps:
-            phi = weighted_step_norm(obj, snap.x, snap.x_next)
-            lam = newton_decrement(obj, snap.x)
+        run(obj, x0, cfg)
+        assert len(steps) == 30
+        for phi, lam in steps:
             assert phi <= lam * (1.0 + 1e-10)
 
-    def test_delta_mode_scales_every_iteration(self):
+    def test_delta_mode_scales_every_iteration(self, monkeypatch):
         """The decaying-slack variant keeps scaling even with zero Hessian
         variation, shrinking the seed scale monotonically, and still converges."""
+        scalings, scale = [], solvers.apply_scaling
+
+        def recording_scale(store, psi):
+            scale(store, psi)
+            scalings.append((psi, store.h0_scale))
+
+        monkeypatch.setattr(solvers, "apply_scaling", recording_scale)
         obj = quad_problem(d=5, hi=6.0, seed=14)
-        snaps = []
         cfg = SolverConfig(method="lg_bfgs", tau=3, max_iters=40, grad_tol=0.0,
                            correction=CorrectionConfig("delta", delta0=0.05,
                                                        decay=0.5))
-        trace = run(obj, np.ones(5), cfg, observer=snaps.append)
-        assert all(s.psi > 1.0 for s in snaps)
-        h0s = [s.store_after.h0_scale for s in snaps]
+        trace = run(obj, np.ones(5), cfg)
+        assert all(psi > 1.0 for psi, _ in scalings)
+        h0s = [h0 for _, h0 in scalings]
         assert all(b < a for a, b in zip(h0s, h0s[1:]))
         assert trace.final_grad_norm < 1e-8
 
