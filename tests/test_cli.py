@@ -154,7 +154,12 @@ class TestVerifySuite:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == len(verify.SCOPES["kernels"])
 
-    def test_all_scope_passes(self, capsys):
+    def test_aggregation_scope_passes(self, capsys):
+        assert main(["verify", "aggregation"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == len(verify.SCOPES["aggregation"])
+
+    def test_report_line_count_matches_registry(self, capsys):
         """The whole registered suite, once: one [PASS] line per check."""
         assert main(["verify", "all"]) == 0
         out = capsys.readouterr().out
