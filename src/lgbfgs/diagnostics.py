@@ -23,18 +23,19 @@ from .objectives import Objective
 DENSE_SOLVE_LIMIT = 2000
 
 
-def newton_decrement(obj: Objective, x, method: str = "auto") -> float:
+def newton_decrement(obj: Objective, x, method: str = "auto", hess=None) -> float:
     """Gradient norm weighted by the inverse Hessian at x.
 
     Solved by dense Cholesky up to ``DENSE_SOLVE_LIMIT`` dimensions, otherwise
-    by conjugate gradients on Hessian-vector products.
+    by conjugate gradients on Hessian-vector products.  The dense solve uses
+    ``hess``, the dense Hessian at x, when the caller already holds it.
     """
     x = np.asarray(x, dtype=float)
     _, g = obj.value_grad(x)
     if method == "auto":
         method = "dense" if obj.info.dim <= DENSE_SOLVE_LIMIT else "cg"
     if method == "dense":
-        hess = obj.hess_matrix(x)
+        hess = obj.hess_matrix(x) if hess is None else hess
         try:
             y = scipy.linalg.cho_solve(scipy.linalg.cho_factor(hess), g)
         except scipy.linalg.LinAlgError as exc:
@@ -52,14 +53,15 @@ def newton_decrement(obj: Objective, x, method: str = "auto") -> float:
     return float(np.sqrt(max(float(g @ y), 0.0)))
 
 
-def trace_metric(obj: Objective, x, B: np.ndarray) -> float:
-    """Tr(hess(x)^-1 B) - d; nonnegative whenever B dominates the Hessian."""
+def trace_metric(obj: Objective, x, B: np.ndarray, hess=None) -> float:
+    """Tr(hess(x)^-1 B) - d; nonnegative whenever B dominates the Hessian.
+    ``hess`` is the dense Hessian at x when the caller already holds it."""
     x = np.asarray(x, dtype=float)
     B = np.asarray(B, dtype=float)
     d = obj.info.dim
     if B.shape != (d, d):
         raise ValueError(f"B has shape {B.shape}, expected ({d}, {d})")
-    hess = obj.hess_matrix(x)
+    hess = obj.hess_matrix(x) if hess is None else hess
     try:
         solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(hess), B)
     except scipy.linalg.LinAlgError as exc:
@@ -108,6 +110,11 @@ def contraction_residual(
     B_before: np.ndarray,
     B_after: np.ndarray,
     subset,
+    *,
+    hess=None,
+    hess_next=None,
+    phi: float | None = None,
+    sigma_before: float | None = None,
 ) -> float | None:
     """Slack of the per-step trace-metric contraction inequality.
 
@@ -116,11 +123,14 @@ def contraction_residual(
     candidate indices of the greedy selection.  Returns bound - achieved,
     nonnegative when the step obeys the contraction, or None when B_before does
     not dominate the Hessian at x (the inequality's premise; 1e-9 slack).
+    A caller that already holds them passes the dense Hessians at x and x_next,
+    the weighted step length phi and sigma_before = trace_metric(obj, x,
+    B_before); they stand in for the same values computed here.
     """
     x = np.asarray(x, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
     d = obj.info.dim
-    hess_x = obj.hess_matrix(x)
+    hess_x = obj.hess_matrix(x) if hess is None else hess
     gap = np.asarray(B_before, dtype=float) - hess_x
     min_eig = float(scipy.linalg.eigvalsh(gap)[0])
     slack = 1e-9 * (np.linalg.norm(hess_x) + np.linalg.norm(B_before))
@@ -128,14 +138,16 @@ def contraction_residual(
         return None
     mu, L = obj.info.mu, obj.info.lipschitz_L
     cm = obj.info.self_concordant_CM
-    phi = weighted_step_norm(obj, x, x_next)
+    phi = weighted_step_norm(obj, x, x_next) if phi is None else phi
     corr = 1.0 + phi * cm
-    err = corr * np.asarray(B_before, dtype=float) - obj.hess_matrix(x_next)
+    hess_next = obj.hess_matrix(x_next) if hess_next is None else hess_next
+    err = corr * np.asarray(B_before, dtype=float) - hess_next
     _, beta_min = relative_condition_numbers(err, subset, degenerate="inf")
     # fully converged error matrix: fall back to the loosest valid factor
     factor = 1.0 if math.isinf(beta_min) else 1.0 - mu / (beta_min * d * L)
-    sigma_before = trace_metric(obj, x, B_before)
-    sigma_after = trace_metric(obj, x_next, np.asarray(B_after, dtype=float))
+    if sigma_before is None:
+        sigma_before = trace_metric(obj, x, B_before, hess=hess_x)
+    sigma_after = trace_metric(obj, x_next, np.asarray(B_after, dtype=float), hess=hess_next)
     bound = factor * corr**2 * (sigma_before + 2.0 * d * phi * cm / corr)
     return bound - sigma_after
 

@@ -120,8 +120,10 @@ class _Step:
 
     From an iterate x with gradient g, ``run`` moves to
     x_next = x + alpha * direction(t, x, g).  When x_next is finite, ``run``
-    calls ``curvature(t, point, point_next)`` with the objective points of x
-    and x_next, which returns the record fields of the step, then evaluates
+    calls ``curvature(t, point, point_next, dense)`` with the objective points
+    of x and x_next and, under ``record_dense_diags``, the approximation, dense
+    Hessian and sigma that x's row already holds (None otherwise); it returns
+    the record fields of the step.  ``run`` then evaluates
     x_next and hands the gradient there to ``update``.  ``pair_count`` is the
     memory in use after the step.
     """
@@ -140,7 +142,7 @@ class _Step:
         """Search direction at x."""
         return -g
 
-    def curvature(self, t: int, point: Point, point_next: Point) -> dict:
+    def curvature(self, t: int, point: Point, point_next: Point, dense=None) -> dict:
         """Learn the curvature at x_next before it is evaluated."""
         return {}
 
@@ -227,7 +229,7 @@ class _GreedyBfgs(_Step):
         except scipy.linalg.LinAlgError as exc:
             raise CurvatureError(f"dense approximation lost definiteness: {exc}") from exc
 
-    def curvature(self, t, point, point_next):
+    def curvature(self, t, point, point_next, dense=None):
         phi = weighted_step_norm(self.obj, point, point_next)
         psi = scale_factor(phi, self.cfg.correction, self.obj.info.self_concordant_CM, t)
         B_hat = psi * self.B
@@ -264,9 +266,8 @@ class _LgBfgs(_Step):
     def direction(self, t, x, g):
         return kernels.two_loop_direction(self.store, g)
 
-    def curvature(self, t, point, point_next):
+    def curvature(self, t, point, point_next, dense=None):
         obj, store, cfg = self.obj, self.store, self.cfg
-        B_before = self.dense_B() if cfg.record_dense_diags else None
         phi = weighted_step_norm(obj, point, point_next)
         psi = scale_factor(phi, cfg.correction, obj.info.self_concordant_CM, t)
         apply_scaling(store, psi)
@@ -281,13 +282,16 @@ class _LgBfgs(_Step):
             aggregation.aggregate_c3(store, tag.j, index, r, tol=cfg.aggregation_tol)
         self.pair_count = store.size
         extra = {"case_tag": tag.kind}
-        if B_before is not None:
-            err = psi * B_before - obj.hess_matrix(point_next)
+        if dense is not None:
+            # the approximation before scaling, and the Hessian and sigma at x
+            B_before, hess, sigma = dense
+            hess_next = obj.hess_matrix(point_next)
             _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
-                err, candidates, degenerate="inf"
+                psi * B_before - hess_next, candidates, degenerate="inf"
             )
             extra["contraction"] = diagnostics.contraction_residual(
-                obj, point.x, point_next.x, B_before, self.dense_B(), candidates)
+                obj, point.x, point_next.x, B_before, self.dense_B(), candidates,
+                hess=hess, hess_next=hess_next, phi=phi, sigma_before=sigma)
         return extra
 
 
@@ -318,19 +322,21 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
         increases = increases + 1 if f_t > f_prev else 0
         diverged = not finite or (f_t > f_prev and increases >= cfg.divergence_patience)
         f_prev = f_t
-        fields = {}
+        fields, dense = {}, None
         if cfg.record_dense_diags and not diverged:
-            fields["lambda_f"] = diagnostics.newton_decrement(obj, x)
             B = method.dense_B()
+            hess = None if B is None else obj.hess_matrix(point)
+            fields["lambda_f"] = diagnostics.newton_decrement(obj, x, hess=hess)
             if B is not None:
-                fields["sigma"] = diagnostics.trace_metric(obj, x, B)
+                fields["sigma"] = diagnostics.trace_metric(obj, x, B, hess=hess)
+                dense = B, hess, fields["sigma"]
         stop_reason = ("diverged" if diverged else "grad_tol" if gnorm <= cfg.grad_tol
                        else "max_iters" if t == cfg.max_iters else None)
         if stop_reason is None:
             x_next = x + method.alpha * method.direction(t, x, g)
             if np.all(np.isfinite(x_next)):
                 point_next = obj.at(x_next)
-                fields.update(method.curvature(t, point, point_next))
+                fields.update(method.curvature(t, point, point_next, dense))
                 f, g_next = obj.value_grad(point_next)
                 method.update(x, g, x_next, g_next)
                 point, g = point_next, g_next

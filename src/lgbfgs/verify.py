@@ -199,17 +199,17 @@ _HARSH = dict(cases=900, seed=12, d_max=30, size_max=15, log10_cond=10.0)
 
 def check_aggregation_stress_harsh() -> CheckResult:
     """The stress check with d up to 30, up to 15 pairs and condition numbers up
-    to 1e10: history 870's relative defect goes to 1.3e-8, over the gate, when
-    the swaps' direct columns are carried by rank-two updates of themselves."""
+    to 1e10.  Its worst event reads defect/scale 1.1e-12 against the 1e-8 gate;
+    rewriting the suffix by the unprojected Schur form y - (y[a] / v[a]) v (see
+    ``aggregation``) misses the gate on 5 of its events, and on 8 plain ones."""
     return replace(check_aggregation_stress(**_HARSH), name="aggregation_stress_harsh")
 
 
 def _gate_error(store: PairStore, j: int, index: int, r: np.ndarray):
     """(error, defect/scale) of the aggregation gate on a C3 event, error the
     largest gap of its (defect, scale) to the dense folds of the same histories
-    in ``np.longdouble``, over their scale; None when a swap loses curvature."""
-    if (histories := aggregation._event_histories(store, j, index, r)) is None:
-        return None
+    in ``np.longdouble``, over their scale."""
+    histories = aggregation._event_histories(store, j, index, r)
     (ip, Rp), (ia, Ra), (ib, Rb) = histories
     h0 = np.longdouble(store.h0_scale)
     H_p, H_a, H_b = (kernels.dense_H_from_pairs(i, R.astype(np.longdouble), h0) for i, R in
@@ -225,10 +225,10 @@ def check_fold_defect_vs_long_double() -> CheckResult:
     worst, note = 0.0, ""
     for params in ({}, _HARSH):
         for k, event in enumerate(_stress_histories(**params)):
-            if (out := _gate_error(*event)) is not None:
-                worst = max(worst, out[0])
-                if params is _HARSH and k == 870:
-                    note = f"harsh #870 defect/scale {out[1]:.2e}"
+            error, relative = _gate_error(*event)
+            worst = max(worst, error)
+            if params is _HARSH and k == 870:
+                note = f"harsh #870 defect/scale {relative:.2e}"
     return CheckResult("fold_defect_vs_long_double", worst <= 1e-10, worst, 1e-10, note)
 
 
