@@ -20,8 +20,9 @@ from .errors import CurvatureError
 from .pairs import PairStore
 
 
-def _curvature(s: np.ndarray, r: np.ndarray) -> float:
-    c = float(s @ r)
+def _curvature(s: np.ndarray, r: np.ndarray):
+    """s'r in the inputs' dtype, so a long-double fold keeps its precision."""
+    c = s @ r
     if c <= 0.0:
         raise CurvatureError(f"curvature s'r = {c:.3e} is not positive")
     return c
@@ -35,7 +36,7 @@ def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray
     """
     c = _curvature(s, r)
     bs = B @ s
-    sbs = float(s @ bs)
+    sbs = s @ bs
     if sbs <= 0.0:
         raise CurvatureError(f"s'Bs = {sbs:.3e} <= 0: input lost positive definiteness")
     out = B + np.outer(r, r) / c - np.outer(bs, bs) / sbs

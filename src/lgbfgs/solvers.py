@@ -6,8 +6,11 @@ optional correction scaling), and the limited-memory greedy method combining
 basis selection, correction scaling, and pair aggregation.  Each method is a
 step object.  ``run``, the single entry point, owns what they share: the warm
 start, one value/gradient evaluation per iterate, the stop rule, the
-divergence guard, the dense diagnostics (with ``record_dense_diags`` an
-``lg_bfgs`` row also carries its step's ``contraction`` slack) and the trace.
+divergence guard, the dense diagnostics and the trace.  With
+``record_dense_diags`` it forms one dense Hessian, one dense approximation and
+one Cholesky factor per row, and fills a greedy step's ``beta_tau`` (and a
+``basic``-corrected ``lg_bfgs`` step's ``contraction`` slack) from the rows at
+both ends of the step; a step whose next row fails the guard gets neither.
 A step's other internals are read by wrapping the names this module calls:
 ``weighted_step_norm``, ``apply_scaling`` and ``greedy_pair``.  ``run`` builds
 one objective ``Point`` per iterate (``obj.at``) and passes it to every
@@ -31,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from . import aggregation, diagnostics, greedy, kernels
-from .correction import CorrectionConfig, apply_scaling, scale_factor, weighted_step_norm
+from .correction import BASIC, CorrectionConfig, apply_scaling, scale_factor, weighted_step_norm
 from .errors import CurvatureError
 from .greedy import SubsetPolicy, greedy_pair, subset_indices
 from .objectives import Objective, Point
@@ -120,15 +123,17 @@ class _Step:
 
     From an iterate x with gradient g, ``run`` moves to
     x_next = x + alpha * direction(t, x, g).  When x_next is finite, ``run``
-    calls ``curvature(t, point, point_next, dense)`` with the objective points
-    of x and x_next and, under ``record_dense_diags``, the approximation, dense
-    Hessian and sigma that x's row already holds (None otherwise); it returns
-    the record fields of the step.  ``run`` then evaluates
-    x_next and hands the gradient there to ``update``.  ``pair_count`` is the
-    memory in use after the step.
+    calls ``curvature(t, point, point_next)`` with the objective points of x
+    and x_next; it returns the record fields of the step.  A greedy step also
+    sets ``applied`` to (phi, psi, candidates): the weighted step length, the
+    correction scale and the index subset of its selection, from which ``run``
+    forms the step's dense diagnostics.  ``run`` then evaluates x_next and
+    hands the gradient there to ``update``.  ``pair_count`` is the memory in
+    use after the step.
     """
 
     pair_count = 0
+    applied: tuple | None = None
 
     def __init__(self, obj: Objective, cfg: SolverConfig):
         self.obj = obj
@@ -142,7 +147,7 @@ class _Step:
         """Search direction at x."""
         return -g
 
-    def curvature(self, t: int, point: Point, point_next: Point, dense=None) -> dict:
+    def curvature(self, t: int, point: Point, point_next: Point) -> dict:
         """Learn the curvature at x_next before it is evaluated."""
         return {}
 
@@ -229,22 +234,18 @@ class _GreedyBfgs(_Step):
         except scipy.linalg.LinAlgError as exc:
             raise CurvatureError(f"dense approximation lost definiteness: {exc}") from exc
 
-    def curvature(self, t, point, point_next, dense=None):
+    def curvature(self, t, point, point_next):
         phi = weighted_step_norm(self.obj, point, point_next)
         psi = scale_factor(phi, self.cfg.correction, self.obj.info.self_concordant_CM, t)
+        self.applied = phi, psi, self.full_basis
         B_hat = psi * self.B
         denom = self.obj.hess_diag(point_next, self.full_basis)
         index = int(np.argmax(np.diag(B_hat) / denom))
         r = self.obj.hess_column(point_next, index)
-        extra = {}
-        if self.cfg.record_dense_diags:
-            _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
-                B_hat - self.obj.hess_matrix(point_next), self.full_basis, degenerate="inf"
-            )
         s = np.zeros(self.obj.info.dim)
         s[index] = 1.0
         self.B = kernels.dense_bfgs_update(B_hat, s, r)
-        return extra
+        return {}
 
 
 class _LgBfgs(_Step):
@@ -266,12 +267,13 @@ class _LgBfgs(_Step):
     def direction(self, t, x, g):
         return kernels.two_loop_direction(self.store, g)
 
-    def curvature(self, t, point, point_next, dense=None):
+    def curvature(self, t, point, point_next):
         obj, store, cfg = self.obj, self.store, self.cfg
         phi = weighted_step_norm(obj, point, point_next)
         psi = scale_factor(phi, cfg.correction, obj.info.self_concordant_CM, t)
         apply_scaling(store, psi)
         candidates = subset_indices(cfg.subset_policy, store)
+        self.applied = phi, psi, candidates
         index, r = greedy_pair(obj, point_next, store, candidates)
         tag = store.classify(index)
         if tag.kind == "C1":
@@ -281,18 +283,7 @@ class _LgBfgs(_Step):
         else:
             aggregation.aggregate_c3(store, tag.j, index, r, tol=cfg.aggregation_tol)
         self.pair_count = store.size
-        extra = {"case_tag": tag.kind}
-        if dense is not None:
-            # the approximation before scaling, and the Hessian and sigma at x
-            B_before, hess, sigma = dense
-            hess_next = obj.hess_matrix(point_next)
-            _, extra["beta_tau"] = diagnostics.relative_condition_numbers(
-                psi * B_before - hess_next, candidates, degenerate="inf"
-            )
-            extra["contraction"] = diagnostics.contraction_residual(
-                obj, point.x, point_next.x, B_before, self.dense_B(), candidates,
-                hess=hess, hess_next=hess_next, phi=phi, sigma_before=sigma)
-        return extra
+        return {"case_tag": tag.kind}
 
 
 _STEPS = {
@@ -316,27 +307,33 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
     f_prev, increases = np.inf, 0
     point = obj.at(x)
     f, g = obj.value_grad(point)
+    stepped = None  # (B, hess, applied) of the last row's greedy step, dense diagnostics only
     for t in range(cfg.max_iters + 1):
         f_t, gnorm = float(f), float(np.linalg.norm(g))
         finite = np.isfinite(f_t) and np.all(np.isfinite(g))
         increases = increases + 1 if f_t > f_prev else 0
         diverged = not finite or (f_t > f_prev and increases >= cfg.divergence_patience)
         f_prev = f_t
-        fields, dense = {}, None
+        fields, B, hess = {}, None, None
         if cfg.record_dense_diags and not diverged:
-            B = method.dense_B()
-            hess = None if B is None else obj.hess_matrix(point)
-            fields["lambda_f"] = diagnostics.newton_decrement(obj, x, hess=hess)
+            B, chol = method.dense_B(), None
             if B is not None:
-                fields["sigma"] = diagnostics.trace_metric(obj, x, B, hess=hess)
-                dense = B, hess, fields["sigma"]
+                hess = obj.hess_matrix(point)
+                chol = diagnostics.hessian_cholesky(hess)
+                fields["sigma"] = diagnostics.trace_metric(obj, point, B, chol=chol)
+            fields["lambda_f"] = diagnostics.newton_decrement(obj, point, grad=g, chol=chol)
+            if stepped is not None:
+                _step_diagnostics(records[-1], obj.info, cfg, *stepped, hess, fields["sigma"])
         stop_reason = ("diverged" if diverged else "grad_tol" if gnorm <= cfg.grad_tol
                        else "max_iters" if t == cfg.max_iters else None)
+        stepped = None
         if stop_reason is None:
             x_next = x + method.alpha * method.direction(t, x, g)
             if np.all(np.isfinite(x_next)):
                 point_next = obj.at(x_next)
-                fields.update(method.curvature(t, point, point_next, dense))
+                fields.update(method.curvature(t, point, point_next))
+                if B is not None:
+                    stepped = B, hess, method.applied
                 f, g_next = obj.value_grad(point_next)
                 method.update(x, g, x_next, g_next)
                 point, g = point_next, g_next
@@ -348,6 +345,22 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
         if stop_reason is not None:
             break
     return Trace(cfg.method, method.tau, records, stop_reason, x)
+
+
+def _step_diagnostics(record: IterationRecord, info, cfg: SolverConfig, B, hess, applied,
+                      hess_next, sigma_next) -> None:
+    """Fill a greedy step's row from the dense values at both of its ends: B and
+    hess at x, the step's ``applied`` (phi, psi, candidates), and the Hessian
+    and trace metric at x_next.  ``beta_tau`` is the least relative condition
+    number of psi * B - hess_next over the candidates; ``contraction`` is
+    recorded for ``basic``-corrected ``lg_bfgs`` steps, the only ones whose psi
+    is the inequality's 1 + CM * phi."""
+    phi, psi, candidates = applied
+    _, record.beta_tau = diagnostics.relative_condition_numbers(
+        psi * B - hess_next, candidates, degenerate="inf")
+    if cfg.method == LG_BFGS and cfg.correction.mode == BASIC:
+        record.contraction = diagnostics.contraction_residual(
+            info, B, hess, phi, record.beta_tau, record.sigma, sigma_next)
 
 
 def warm_start(obj: Objective, x0, k0: int, alpha: float = 1.0,

@@ -8,6 +8,7 @@ scope and renders one pass/fail line per check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
@@ -165,21 +166,41 @@ def _ill_conditioned_spd(rng, d, cond) -> np.ndarray:
     return (q * eigs) @ q.T
 
 
-def _stress_histories(cases=1500, seed=11, d_max=12, size_max=6, log10_cond=8.0):
-    """C3 events (store, j, index, r): d in [3, d_max], 2 to min(d, size_max) stored
-    pairs, each pair and the new one from its own Hessian of condition number
-    log-uniform up to 10**log10_cond, seed scale log-uniform in [1e-4, 10]."""
+def _frozen_column(a: np.ndarray, i: int) -> np.ndarray:
+    col = a[:, i].copy()
+    col.flags.writeable = False
+    return col
+
+
+@functools.lru_cache(maxsize=None)
+def _stress_inputs(cases=1500, seed=11, d_max=12, size_max=6, log10_cond=8.0) -> tuple:
+    """The generated inputs of ``_stress_histories``, built once per process."""
     rng = np.random.default_rng(seed)
+    events = []
     for _ in range(cases):
         d = int(rng.integers(3, d_max + 1))
         size = int(rng.integers(2, min(d, size_max) + 1))
         cond = 10.0 ** rng.uniform(0.0, log10_cond)
-        store = PairStore(dim=d, tau=size, h0_scale=10.0 ** rng.uniform(-4.0, 1.0))
-        for i in rng.permutation(d)[:size]:
-            store.insert_c1(i, _ill_conditioned_spd(rng, d, cond)[:, i])
+        h0 = 10.0 ** rng.uniform(-4.0, 1.0)
+        pairs = [(int(i), _frozen_column(_ill_conditioned_spd(rng, d, cond), i))
+                 for i in rng.permutation(d)[:size]]
         j = int(rng.integers(0, size - 1))
-        idx = store.indices[j]
-        yield store, j, idx, _ill_conditioned_spd(rng, d, cond)[:, idx]
+        idx = pairs[j][0]
+        events.append((d, h0, pairs, j, idx,
+                       _frozen_column(_ill_conditioned_spd(rng, d, cond), idx)))
+    return tuple(events)
+
+
+def _stress_histories(**params):
+    """C3 events (store, j, index, r): d in [3, d_max], 2 to min(d, size_max) stored
+    pairs, each pair and the new one from its own Hessian of condition number
+    log-uniform up to 10**log10_cond, seed scale log-uniform in [1e-4, 10].
+    Each event gets a fresh store, since aggregation mutates it."""
+    for d, h0, pairs, j, idx, r in _stress_inputs(**params):
+        store = PairStore(dim=d, tau=len(pairs), h0_scale=h0)
+        for i, col in pairs:
+            store.insert_c1(i, col)
+        yield store, j, idx, r
 
 
 def check_aggregation_stress(**params) -> CheckResult:
@@ -358,6 +379,46 @@ def check_memory_bound(d: int = 20, n: int = 200, taus=(3, 7, 15), k0: int = 3,
     return CheckResult("memory_bound", worst <= 0, float(worst), 0.0)
 
 
+def check_memory_rate_tradeoff(d: int = 20, hi: float = 10.0, seed: int = 0, k0: int = 3,
+                               iters: int = 60, taus=(5, 10, 20),
+                               policies=("fixed_prefix", "adaptive")) -> CheckResult:
+    """The paper's memory-rate trade-off on a basic-corrected rotated quadratic
+    with spectrum [1, hi], warm-started by k0 steps: for each policy and tau,
+    every decrement ratio lambda_t / lambda_0 over ``iters`` steps stays under
+    ``diagnostics.product_rate_bound`` built from the run's own ``beta_tau``
+    rows, and each policy's final ratio does not rise with tau.  Reports the
+    worst ratio / bound - 1; a run that stops early or lacks a ``beta_tau``, or
+    a final ratio that rises with tau, fails.  The bound is taken from t0 = 0:
+    on these runs the product (2dL/mu) prod_u (1 - mu/(beta_u d L)) that would
+    mark a later superlinear start never falls to 1, so the check covers the
+    product bound and not the trigger point."""
+    obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, hi, d),
+                        seed=seed, rotate=True)
+    mu, L = obj.info.mu, obj.info.lipschitz_L
+    x0 = warm_start(obj, np.ones(d), k0)
+    worst, notes = -np.inf, []
+    for policy in policies:
+        finals = []
+        for tau in taus:
+            cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=iters, grad_tol=0.0,
+                               correction=CorrectionConfig("basic"), record_dense_diags=True,
+                               subset_policy=SubsetPolicy(policy))
+            records = run(obj, x0, cfg).records
+            betas = [rec.beta_tau for rec in records[:-1]]
+            if len(records) != iters + 1 or None in betas:
+                return CheckResult("memory_rate_tradeoff", False, np.inf, 1e-9)
+            ratios = [rec.lambda_f / records[0].lambda_f for rec in records]
+            for t in range(1, iters + 1):
+                bound = diagnostics.product_rate_bound(betas, mu, L, d, 0, t)
+                worst = max(worst, ratios[t] / bound - 1.0)
+            finals.append(ratios[-1])
+        if any(b > a for a, b in zip(finals, finals[1:])):
+            worst = np.inf
+        notes.append(f"{policy} " + "/".join(f"{r:.1e}" for r in finals))
+    return CheckResult("memory_rate_tradeoff", worst <= 1e-9, worst, 1e-9,
+                       "final ratios " + ", ".join(notes))
+
+
 def check_beta_sanity(cases: int = 50, seed: int = 10) -> CheckResult:
     """Relative condition numbers: full-basis minimum 1, spectral bounds hold."""
     rng = np.random.default_rng(seed)
@@ -396,6 +457,7 @@ SCOPES: dict[str, list[Callable[[], CheckResult]]] = {
         check_contraction_inequality,
         check_memory_bound,
         check_beta_sanity,
+        check_memory_rate_tradeoff,
     ],
 }
 

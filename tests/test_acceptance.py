@@ -11,7 +11,7 @@ import pytest
 
 from lgbfgs import solvers, verify
 from lgbfgs.data import synth_problem
-from lgbfgs.diagnostics import RateParams, rate_bounds
+from lgbfgs.diagnostics import product_rate_bound
 from lgbfgs.solvers import SolverConfig, run, warm_start
 
 
@@ -229,11 +229,10 @@ class TestAcceptance:
         assert ok, line
 
     def test_10_diagnostics_sanity(self):
-        """Condition-number identities and a closed-form rate-bound spot value."""
+        """Condition-number identities and a closed-form rate-bound spot value:
+        the product bound with beta = 1 at both of two steps is (7/8)^3."""
         worst = verify.check_beta_sanity(cases=50, seed=110).worst
-        spot = rate_bounds(
-            RateParams(mu=1.0, lipschitz_L=2.0, dim=4, cond_bound=1.0, t0=0), 2
-        ).superlinear
+        spot = product_rate_bound([1.0, 1.0], mu=1.0, L=2.0, d=4, t0=0, t=2)
         spot_err = abs(spot - 0.669921875)
         ok = worst <= 1e-9 and spot_err == 0.0
         line = report(10, ok, f"beta identities worst {worst:.2e}; "

@@ -1,23 +1,23 @@
 """Diagnostics: weighted decrement, trace metric, condition numbers, bounds."""
 
-import math
-
 import numpy as np
 import pytest
 
+from lgbfgs import verify
+from lgbfgs.correction import CorrectionConfig, weighted_step_norm
 from lgbfgs.data import synth_problem
 from lgbfgs.diagnostics import (
     DiagnosticsError,
-    RateParams,
     contraction_residual,
+    hessian_cholesky,
     newton_decrement,
     product_rate_bound,
-    rate_bounds,
     relative_condition_numbers,
-    superlinear_trigger,
     trace_metric,
 )
+from lgbfgs.greedy import SubsetPolicy
 from lgbfgs.objectives import QuadraticObjective
+from lgbfgs.solvers import SolverConfig, run, warm_start
 
 
 class TestNewtonDecrement:
@@ -118,26 +118,34 @@ class TestRelativeConditionNumbers:
         assert beta_min == 1.0
 
 
+def residual(obj, x, x_next, B, B_after, subset):
+    """The contraction slack of a step from x to x_next, every row value formed
+    from the matrices as the solver loop forms them."""
+    hess, hess_next = obj.hess_matrix(x), obj.hess_matrix(x_next)
+    phi = weighted_step_norm(obj, x, x_next)
+    corr = 1.0 + obj.info.self_concordant_CM * phi
+    _, beta = relative_condition_numbers(corr * B - hess_next, subset, degenerate="inf")
+    return contraction_residual(obj.info, B, hess, phi, beta, trace_metric(obj, x, B),
+                                trace_metric(obj, x_next, B_after))
+
+
 class TestContractionResidual:
     def test_exact_hessian_fixed_point(self):
         """Exact approximation and zero step: both sides vanish."""
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         B = np.diag([1.0, 2.0])
         x = np.ones(2)
-        res = contraction_residual(obj, x, x, B, B, [0, 1])
-        assert res == pytest.approx(0.0, abs=1e-12)
+        assert residual(obj, x, x, B, B, [0, 1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_hypothesis_violation_flagged(self):
         """A B_before that does not dominate the Hessian has no residual."""
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         B_small = 0.5 * np.diag([1.0, 2.0])
-        assert contraction_residual(obj, np.ones(2), np.ones(2), B_small, B_small,
-                                    [0, 1]) is None
+        assert residual(obj, np.ones(2), np.ones(2), B_small, B_small, [0, 1]) is None
 
     def test_randomized_corrected_states(self):
         """Greedy update of a dominating approximation obeys the contraction."""
         from lgbfgs.kernels import dense_bfgs_update
-        from lgbfgs.pairs import PairStore
 
         rng = np.random.default_rng(5)
         worst = -np.inf
@@ -151,108 +159,85 @@ class TestContractionResidual:
             subset = sorted(rng.choice(d, size=int(rng.integers(1, d + 1)),
                                        replace=False).tolist())
             # greedy pick over the subset, then a direct update
-            store = PairStore(dim=d, tau=d, h0_scale=1.0 / scale / np.max(eigs))
             ratios = np.diag(B)[subset] / eigs[subset]
             pick = subset[int(np.argmax(ratios))]
             s = np.zeros(d)
             s[pick] = 1.0
             r = obj.hess_column(x, pick)
             B_after = dense_bfgs_update(B, s, r)
-            res = contraction_residual(obj, x, x, B, B_after, subset)
-            worst = max(worst, -res)
+            worst = max(worst, -residual(obj, x, x, B, B_after, subset))
         assert worst <= 1e-9
 
 
+class TestSharedCholesky:
+    def test_factor_stands_in_for_the_hessian(self):
+        """Decrement and trace metric from one shared factor and the caller's
+        gradient equal the ones that form their own, bit for bit."""
+        obj = synth_problem("logistic", d=8, n=60, mu=1e-2, seed=1)
+        x = np.random.default_rng(6).standard_normal(8)
+        point = obj.at(x)
+        chol = hessian_cholesky(obj.hess_matrix(point))
+        B = 2.0 * obj.hess_matrix(x) + np.eye(8)
+        grad = obj.value_grad(point)[1]
+        assert newton_decrement(obj, point, grad=grad, chol=chol) == newton_decrement(obj, x)
+        assert trace_metric(obj, point, B, chol=chol) == trace_metric(obj, x, B)
+
+    def test_indefinite_hessian_raises(self):
+        with pytest.raises(DiagnosticsError):
+            hessian_cholesky(np.diag([1.0, -1.0]))
+
+
 class TestRateBounds:
+    """``product_rate_bound``: the decrement bound from logged condition numbers."""
+
     def test_zero_iteration_linear_bound_is_one(self):
-        p = RateParams(mu=1.0, lipschitz_L=2.0, dim=4)
-        assert rate_bounds(p, 0).linear == 1.0
+        assert product_rate_bound([2.0, 3.0], mu=1.0, L=2.0, d=4, t0=0, t=0) == 1.0
 
     def test_superlinear_spot_value(self):
-        p = RateParams(mu=1.0, lipschitz_L=2.0, dim=4, cond_bound=1.0, t0=0)
-        assert rate_bounds(p, 2).superlinear == pytest.approx(0.669921875)
-
-    def test_region_radii(self):
-        p = RateParams(mu=1.0, lipschitz_L=2.0, dim=4, self_concordant_cm=0.0)
-        bounds = rate_bounds(p, 1)
-        assert math.isinf(bounds.linear_region_radius)
-        assert bounds.superlinear_region_radius == pytest.approx(
-            math.log(2.0) / (4.0 * 9.0 * 2.0)
-        )
-        p2 = RateParams(mu=1.0, lipschitz_L=2.0, dim=4, self_concordant_cm=0.5)
-        assert rate_bounds(p2, 1).linear_region_radius == pytest.approx(
-            math.log(1.5) / 4.0
-        )
+        """beta = 1 at both steps: (1 - mu/(dL))^(2 + 1) = (7/8)^3."""
+        got = product_rate_bound([1.0, 1.0], mu=1.0, L=2.0, d=4, t0=0, t=2)
+        assert got == pytest.approx(0.669921875)
 
     def test_superlinear_bound_monotone_in_t_and_cond(self):
-        p_tight = RateParams(mu=1.0, lipschitz_L=2.0, dim=4, cond_bound=1.0)
-        p_loose = RateParams(mu=1.0, lipschitz_L=2.0, dim=4, cond_bound=3.0)
+        """The bound falls with t and rises with the logged condition numbers;
+        an infinite one (converged error matrix) contributes the factor 1."""
+        tight, loose = [1.0] * 10, [3.0] * 10
         prev = np.inf
         for t in range(10):
-            val = rate_bounds(p_tight, t).superlinear
+            val = product_rate_bound(tight, 1.0, 2.0, 4, 0, t)
             assert val <= prev
-            assert val <= rate_bounds(p_loose, t).superlinear + 1e-15
+            assert val <= product_rate_bound(loose, 1.0, 2.0, 4, 0, t) + 1e-15
             prev = val
-
-    def test_delta_correction_bound_capped_by_linear(self):
-        p = RateParams(mu=1.0, lipschitz_L=2.0, dim=4, t0=2, decay=0.9, delta0=0.1)
-        for t in range(8):
-            b = rate_bounds(p, t)
-            lin_step = 1.0 - 1.0 / 4.0
-            assert b.delta_correction <= lin_step ** (t + p.t0 + 1) + 1e-15
+        assert product_rate_bound([np.inf] * 5, 1.0, 2.0, 4, 0, 5) == 1.0
 
 
 class TestProductBoundOnInstrumentedRuns:
-    """The logged-condition-number product bound against real decrement paths."""
+    """The logged-condition-number product bound against real decrement paths,
+    through the registered ``verify.check_memory_rate_tradeoff``."""
 
     @pytest.mark.parametrize("tau,policy", [(10, "fixed_prefix"),
                                             (5, "fixed_prefix"), (5, "adaptive")])
     def test_bound_dominates_decrements(self, tau, policy):
-        from lgbfgs.correction import CorrectionConfig
-        from lgbfgs.greedy import SubsetPolicy
-        from lgbfgs.solvers import SolverConfig, run, warm_start
-
         d = 10
         obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, 4.0, d),
                             seed=3, rotate=True)
         mu, L = obj.info.mu, obj.info.lipschitz_L
         x0 = warm_start(obj, np.ones(d), 12)
-        cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=50, grad_tol=0.0,
-                           correction=CorrectionConfig("basic"),
-                           record_dense_diags=True,
-                           subset_policy=SubsetPolicy(policy))
-        trace = run(obj, x0, cfg)
-        lam = [r.lambda_f for r in trace.records]
         # deep warm start puts the run inside the locality threshold
-        assert lam[0] <= mu * np.log(2.0) / (4 * (2 * d + 1) * L)
-        betas = [r.beta_tau for r in trace.records if r.beta_tau is not None]
+        assert newton_decrement(obj, x0) <= mu * np.log(2.0) / (4 * (2 * d + 1) * L)
+        result = verify.check_memory_rate_tradeoff(d=d, hi=4.0, seed=3, k0=12, iters=50,
+                                                   taus=(tau,), policies=(policy,))
+        assert result.passed, result.render()
         if tau == d:
             # full basis: the subset always contains the maximal diagonal
+            cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=50, grad_tol=0.0,
+                               correction=CorrectionConfig("basic"),
+                               record_dense_diags=True, subset_policy=SubsetPolicy(policy))
+            betas = [r.beta_tau for r in run(obj, x0, cfg).records[:-1]]
             assert all(b == pytest.approx(1.0) or np.isinf(b) for b in betas)
-        t0 = superlinear_trigger(betas, mu, L, d) or 0
-        for t in range(len(betas) - t0 - 1):
-            idx = t + t0 + 1
-            if idx >= len(lam):
-                break
-            bound = product_rate_bound(betas, mu, L, d, t0, t) * lam[0]
-            assert lam[idx] <= bound * (1 + 1e-9) + 1e-300
 
 
 class TestTriggerAndProductBound:
-    def test_trigger_crossing(self):
-        mu, L, d = 1.0, 2.0, 4
-        betas = [1.0] * 200
-        t0 = superlinear_trigger(betas, mu, L, d)
-        product = 2 * d * L / mu
-        count = 0
-        while product > 1.0:
-            product *= 1.0 - mu / (d * L)
-            count += 1
-        assert t0 == count
-
-    def test_trigger_none_when_flat(self):
-        assert superlinear_trigger([np.inf] * 10, 1.0, 2.0, 4) is None
-
     def test_product_bound_matches_closed_form_for_constant_beta(self):
         mu, L, d = 1.0, 2.0, 4
         betas = [2.0] * 30

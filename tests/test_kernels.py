@@ -158,6 +158,24 @@ class TestDenseFold:
             B = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
             np.testing.assert_allclose(B @ H, np.eye(5), atol=1e-9)
 
+    @pytest.mark.parametrize("h0", [1e-6, 1e2])
+    def test_long_double_fold_keeps_its_precision(self, h0):
+        """A fold run in np.longdouble keeps long-double curvature scalars: at
+        h0 = 1e-6 it matches the exact rational fold to 1e-13 relative, where
+        scalars rounded to float64 leave errors of a few 1e-12."""
+        from lgbfgs.verify import _exact_direct_fold
+
+        rng = np.random.default_rng(0)
+        for _ in range(15):
+            d = int(rng.integers(4, 10))
+            store = random_store(rng, d, int(rng.integers(1, d + 1)), h0=h0)
+            exact = np.array([[float(v) for v in row]
+                              for row in _exact_direct_fold(store.indices, store.R, h0)])
+            got = dense_B_from_pairs(store.indices, store.R.astype(np.longdouble),
+                                     np.longdouble(h0))
+            assert got.dtype == np.longdouble
+            assert np.linalg.norm(got - exact) <= 1e-13 * np.linalg.norm(exact)
+
 
 class TestTwoLoop:
     def test_empty_store_scales_gradient(self):

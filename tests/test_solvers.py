@@ -67,7 +67,9 @@ class TestStoppingRules:
         """A step that overflows is caught before the objective or the
         diagnostics see the non-finite iterate, value or gradient.  With the
         default seed scale 1/L only gd overflows the iterate itself (the other
-        methods overflow the gradient); with seed scale 4 every method does."""
+        methods overflow the gradient); with seed scale 4 every method does.
+        The first row's step ends at a row that fails the guard, so it records
+        no step diagnostics."""
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         cfg = SolverConfig(method=method, alpha=1e308, max_iters=50, grad_tol=0.0,
                            h0_scale=h0_scale, record_dense_diags=record_dense_diags)
@@ -75,22 +77,29 @@ class TestStoppingRules:
         assert trace.stop_reason == "diverged"
         assert len(trace.records) <= 2
         assert (trace.records[0].lambda_f is not None) == record_dense_diags
+        assert trace.records[0].beta_tau is None
+        assert trace.records[0].contraction is None
 
 
 class TestObjectiveCallCounts:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_one_evaluation_per_iterate(self, method):
+    @pytest.mark.parametrize("method,record_dense_diags",
+                             [pytest.param(m, False, id=m) for m in METHODS]
+                             + [pytest.param(m, True, id=f"{m}-dense") for m in METHODS])
+    def test_one_evaluation_per_iterate(self, method, record_dense_diags):
         """One point and one value_grad per record; one Hessian diagonal,
         column and product per step of the greedy methods and none for the
-        others."""
+        others.  Dense diagnostics add at most one dense Hessian per record
+        and no other objective call."""
         obj = synth_problem("logistic", d=8, n=60, mu=1e-2, seed=0)
         calls = Counter()
-        for name in ("at", "value_grad", "hess_diag", "hess_column", "hess_vec"):
+        for name in ("at", "value_grad", "hess_diag", "hess_column", "hess_vec",
+                     "hess_matrix"):
             def counted(*args, _name=name, _fn=getattr(obj, name)):
                 calls[_name] += 1
                 return _fn(*args)
             setattr(obj, name, counted)
-        cfg = SolverConfig(method=method, tau=4, max_iters=12, grad_tol=0.0)
+        cfg = SolverConfig(method=method, tau=4, max_iters=12, grad_tol=0.0,
+                           record_dense_diags=record_dense_diags)
         trace = run(obj, np.zeros(8), cfg)
         steps = len(trace.records) - 1
         assert trace.stop_reason == "max_iters"
@@ -99,6 +108,7 @@ class TestObjectiveCallCounts:
         per_step = 1 if method in (GREEDY_BFGS, LG_BFGS) else 0
         for name in ("hess_diag", "hess_column", "hess_vec"):
             assert calls[name] == per_step * steps, name
+        assert calls["hess_matrix"] <= len(trace.records) * record_dense_diags
 
 
 class TestClassicLbfgs:
@@ -304,16 +314,27 @@ class TestDiagnosticsRecording:
         assert all(psi == 1.0 for psi in psis)  # quadratic: no correction
 
     def test_failed_premise_records_none_and_run_completes(self):
-        """Without correction on a logistic problem B stops dominating the
+        """On a basic-corrected logistic problem B can stop dominating the
         Hessian; those steps record no contraction, and the run still ends at
         max_iters (a raising residual would abort it)."""
         obj = synth_problem("logistic", d=20, n=200, mu=1e-3, seed=0)
         x0 = warm_start(obj, np.zeros(20), 3)
         cfg = SolverConfig(method="lg_bfgs", tau=20, max_iters=60, grad_tol=0.0,
-                           record_dense_diags=True)
+                           correction=CorrectionConfig("basic"), record_dense_diags=True)
         trace = run(obj, x0, cfg)
         assert trace.stop_reason == "max_iters"
         assert any(r.contraction is None for r in trace.records[:-1])
+
+    @pytest.mark.parametrize("mode", ["off", "delta"])
+    def test_contraction_recorded_only_under_basic(self, mode):
+        """The inequality's scale is the basic 1 + CM * phi, so steps under any
+        other correction record beta_tau but no contraction."""
+        obj = quad_problem(d=8, hi=30.0, seed=4)
+        cfg = SolverConfig(method="lg_bfgs", tau=4, max_iters=40, grad_tol=0.0,
+                           correction=CorrectionConfig(mode), record_dense_diags=True)
+        stepped = run(obj, np.ones(8), cfg).records[:-1]
+        assert all(r.beta_tau is not None for r in stepped)
+        assert all(r.contraction is None for r in stepped)
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(3, 10), tau_frac=st.floats(0.0, 1.0),
