@@ -2,7 +2,7 @@
 
 from .errors import AggregationError, CurvatureError, DiagnosticsError
 from .objectives import LogisticObjective, ObjectiveInfo, QuadraticObjective
-from .pairs import CaseTag, PairStore
+from .pairs import PairStore
 
 __all__ = [
     "AggregationError",
@@ -11,7 +11,6 @@ __all__ = [
     "LogisticObjective",
     "ObjectiveInfo",
     "QuadraticObjective",
-    "CaseTag",
     "PairStore",
 ]
 

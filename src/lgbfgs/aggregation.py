@@ -5,6 +5,8 @@ slot), pair j is dropped and the gradient variations of the pairs after it are
 rewritten so that the implicit inverse operator built from the shortened
 history equals the one built from the full history plus the new pair
 (displacement aggregation: Berahas, Curtis and Zhou, Math. Program. 2022).
+``retain`` sorts each incoming pair into the store's three retention cases
+(C1 append, C2 replace the last pair, C3 this event).
 
 The rewritten suffix is one Schur complement per pair.  Let a be the stale
 index.  An inverse update along e_b leaves H's block off row and column b
@@ -46,6 +48,9 @@ from scipy.linalg.blas import dger, dtrsm
 from .errors import AggregationError
 from .kernels import _two_loop
 from .pairs import PairStore
+
+# relative tolerance of the aggregation gate on the fold defect
+GATE_TOL = 1e-8
 
 
 def _fold_defect(prefix, suffix_a, suffix_b, h0: float) -> tuple[float, float]:
@@ -128,22 +133,42 @@ def _event_histories(store: PairStore, j: int, index: int, r: np.ndarray):
     return (idx[:j], R[:, :j]), rewritten, full
 
 
+def retain(store: PairStore, index: int, r: np.ndarray) -> str:
+    """Retain the pair (index, r) in the store and return its case.
+
+    C1: the index is not stored, so the pair is appended (below capacity only;
+    at capacity the greedy subset was violated and ``CurvatureError`` is
+    raised).  C2: it is the most recent index, whose pair is replaced.  C3: it
+    is an older stored index, whose pair ``aggregate_c3`` drops.
+    """
+    stored = store.indices
+    if index not in stored:
+        store.insert_c1(index, r)
+        return "C1"
+    j = stored.index(index)
+    if j == len(stored) - 1:
+        store.replace_c2(index, r)
+        return "C2"
+    aggregate_c3(store, j, index, r)
+    return "C3"
+
+
 def aggregate_c3(
-    store: PairStore, j: int, index: int, r: np.ndarray, tol: float = 1e-8
+    store: PairStore, j: int, index: int, r: np.ndarray, tol: float = GATE_TOL
 ) -> None:
     """Drop stale pair j, rewrite downstream variations, append the pair (index, r).
 
     Mutates the store in place; size and index-distinctness are preserved and
     the implicit inverse operator matches the full-history one within ``tol``
     (relative, gated on the exact defect).  Raises ``AggregationError``, leaving
-    the store unchanged, when the event is not C3 at slot j or the defect
-    exceeds ``tol``.
+    the store unchanged, when ``index`` is not stored at slot j before the most
+    recent one, or the defect exceeds ``tol``.
     """
     r = store.check_pair(index, r)
-    tag = store.classify(index)
-    if tag.kind != "C3" or tag.j != j:
+    if not (0 <= j < store.size - 1 and store.indices[j] == int(index)):
         raise AggregationError(
-            f"aggregation requires a C3 event at slot {j}; classification gave {tag}"
+            f"aggregation requires a C3 event at slot {j}; index {index} is not "
+            f"stored there before the last slot (stored {store.indices})"
         )
     histories = _event_histories(store, j, index, r)
     defect, scale = _fold_defect(*histories, store.h0_scale)

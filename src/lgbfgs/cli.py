@@ -83,6 +83,22 @@ class DatasetError(ValueError):
     """A dataset file that is not valid LIBSVM text (exit 3)."""
 
 
+_COUNT = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
+
+# each run config field's type check and its description for the error
+_FIELDS = {
+    "problem": (lambda v: isinstance(v, dict), "an object"),
+    "solvers": (lambda v: isinstance(v, list) and bool(v) and all(isinstance(e, dict) for e in v),
+                "a nonempty list of objects"),
+    "seed": _COUNT,
+    "output": (lambda v: isinstance(v, str), "a string"),
+    "warm_start_k0": _COUNT,
+    "max_iters": _COUNT,
+    "grad_tol": (lambda v: type(v) in (int, float), "a number"),
+    "record_dense_diags": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: a problem, a solver/tau grid, and run parameters."""
@@ -105,18 +121,18 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         missing = {"problem", "solvers", "seed"} - raw.keys()
         if missing:
             raise ConfigError(f"config is missing fields: {sorted(missing)}")
-        if not raw["solvers"]:
-            raise ConfigError("config must list at least one solver")
-        known = {
-            "problem", "solvers", "seed", "output", "warm_start_k0",
-            "max_iters", "grad_tol", "record_dense_diags",
-        }
-        unknown = raw.keys() - known
+        unknown = raw.keys() - _FIELDS.keys()
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in raw.items():
+            check, kind = _FIELDS[name]
+            if not check(value):
+                raise ConfigError(f"config field {name!r} must be {kind}, got {value!r}")
         return cls(**raw)
 
 
@@ -296,6 +312,9 @@ def _cmd_synth(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read synth spec: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    if not isinstance(spec, dict):
+        print("error: synth spec must be a JSON object", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     kind = spec.get("kind", "logistic")
     if kind != "logistic":
         print(f"error: synth can only emit logistic datasets, got {kind!r}",
@@ -305,10 +324,13 @@ def _cmd_synth(args) -> int:
         ds = synth_logistic_dataset(
             n=int(spec["n"]), d=int(spec["d"]), seed=int(spec.get("seed", 0))
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         print(f"error: bad synth spec: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     out = args.output or spec.get("output", "synthetic.libsvm")
+    if not isinstance(out, str):
+        print(f"error: synth output must be a path, got {out!r}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     with open(out, "w") as fh:
         serialize_libsvm(ds, fh)
     print(f"wrote {ds.n_samples} samples x {ds.n_features} features to {out}")

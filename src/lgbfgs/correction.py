@@ -22,23 +22,20 @@ OFF = "off"
 BASIC = "basic"
 DELTA = "delta"
 
+# the slack DELTA0 * DECAY**t of the ``delta`` mode at iteration t
+DELTA0 = 0.1
+DECAY = 0.5
+
 
 @dataclass(frozen=True)
 class CorrectionConfig:
-    """Scaling mode: off (psi = 1), basic (1 + CM*phi), delta (+ decay^t * delta0)."""
+    """Scaling mode: off (psi = 1), basic (1 + CM*phi), delta (+ DECAY^t * DELTA0)."""
 
     mode: str = OFF
-    delta0: float = 0.1
-    decay: float = 0.5
 
     def __post_init__(self):
         if self.mode not in (OFF, BASIC, DELTA):
             raise ValueError(f"unknown correction mode {self.mode!r}")
-        if self.mode == DELTA:
-            if not self.delta0 > 0:
-                raise ValueError(f"delta0 must be positive, got {self.delta0}")
-            if not 0.0 < self.decay < 1.0:
-                raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
 
 
 def weighted_step_norm(obj: Objective, x, x_next) -> float:
@@ -61,7 +58,7 @@ def scale_factor(phi: float, cfg: CorrectionConfig, cm: float, t: int) -> float:
         return 1.0
     psi = 1.0 + cm * phi
     if cfg.mode == DELTA:
-        psi += cfg.decay**t * cfg.delta0
+        psi += DECAY**t * DELTA0
     return psi
 
 

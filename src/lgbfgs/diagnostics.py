@@ -31,8 +31,7 @@ def hessian_cholesky(hess: np.ndarray):
         raise DiagnosticsError(f"Hessian Cholesky failed: {exc}") from exc
 
 
-def newton_decrement(obj: Objective, x, method: str = "auto", grad=None,
-                     chol=None) -> float:
+def newton_decrement(obj: Objective, x, grad=None, chol=None) -> float:
     """Gradient norm weighted by the inverse Hessian at x (an array or a point).
 
     Solved by dense Cholesky up to ``DENSE_SOLVE_LIMIT`` dimensions, otherwise
@@ -41,12 +40,10 @@ def newton_decrement(obj: Objective, x, method: str = "auto", grad=None,
     ``hessian_cholesky`` of the dense Hessian at x.
     """
     g = obj.value_grad(x)[1] if grad is None else grad
-    if method == "auto":
-        method = "dense" if obj.info.dim <= DENSE_SOLVE_LIMIT else "cg"
-    if method == "dense":
+    if obj.info.dim <= DENSE_SOLVE_LIMIT:
         chol = hessian_cholesky(obj.hess_matrix(x)) if chol is None else chol
         y = scipy.linalg.cho_solve(chol, g)
-    elif method == "cg":
+    else:
         op = scipy.sparse.linalg.LinearOperator(
             (obj.info.dim, obj.info.dim), matvec=lambda v: obj.hess_vec(x, v)
         )
@@ -54,8 +51,6 @@ def newton_decrement(obj: Objective, x, method: str = "auto", grad=None,
                                          maxiter=50 * obj.info.dim)
         if info != 0:
             raise DiagnosticsError(f"conjugate gradients did not converge (info={info})")
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return float(np.sqrt(max(float(g @ y), 0.0)))
 
 
@@ -70,15 +65,12 @@ def trace_metric(obj: Objective, x, B: np.ndarray, chol=None) -> float:
     return float(np.trace(scipy.linalg.cho_solve(chol, B))) - d
 
 
-def relative_condition_numbers(
-    E: np.ndarray, subset, degenerate: str = "raise"
-) -> tuple[np.ndarray, float]:
+def relative_condition_numbers(E: np.ndarray, subset) -> tuple[np.ndarray, float]:
     """Per-index relative condition numbers of E over ``subset`` and their minimum.
 
     beta(i) = max_k E_kk / E_ii with the max over the full basis.  A tiny or
     nonpositive diagonal entry means the error matrix already vanished along
-    that direction; ``degenerate="raise"`` errors out, ``degenerate="inf"``
-    maps such entries to +inf (they drop out of the minimum).
+    that direction; such entries map to +inf (they drop out of the minimum).
     """
     E = np.asarray(E, dtype=float)
     diag = np.diag(E).astype(float)
@@ -88,19 +80,10 @@ def relative_condition_numbers(
     max_diag = float(diag.max())
     floor = 1e-14 * max(max_diag, 0.0)
     sub = diag[subset]
-    if degenerate == "raise":
-        if max_diag <= 0.0 or np.any(sub <= floor):
-            raise DiagnosticsError(
-                "degenerate error matrix: nonpositive or vanishing diagonal entry"
-            )
-        betas = max_diag / sub
-    elif degenerate == "inf":
-        if max_diag <= 0.0:
-            betas = np.full(len(subset), np.inf)
-        else:
-            betas = np.where(sub > floor, max_diag / np.maximum(sub, floor), np.inf)
+    if max_diag <= 0.0:
+        betas = np.full(len(subset), np.inf)
     else:
-        raise ValueError(f"unknown degenerate policy {degenerate!r}")
+        betas = np.where(sub > floor, max_diag / np.maximum(sub, floor), np.inf)
     return betas, float(np.min(betas))
 
 

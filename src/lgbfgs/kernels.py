@@ -56,10 +56,14 @@ def dense_H_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:
 
     Test oracle; indices may repeat, as in a full history before aggregation.
     """
-    dim = R.shape[0]
-    H = h0 * np.eye(dim)
+    return _inv_fold(h0 * np.eye(R.shape[0]), indices, R)
+
+
+def _inv_fold(H: np.ndarray, indices, R: np.ndarray) -> np.ndarray:
+    """Continue an inverse fold from H over the pairs (e_indices[k], R[:, k])."""
+    eye = np.eye(R.shape[0])
     for k, i in enumerate(indices):
-        H = dense_inv_bfgs_update(H, np.eye(dim)[i], R[:, k])
+        H = dense_inv_bfgs_update(H, eye[i], R[:, k])
     return H
 
 
@@ -98,14 +102,10 @@ def _two_loop(R: np.ndarray, stored, h0: float, v) -> np.ndarray:
     return q
 
 
-def apply_inverse_hessian(store: PairStore, v: np.ndarray) -> np.ndarray:
-    """Two-loop recursion: the implicit inverse operator applied to v, O(size*d)."""
-    return _two_loop(store.R, store.indices, store.h0_scale, v)
-
-
 def two_loop_direction(store: PairStore, g: np.ndarray) -> np.ndarray:
-    """Quasi-Newton descent direction -(implicit inverse) @ g."""
-    return -apply_inverse_hessian(store, g)
+    """Quasi-Newton descent direction -(implicit inverse) @ g by the two-loop
+    recursion, O(size*d); a d x k ``g`` maps each column."""
+    return -_two_loop(store.R, store.indices, store.h0_scale, g)
 
 
 def _compact_factor(R: np.ndarray, stored, h0: float, rows) -> np.ndarray:

@@ -135,18 +135,12 @@ class Objective:
         raise NotImplementedError
 
     def hess_diag(self, x, indices: Sequence[int]) -> np.ndarray:
-        """Diagonal Hessian entries for the given indices (fused where possible)."""
-        p = self._point(x)
-        return np.array(
-            [self.hess_column(p, int(i))[int(i)] for i in indices], dtype=float
-        )
+        """Diagonal Hessian entries for the given indices, in one fused pass."""
+        raise NotImplementedError
 
     def hess_matrix(self, x) -> np.ndarray:
         """Dense Hessian.  Diagnostics and tests only; O(d^2) storage."""
-        p = self._point(x)
-        return np.column_stack(
-            [self.hess_column(p, i) for i in range(self.info.dim)]
-        )
+        raise NotImplementedError
 
     def weighted_norm(self, x, v: np.ndarray) -> float:
         """sqrt(v' * hess(x) * v); zero iff v = 0 under strong convexity."""
@@ -206,25 +200,21 @@ class QuadraticObjective(Objective):
 
     The Hessian is constant, so the Hessian-Lipschitz constant is zero and
     every correction factor collapses to one.  Used as the controlled test
-    problem where all theoretical quantities are exact.
+    problem where all theoretical quantities are exact.  A vector ``hess`` is
+    the diagonal of A.
     """
 
     def __init__(self, hess, offset=None):
         hess = np.asarray(hess, dtype=float)
         if hess.ndim == 1:
-            self._diag = hess.copy()
-            self._full = None
-            eigs = hess
-            d = hess.shape[0]
-        elif hess.ndim == 2 and hess.shape[0] == hess.shape[1]:
-            if not np.allclose(hess, hess.T, atol=1e-12):
-                raise ValueError("quadratic Hessian must be symmetric")
-            self._diag = None
-            self._full = 0.5 * (hess + hess.T)
-            eigs = np.linalg.eigvalsh(self._full)
-            d = hess.shape[0]
-        else:
+            hess = np.diag(hess)
+        if hess.ndim != 2 or hess.shape[0] != hess.shape[1]:
             raise ValueError("hess must be a vector (diagonal) or a square matrix")
+        if not np.allclose(hess, hess.T, atol=1e-12):
+            raise ValueError("quadratic Hessian must be symmetric")
+        self._hess = 0.5 * (hess + hess.T)
+        eigs = np.linalg.eigvalsh(self._hess)
+        d = hess.shape[0]
         mu = float(np.min(eigs))
         lip = float(np.max(eigs))
         if mu <= 0:
@@ -244,37 +234,22 @@ class QuadraticObjective(Objective):
 
     def hess_vec(self, x, v):
         self._point(x)
-        v = self._check_vector(v)
-        if self._diag is not None:
-            return self._diag * v
-        return self._full @ v
+        return self._hess @ self._check_vector(v)
 
     def hess_column(self, x, i):
         self._point(x)
-        i = self._check_index(i)
-        if self._diag is not None:
-            col = np.zeros(self.info.dim)
-            col[i] = self._diag[i]
-            return col
-        return self._full[:, i].copy()
+        return self._hess[:, self._check_index(i)].copy()
 
     def hess_diag(self, x, indices):
         self._point(x)
-        idx = self._check_indices(indices)
-        if self._diag is not None:
-            return self._diag[idx].astype(float)
-        return self._full.diagonal()[idx].astype(float)
+        return self._hess.diagonal()[self._check_indices(indices)].astype(float)
 
     def hess_matrix(self, x):
         self._point(x)
-        if self._diag is not None:
-            return np.diag(self._diag)
-        return self._full.copy()
+        return self._hess.copy()
 
     def minimizer(self) -> np.ndarray:
-        if self._diag is not None:
-            return self.offset / self._diag
-        return np.linalg.solve(self._full, self.offset)
+        return np.linalg.solve(self._hess, self.offset)
 
 
 class LogisticObjective(Objective):
@@ -288,11 +263,11 @@ class LogisticObjective(Objective):
 
     With unit-norm rows the gradient-Lipschitz constant is 1/4 + mu; in
     general 0.25 * max_i ||z_i||^2 + mu is used.  The Hessian-Lipschitz
-    constant defaults to the analytic sigmoid bound scaled by the cubed
-    maximal row norm and can be overridden when a tighter value is known.
+    constant is the analytic sigmoid bound scaled by the cubed maximal row
+    norm.
     """
 
-    def __init__(self, dataset: "Dataset", reg_mu: float, hess_lip_CL: float | None = None):
+    def __init__(self, dataset: "Dataset", reg_mu: float):
         if not reg_mu > 0:
             raise ValueError(f"reg_mu must be positive, got {reg_mu}")
         self.dataset = dataset
@@ -318,11 +293,8 @@ class LogisticObjective(Objective):
             raise ValueError("label count does not match the sample count")
         max_norm = float(np.sqrt(row_sums(self._Z2).max())) if n else 0.0
         lip = 0.25 * max_norm**2 + self.reg_mu
-        if hess_lip_CL is None:
-            hess_lip_CL = SIGMOID_CURVATURE_BOUND * max_norm**3
-        self.info = ObjectiveInfo(
-            dim=d, mu=self.reg_mu, lipschitz_L=lip, hess_lip_CL=float(hess_lip_CL)
-        )
+        self.info = ObjectiveInfo(dim=d, mu=self.reg_mu, lipschitz_L=lip,
+                                  hess_lip_CL=float(SIGMOID_CURVATURE_BOUND * max_norm**3))
         self._n = n
 
     def at(self, x) -> Point:

@@ -5,35 +5,20 @@ index and its gradient variation r, and parallelism tests reduce to exact
 index comparison.  The variations are the columns of one preallocated
 column-major d x tau array, oldest first; ``R`` is its live d x size block,
 contiguous per variation for the two-loop and as a block for the compact
-representation.  Each incoming pair is classified against the store:
+representation.  ``lgbfgs.aggregation.retain`` sorts each incoming pair into
+one of the store's mutations:
 
-* C1 -- index not stored yet (only legal below capacity): append.
-* C2 -- index equals the most recently stored one: replace the last pair.
-* C3 -- index equals an older stored pair j: handled by aggregation
-  (see ``lgbfgs.aggregation``), which commits the rewritten suffix.
+* C1 -- index not stored yet (only legal below capacity): ``insert_c1``.
+* C2 -- index equals the most recently stored one: ``replace_c2``.
+* C3 -- index equals an older stored pair j: aggregation commits the
+  rewritten suffix through ``replace_suffix``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CurvatureError
-
-
-@dataclass(frozen=True)
-class CaseTag:
-    """Classification of an incoming pair: C1, C2, or C3 with the stale slot j."""
-
-    kind: str
-    j: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("C1", "C2", "C3"):
-            raise ValueError(f"unknown case kind {self.kind!r}")
-        if (self.kind == "C3") != (self.j is not None):
-            raise ValueError("C3 requires a slot index j; C1/C2 forbid it")
 
 
 class PairStore:
@@ -77,29 +62,7 @@ class PairStore:
         """The stored gradient variations as a live d x size view, oldest first."""
         return self._R[:, : len(self._idx)]
 
-    # -- classification and mutation ------------------------------------------
-
-    def classify(self, new_index: int) -> CaseTag:
-        """Classify an incoming basis index against the stored ones.
-
-        Pure index comparison: C2 if it matches the last stored pair, C3(j) if
-        it matches an earlier pair j, C1 otherwise.  A C1 at capacity means the
-        caller violated the subset restriction and is an internal error.
-        """
-        new_index = int(new_index)
-        if not 0 <= new_index < self.dim:
-            raise IndexError(f"basis index {new_index} out of range [0, {self.dim})")
-        if new_index not in self._idx:
-            if self.size >= self.tau:
-                raise CurvatureError(
-                    "new basis index outside a full store: the greedy subset "
-                    "restriction was violated"
-                )
-            return CaseTag("C1")
-        j = self._idx.index(new_index)
-        if j == self.size - 1:
-            return CaseTag("C2")
-        return CaseTag("C3", j=j)
+    # -- mutation ------------------------------------------------------------
 
     def check_pair(self, index: int, r) -> np.ndarray:
         """r as a float vector, once the pair (index, r) has an index in

@@ -4,17 +4,18 @@ Methods: gradient descent, classic limited-memory BFGS (difference pairs,
 FIFO eviction), dense BFGS, dense greedy BFGS (full-basis selection with
 optional correction scaling), and the limited-memory greedy method combining
 basis selection, correction scaling, and pair aggregation.  Each method is a
-step object.  ``run``, the single entry point, owns what they share: the warm
-start, one value/gradient evaluation per iterate, the stop rule, the
-divergence guard, the dense diagnostics and the trace.  With
-``record_dense_diags`` it forms one dense Hessian, one dense approximation and
-one Cholesky factor per row, and fills a greedy step's ``beta_tau`` (and a
-``basic``-corrected ``lg_bfgs`` step's ``contraction`` slack) from the rows at
-both ends of the step; a step whose next row fails the guard gets neither.
-A step's other internals are read by wrapping the names this module calls:
-``weighted_step_norm``, ``apply_scaling`` and ``greedy_pair``.  ``run`` builds
-one objective ``Point`` per iterate (``obj.at``) and passes it to every
-objective read at that iterate, so what it derives from x alone is computed once.
+step object.  ``run``, the single entry point, owns what they share: one
+value/gradient evaluation per iterate, the stop rule, the divergence guard,
+the dense diagnostics and the trace; a caller that wants a warm start passes
+the point ``warm_start`` returns.  With ``record_dense_diags`` it forms one
+dense Hessian, one dense approximation and one Cholesky factor per row, and
+fills a greedy step's ``beta_tau`` (and a ``basic``-corrected ``lg_bfgs``
+step's ``contraction`` slack) from the rows at both ends of the step; a step
+whose next row fails the guard gets neither.  A step's other internals are
+read by wrapping the names this module calls: ``weighted_step_norm``,
+``apply_scaling`` and ``greedy_pair``.  ``run`` builds one objective ``Point``
+per iterate (``obj.at``) and passes it to every objective read at that
+iterate, so what it derives from x alone is computed once.
 
 Every run is strictly sequential, owns its state, and is deterministic for a
 given configuration; traces carry one record per evaluated iterate.  For every
@@ -47,6 +48,9 @@ GREEDY_BFGS = "greedy_bfgs"
 LG_BFGS = "lg_bfgs"
 METHODS = (GD, LBFGS, BFGS_DENSE, GREEDY_BFGS, LG_BFGS)
 
+# consecutive value increases after which the guard stops a run as diverged
+DIVERGENCE_PATIENCE = 20
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -65,24 +69,21 @@ class SolverConfig:
     grad_tol: float = 1e-12
     correction: CorrectionConfig = field(default_factory=CorrectionConfig)
     subset_policy: SubsetPolicy = field(default_factory=SubsetPolicy)
-    warm_start_k0: int = 0
     h0_scale: float | None = None
     lbfgs_scaling: str = "fixed"
     record_dense_diags: bool = False
-    aggregation_tol: float = 1e-8
-    divergence_patience: int = 20
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.alpha is not None and not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.h0_scale is not None and not self.h0_scale > 0:
+            raise ValueError(f"h0_scale must be positive, got {self.h0_scale}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.warm_start_k0 < 0:
-            raise ValueError(f"warm_start_k0 must be >= 0, got {self.warm_start_k0}")
         if self.lbfgs_scaling not in ("fixed", "latest_pair"):
             raise ValueError(f"unknown lbfgs_scaling {self.lbfgs_scaling!r}")
 
@@ -275,15 +276,9 @@ class _LgBfgs(_Step):
         candidates = subset_indices(cfg.subset_policy, store)
         self.applied = phi, psi, candidates
         index, r = greedy_pair(obj, point_next, store, candidates)
-        tag = store.classify(index)
-        if tag.kind == "C1":
-            store.insert_c1(index, r)
-        elif tag.kind == "C2":
-            store.replace_c2(index, r)
-        else:
-            aggregation.aggregate_c3(store, tag.j, index, r, tol=cfg.aggregation_tol)
+        case = aggregation.retain(store, index, r)
         self.pair_count = store.size
-        return {"case_tag": tag.kind}
+        return {"case_tag": case}
 
 
 _STEPS = {
@@ -296,12 +291,9 @@ _STEPS = {
 
 
 def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
-    """Run the configured method from x0, after ``cfg.warm_start_k0`` warm-start
-    steps."""
+    """Run the configured method from x0."""
     method = _STEPS[cfg.method](obj, cfg)
     x = np.asarray(x0, dtype=float)
-    if cfg.warm_start_k0 > 0:
-        x = warm_start(obj, x, cfg.warm_start_k0, h0_scale=cfg.h0_scale)
     records: list[IterationRecord] = []
     start = time.perf_counter()
     f_prev, increases = np.inf, 0
@@ -312,7 +304,7 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
         f_t, gnorm = float(f), float(np.linalg.norm(g))
         finite = np.isfinite(f_t) and np.all(np.isfinite(g))
         increases = increases + 1 if f_t > f_prev else 0
-        diverged = not finite or (f_t > f_prev and increases >= cfg.divergence_patience)
+        diverged = not finite or (f_t > f_prev and increases >= DIVERGENCE_PATIENCE)
         f_prev = f_t
         fields, B, hess = {}, None, None
         if cfg.record_dense_diags and not diverged:
@@ -356,26 +348,17 @@ def _step_diagnostics(record: IterationRecord, info, cfg: SolverConfig, B, hess,
     recorded for ``basic``-corrected ``lg_bfgs`` steps, the only ones whose psi
     is the inequality's 1 + CM * phi."""
     phi, psi, candidates = applied
-    _, record.beta_tau = diagnostics.relative_condition_numbers(
-        psi * B - hess_next, candidates, degenerate="inf")
+    _, record.beta_tau = diagnostics.relative_condition_numbers(psi * B - hess_next, candidates)
     if cfg.method == LG_BFGS and cfg.correction.mode == BASIC:
         record.contraction = diagnostics.contraction_residual(
             info, B, hess, phi, record.beta_tau, record.sigma, sigma_next)
 
 
-def warm_start(obj: Objective, x0, k0: int, alpha: float = 1.0,
-               h0_scale: float | None = None) -> np.ndarray:
-    """Iterate the dense greedy baseline k0 times from x0 and return the result."""
+def warm_start(obj: Objective, x0, k0: int) -> np.ndarray:
+    """Iterate the uncorrected dense greedy baseline k0 times from x0, with unit
+    steps and seed scale 1/L, and return the result."""
     if k0 < 0:
         raise ValueError(f"k0 must be >= 0, got {k0}")
     if k0 == 0:
         return np.array(x0, dtype=float)
-    cfg = SolverConfig(
-        method=GREEDY_BFGS,
-        alpha=alpha,
-        max_iters=k0,
-        grad_tol=0.0,
-        h0_scale=h0_scale,
-        correction=CorrectionConfig(mode="off"),
-    )
-    return run(obj, x0, cfg).x_final
+    return run(obj, x0, SolverConfig(method=GREEDY_BFGS, max_iters=k0, grad_tol=0.0)).x_final

@@ -166,10 +166,10 @@ def _ill_conditioned_spd(rng, d, cond) -> np.ndarray:
     return (q * eigs) @ q.T
 
 
-def _frozen_column(a: np.ndarray, i: int) -> np.ndarray:
-    col = a[:, i].copy()
-    col.flags.writeable = False
-    return col
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,12 +182,12 @@ def _stress_inputs(cases=1500, seed=11, d_max=12, size_max=6, log10_cond=8.0) ->
         size = int(rng.integers(2, min(d, size_max) + 1))
         cond = 10.0 ** rng.uniform(0.0, log10_cond)
         h0 = 10.0 ** rng.uniform(-4.0, 1.0)
-        pairs = [(int(i), _frozen_column(_ill_conditioned_spd(rng, d, cond), i))
-                 for i in rng.permutation(d)[:size]]
+        indices = tuple(int(i) for i in rng.permutation(d)[:size])
+        R = np.column_stack([_ill_conditioned_spd(rng, d, cond)[:, i] for i in indices])
         j = int(rng.integers(0, size - 1))
-        idx = pairs[j][0]
-        events.append((d, h0, pairs, j, idx,
-                       _frozen_column(_ill_conditioned_spd(rng, d, cond), idx)))
+        idx = indices[j]
+        events.append((d, h0, indices, _frozen(R), j, idx,
+                       _frozen(_ill_conditioned_spd(rng, d, cond)[:, idx])))
     return tuple(events)
 
 
@@ -196,10 +196,9 @@ def _stress_histories(**params):
     pairs, each pair and the new one from its own Hessian of condition number
     log-uniform up to 10**log10_cond, seed scale log-uniform in [1e-4, 10].
     Each event gets a fresh store, since aggregation mutates it."""
-    for d, h0, pairs, j, idx, r in _stress_inputs(**params):
-        store = PairStore(dim=d, tau=len(pairs), h0_scale=h0)
-        for i, col in pairs:
-            store.insert_c1(i, col)
+    for d, h0, indices, R, j, idx, r in _stress_inputs(**params):
+        store = PairStore(dim=d, tau=len(indices), h0_scale=h0)
+        store.replace_suffix(0, indices, R)
         yield store, j, idx, r
 
 
@@ -233,8 +232,9 @@ def _gate_error(store: PairStore, j: int, index: int, r: np.ndarray):
     histories = aggregation._event_histories(store, j, index, r)
     (ip, Rp), (ia, Ra), (ib, Rb) = histories
     h0 = np.longdouble(store.h0_scale)
-    H_p, H_a, H_b = (kernels.dense_H_from_pairs(i, R.astype(np.longdouble), h0) for i, R in
-                     [(ip, Rp), (ip + ia, np.hstack([Rp, Ra])), (ip + ib, np.hstack([Rp, Rb]))])
+    H_p = kernels.dense_H_from_pairs(ip, Rp.astype(np.longdouble), h0)
+    H_a, H_b = (kernels._inv_fold(H_p, i, R.astype(np.longdouble))
+                for i, R in [(ia, Ra), (ib, Rb)])
     exact = np.linalg.norm(H_a - H_b), max(np.linalg.norm(H_b - H_p), store.dim ** 0.5 * h0, 1e-30)
     defect, scale = aggregation._fold_defect(*histories, store.h0_scale)
     return float(max(abs(defect - exact[0]), abs(scale - exact[1])) / exact[1]), defect / scale
@@ -242,15 +242,15 @@ def _gate_error(store: PairStore, j: int, index: int, r: np.ndarray):
 
 def check_fold_defect_vs_long_double() -> CheckResult:
     """The aggregation gate matches a long-double dense fold to 1e-10 * scale on
-    the plain and harsh stress events; notes harsh history 870's defect/scale."""
-    worst, note = 0.0, ""
-    for params in ({}, _HARSH):
+    the plain and harsh stress events; notes the largest defect/scale and its event."""
+    worst, top = 0.0, (0.0, "")
+    for label, params in (("plain", {}), ("harsh", _HARSH)):
         for k, event in enumerate(_stress_histories(**params)):
             error, relative = _gate_error(*event)
             worst = max(worst, error)
-            if params is _HARSH and k == 870:
-                note = f"harsh #870 defect/scale {relative:.2e}"
-    return CheckResult("fold_defect_vs_long_double", worst <= 1e-10, worst, 1e-10, note)
+            top = max(top, (relative, f"{label} #{k}"))
+    return CheckResult("fold_defect_vs_long_double", worst <= 1e-10, worst, 1e-10,
+                       f"worst defect/scale {top[0]:.2e} at {top[1]}")
 
 
 def check_store_invariants_fuzz(ops: int = 1000, seed=4) -> CheckResult:
@@ -268,13 +268,7 @@ def check_store_invariants_fuzz(ops: int = 1000, seed=4) -> CheckResult:
             idx = int(rng.choice(store.indices))
         spd = rng.standard_normal((d, d))
         A = spd @ spd.T + d * np.eye(d)
-        tag = store.classify(idx)
-        if tag.kind == "C1":
-            store.insert_c1(idx, A[:, idx])
-        elif tag.kind == "C2":
-            store.replace_c2(idx, A[:, idx])
-        else:
-            aggregation.aggregate_c3(store, tag.j, idx, A[:, idx])
+        aggregation.retain(store, idx, A[:, idx])
         if store.size > tau or len(set(store.indices)) != store.size:
             violations += 1
     return CheckResult("store_invariants_fuzz", violations == 0, float(violations), 0.0)

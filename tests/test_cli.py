@@ -1,6 +1,7 @@
 """CLI: experiment runs, CSV schema and determinism, verify suite, synth."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -141,11 +142,37 @@ class TestRunExperiment:
         ("subset_policy", "bogus"),
         ("alpha", -1),
         ("lbfgs_scaling", "zz"),
+        ("h0_scale", -1.0),
+        ("h0_scale", "x"),
     ])
     def test_malformed_solver_entry_is_config_error(self, tmp_path, capsys, field, value):
         path, _ = write_config(tmp_path, solvers=[{"method": "lg_bfgs", field: value}])
         assert main(["run", str(path)]) == EXIT_BAD_CONFIG
         assert "invalid lg_bfgs solver entry" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("overrides, message", [
+        (None, "config must be a JSON object"),
+        ({"problem": "x"}, "'problem' must be an object"),
+        ({"solvers": ["gd"]}, "'solvers' must be a nonempty list of objects"),
+        ({"grad_tol": "x"}, "'grad_tol' must be a number"),
+        ({"warm_start_k0": "x"}, "'warm_start_k0' must be an integer >= 0"),
+        ({"output": 1}, "'output' must be a string"),
+        ({"record_dense_diags": "no"}, "'record_dense_diags' must be true or false"),
+    ], ids=["array", "problem", "solvers", "grad_tol", "warm_start_k0", "output",
+            "record_dense_diags"])
+    def test_malformed_config_field_is_config_error(self, tmp_path, capsys, overrides,
+                                                    message):
+        """A config field of the wrong type exits 2 before anything runs; the
+        array is the whole config as a top-level JSON array."""
+        path, cfg = write_config(tmp_path, **(overrides or {}))
+        if overrides is None:
+            path.write_text(json.dumps([cfg]))
+        assert main(["run", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
 
 
 class TestVerifySuite:
@@ -165,7 +192,7 @@ class TestVerifySuite:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == sum(len(v) for v in verify.SCOPES.values())
         assert "[FAIL]" not in out
-        assert "harsh #870 defect/scale" in out
+        assert re.search(r"worst defect/scale \d\.\d\de-\d+ at (plain|harsh) #\d+", out)
 
     def test_injected_sign_error_fails_kernels(self, monkeypatch, capsys):
         """A sign flip in the inverse update must blow past the tolerances."""
@@ -201,6 +228,19 @@ class TestSynthCommand:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "quadratic", "d": 5}))
         assert main(["synth", str(spec)]) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"n": None, "d": 5}, "bad synth spec"),
+        ([{"n": 20, "d": 5}], "synth spec must be a JSON object"),
+        ({"n": 20, "d": 5, "output": 1}, "synth output must be a path"),
+    ], ids=["null_n", "array", "output_fd"])
+    def test_malformed_spec_exit_code(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["synth", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestConfigParsing:

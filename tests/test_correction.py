@@ -54,7 +54,7 @@ class TestScaleFactor:
         assert scale_factor(0.5, CorrectionConfig("basic"), cm=2.0, t=0) == 2.0
 
     def test_delta_formula(self):
-        cfg = CorrectionConfig("delta", delta0=0.1, decay=0.5)
+        cfg = CorrectionConfig("delta")
         assert scale_factor(0.0, cfg, cm=0.0, t=2) == pytest.approx(1.025)
 
     def test_negative_phi_rejected(self):
@@ -62,10 +62,11 @@ class TestScaleFactor:
             scale_factor(-0.1, CorrectionConfig("basic"), cm=1.0, t=0)
 
     def test_delta_config_validation(self):
+        """The config is a mode alone; the delta slack is fixed."""
         with pytest.raises(ValueError):
-            CorrectionConfig("delta", delta0=-1.0)
-        with pytest.raises(ValueError):
-            CorrectionConfig("delta", decay=1.5)
+            CorrectionConfig("bogus")
+        with pytest.raises(TypeError):
+            CorrectionConfig("delta", delta0=0.2)
 
 
 class TestApplyScaling:

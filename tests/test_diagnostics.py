@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lgbfgs import verify
+from lgbfgs import diagnostics, verify
 from lgbfgs.correction import CorrectionConfig, weighted_step_norm
 from lgbfgs.data import synth_problem
 from lgbfgs.diagnostics import (
@@ -41,14 +41,16 @@ class TestNewtonDecrement:
             assert gn / np.sqrt(L) <= lam * (1 + 1e-10)
             assert lam <= gn / np.sqrt(mu) * (1 + 1e-10)
 
-    def test_dense_and_cg_agree(self):
+    def test_dense_and_cg_agree(self, monkeypatch):
+        """Conjugate gradients, taken above ``DENSE_SOLVE_LIMIT`` dimensions,
+        agree with the dense solve taken below it."""
         rng = np.random.default_rng(1)
         obj = synth_problem("logistic", d=60, n=200, mu=1e-2, seed=2)
-        for _ in range(5):
-            x = 0.3 * rng.standard_normal(60)
-            dense = newton_decrement(obj, x, method="dense")
-            cg = newton_decrement(obj, x, method="cg")
-            assert dense == pytest.approx(cg, rel=1e-8)
+        xs = [0.3 * rng.standard_normal(60) for _ in range(5)]
+        dense = [newton_decrement(obj, x) for x in xs]
+        monkeypatch.setattr(diagnostics, "DENSE_SOLVE_LIMIT", 59)
+        cg = [newton_decrement(obj, x) for x in xs]
+        assert dense == pytest.approx(cg, rel=1e-8)
 
 
 class TestTraceMetric:
@@ -106,16 +108,14 @@ class TestRelativeConditionNumbers:
             _, beta_big = relative_condition_numbers(E, big)
             assert beta_small >= beta_big - 1e-12
 
-    def test_degenerate_raises_by_default(self):
-        with pytest.raises(DiagnosticsError):
-            relative_condition_numbers(np.diag([1.0, 0.0]), [0, 1])
-
     def test_degenerate_inf_policy(self):
-        betas, beta_min = relative_condition_numbers(
-            np.diag([1.0, 0.0]), [0, 1], degenerate="inf"
-        )
+        """A vanished diagonal entry maps to +inf and drops out of the minimum;
+        an error matrix with no positive diagonal entry gives +inf throughout."""
+        betas, beta_min = relative_condition_numbers(np.diag([1.0, 0.0]), [0, 1])
         assert betas[1] == np.inf
         assert beta_min == 1.0
+        betas, beta_min = relative_condition_numbers(-np.eye(2), [0, 1])
+        assert np.all(betas == np.inf) and beta_min == np.inf
 
 
 def residual(obj, x, x_next, B, B_after, subset):
@@ -124,7 +124,7 @@ def residual(obj, x, x_next, B, B_after, subset):
     hess, hess_next = obj.hess_matrix(x), obj.hess_matrix(x_next)
     phi = weighted_step_norm(obj, x, x_next)
     corr = 1.0 + obj.info.self_concordant_CM * phi
-    _, beta = relative_condition_numbers(corr * B - hess_next, subset, degenerate="inf")
+    _, beta = relative_condition_numbers(corr * B - hess_next, subset)
     return contraction_residual(obj.info, B, hess, phi, beta, trace_metric(obj, x, B),
                                 trace_metric(obj, x_next, B_after))
 

@@ -1,15 +1,15 @@
-"""Pair store: classification, mutations, and capacity/index invariants."""
+"""Pair store: retention cases, mutations, and capacity/index invariants."""
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lgbfgs.aggregation import aggregate_c3
+from lgbfgs.aggregation import aggregate_c3, retain
 from lgbfgs.correction import apply_scaling
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import dense_H_from_pairs, dense_inv_bfgs_update
-from lgbfgs.pairs import CaseTag, PairStore
+from lgbfgs.pairs import PairStore
 
 
 def unit_r(idx, d=5, scale=2.0):
@@ -67,31 +67,57 @@ class TestCurvaturePair:
 
 
 class TestClassify:
+    """``aggregation.retain``: the case it returns and its effect on the store."""
+
     def test_matches_last_is_c2(self):
         store = store_with([1, 3])
-        assert store.classify(3) == CaseTag("C2")
+        assert retain(store, 3, unit_r(3, scale=5.0)) == "C2"
+        assert store.indices == [1, 3]
+        assert store.R[3, -1] == 5.0
 
     def test_matches_earlier_is_c3(self):
+        rng = np.random.default_rng(0)
         store = store_with([1, 3])
-        assert store.classify(1) == CaseTag("C3", j=0)
+        r = dense_r(1, rng)
+        target = dense_H_from_pairs([1, 3, 1], np.column_stack([store.R, r]), 1.0)
+        assert retain(store, 1, r) == "C3"
+        assert store.indices == [3, 1]
+        np.testing.assert_array_equal(store.R[:, -1], r)
+        got = dense_H_from_pairs(store.indices, store.R, store.h0_scale)
+        assert np.linalg.norm(got - target) <= 1e-12 * np.linalg.norm(target)
 
     def test_absent_below_capacity_is_c1(self):
         store = store_with([1, 3])
-        assert store.classify(2) == CaseTag("C1")
+        assert retain(store, 2, unit_r(2, scale=3.0)) == "C1"
+        assert store.indices == [1, 3, 2]
+        assert store.R[2, -1] == 3.0
 
     def test_absent_at_capacity_is_internal_error(self):
         store = store_with([1, 3], tau=2)
+        before = store.R.tobytes()
         with pytest.raises(CurvatureError):
-            store.classify(2)
+            retain(store, 2, unit_r(2))
+        assert store.indices == [1, 3]
+        assert store.R.tobytes() == before
 
     def test_ignores_r_values(self):
-        store = store_with([1, 3], tau=3, scales=[9.0, 0.1])
-        assert store.classify(1).kind == "C3"
+        """The case follows the index alone: a C3 whatever the stored scales."""
+        for scales in ([9.0, 0.1], [0.1, 9.0]):
+            store = store_with([1, 3], tau=3, scales=scales)
+            assert retain(store, 1, unit_r(1, scale=4.0)) == "C3"
 
     def test_out_of_range(self):
         store = PairStore(dim=5, tau=3)
         with pytest.raises(IndexError):
-            store.classify(5)
+            retain(store, 5, np.ones(5))
+        assert store.size == 0
+
+    def test_rejected_c3_pair_leaves_store_unchanged(self):
+        store = store_with([1, 3, 0])
+        before = (store.indices, store.R.tobytes())
+        with pytest.raises(CurvatureError):
+            retain(store, 1, unit_r(1, scale=-1.0))
+        assert (store.indices, store.R.tobytes()) == before
 
 
 class TestMutations:
@@ -301,3 +327,43 @@ class TestStoreProperty:
             assert store.h0_scale == h0
             assert store.size <= tau
             assert len(set(store.indices)) == store.size
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 9), tau_frac=st.floats(0.0, 1.0),
+           picks=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)),
+                          min_size=1, max_size=30))
+    def test_retain_follows_reference_model(self, dim, tau_frac, picks):
+        """Random index sequences through ``retain``: the case is C1 for a new
+        index (``CurvatureError`` at capacity, store unchanged), C2 for the most
+        recent one and C3 for an older one; the store's indices follow the
+        model's, a C1 or C2 stores r as given, and a C3 keeps the dense fold of
+        the model's full history plus the new pair."""
+        tau = 1 + int(tau_frac * (dim - 1))
+        store = PairStore(dim=dim, tau=tau, h0_scale=0.7)
+        model = []
+        for frac, seed in picks:
+            i = int(frac * (dim - 1))
+            r = dense_r(i, np.random.default_rng(seed), dim)
+            stored = [k for k, _ in model]
+            if i not in stored and len(model) == tau:
+                before = store.R.tobytes()
+                with pytest.raises(CurvatureError):
+                    retain(store, i, r)
+                assert store.R.tobytes() == before
+            elif i not in stored:
+                assert retain(store, i, r) == "C1"
+                model.append((i, r))
+            elif stored.index(i) == len(model) - 1:
+                assert retain(store, i, r) == "C2"
+                model[-1] = (i, r)
+            else:
+                target = reference_fold(model + [(i, r)], 0.7, dim)
+                assert retain(store, i, r) == "C3"
+                j = stored.index(i)
+                assert store.indices == stored[:j] + stored[j + 1:] + [i]
+                got = dense_H_from_pairs(store.indices, store.R, store.h0_scale)
+                assert np.linalg.norm(got - target) <= 1e-8 * np.linalg.norm(target)
+                model = [(k, store.R[:, n].copy()) for n, k in enumerate(store.indices)]
+            assert store.indices == [k for k, _ in model]
+            for n, (_, r_model) in enumerate(model):
+                assert store.R[:, n].tobytes() == r_model.tobytes()

@@ -53,8 +53,7 @@ class TestStoppingRules:
 
     def test_divergence_guard(self):
         obj = QuadraticObjective(np.array([1.0, 2.0]))
-        cfg = SolverConfig(method="gd", alpha=1.5, max_iters=500, grad_tol=0.0,
-                           divergence_patience=20)
+        cfg = SolverConfig(method="gd", alpha=1.5, max_iters=500, grad_tol=0.0)
         trace = run(obj, np.ones(2), cfg)
         assert trace.stop_reason == "diverged"
         assert len(trace.records) < 500
@@ -412,8 +411,7 @@ class TestCorrectedRunProperties:
         monkeypatch.setattr(solvers, "apply_scaling", recording_scale)
         obj = quad_problem(d=5, hi=6.0, seed=14)
         cfg = SolverConfig(method="lg_bfgs", tau=3, max_iters=40, grad_tol=0.0,
-                           correction=CorrectionConfig("delta", delta0=0.05,
-                                                       decay=0.5))
+                           correction=CorrectionConfig("delta"))
         trace = run(obj, np.ones(5), cfg)
         assert all(psi > 1.0 for psi, _ in scalings)
         h0s = [h0 for _, h0 in scalings]
