@@ -9,9 +9,9 @@ Subcommands:
 * ``synth <spec.json>`` -- generate a synthetic logistic dataset in LIBSVM
   format.
 
-Exit codes: 0 success, 1 verification failure, 2 unknown solver or malformed
-config, 3 unreadable or malformed dataset, 4 invalid memory size.  The
-environment variable ``LGBFGS_LOG`` sets the log level.
+Exit codes: 0 success, 1 verification failure, 2 unknown solver, malformed
+config or unwritable output, 3 unreadable or malformed dataset, 4 invalid
+memory size.  The environment variable ``LGBFGS_LOG`` sets the log level.
 
 Config files are JSON.  A run config looks like::
 
@@ -148,8 +148,6 @@ def _build_objective(problem: dict, seed: int) -> Objective:
         path = problem.get("path")
         if not path:
             raise ConfigError("libsvm problem requires a 'path' field")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"dataset {path!r} does not exist")
         try:
             ds = parse_libsvm(path)
         except OSError as exc:
@@ -331,7 +329,12 @@ def _cmd_synth(args) -> int:
     if not isinstance(out, str):
         print(f"error: synth output must be a path, got {out!r}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    with open(out, "w") as fh:
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        print(f"error: cannot write output {out!r}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    with fh:
         serialize_libsvm(ds, fh)
     print(f"wrote {ds.n_samples} samples x {ds.n_features} features to {out}")
     return 0
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
     p_verify.add_argument("scope", nargs="?", default="all",
-                          choices=["kernels", "aggregation", "theory", "all"])
+                          choices=[*verify.SCOPES, "all"])
     p_verify.set_defaults(func=_cmd_verify)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic LIBSVM dataset")

@@ -3,7 +3,8 @@
 Parsing is strict: every line is ``label idx:val idx:val ...`` with 1-based,
 strictly usable feature indices, finite values and labels mappable to +-1
 (0/1 or +-1).  Malformed input raises ``ValueError`` carrying the offending
-line number.  Gzip-compressed files are accepted by ``.gz`` extension sniffing.
+line number.  ``parse_libsvm`` reads a path (gzip by ``.gz`` extension) or a
+text stream; literal text arrives wrapped in ``io.StringIO``.
 
 Features are a dense 2-D ndarray or a CSR matrix.  Parsed LIBSVM data is CSR;
 synthetic Gaussian data is dense and never passes through CSR.
@@ -73,60 +74,47 @@ def _map_label(token: str, lineno: int) -> float:
 def parse_libsvm(source, n_features: int | None = None) -> Dataset:
     """Parse LIBSVM-formatted text into a Dataset.
 
-    ``source`` may be a path, a text stream, or a literal string with newlines.
-    Feature dimension is inferred from the maximal index unless ``n_features``
-    is given (needed when separate splits must share a dimension).
+    ``source`` is a path (``str`` or ``os.PathLike``; gzip when it ends in
+    ``.gz``) or a text stream such as ``io.StringIO``; a missing path raises
+    ``FileNotFoundError``.  Feature dimension is inferred from the maximal index
+    unless ``n_features`` is given (needed when separate splits must share a
+    dimension).
     """
-    close_after = False
-    if hasattr(source, "read"):
-        stream = source
-    elif isinstance(source, os.PathLike) or (
-        isinstance(source, str) and "\n" not in source and os.path.exists(source)
-    ):
+    if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
-        stream = (
-            gzip.open(path, "rt") if path.endswith(".gz") else open(path, "r")
-        )
-        close_after = True
-    else:
-        stream = io.StringIO(str(source))
+        with gzip.open(path, "rt") if path.endswith(".gz") else open(path) as stream:
+            return parse_libsvm(stream, n_features)
 
     labels: list[float] = []
     data: list[float] = []
     indices: list[int] = []
     indptr: list[int] = [0]
     max_index = -1
-    try:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            labels.append(_map_label(tokens[0], lineno))
-            seen: set[int] = set()
-            for tok in tokens[1:]:
-                try:
-                    idx_s, val_s = tok.split(":")
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}: malformed feature token {tok!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise ValueError(f"line {lineno}: non-finite feature value {tok!r}")
-                if idx < 1:
-                    raise ValueError(f"line {lineno}: index {idx} is not 1-based")
-                if idx - 1 in seen:
-                    raise ValueError(f"line {lineno}: duplicate feature index {idx}")
-                seen.add(idx - 1)
-                indices.append(idx - 1)
-                data.append(val)
-                max_index = max(max_index, idx - 1)
-            indptr.append(len(indices))
-    finally:
-        if close_after:
-            stream.close()
+    for lineno, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        labels.append(_map_label(tokens[0], lineno))
+        seen: set[int] = set()
+        for tok in tokens[1:]:
+            try:
+                idx_s, val_s = tok.split(":")
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed feature token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ValueError(f"line {lineno}: non-finite feature value {tok!r}")
+            if idx < 1:
+                raise ValueError(f"line {lineno}: index {idx} is not 1-based")
+            if idx - 1 in seen:
+                raise ValueError(f"line {lineno}: duplicate feature index {idx}")
+            seen.add(idx - 1)
+            indices.append(idx - 1)
+            data.append(val)
+            max_index = max(max_index, idx - 1)
+        indptr.append(len(indices))
 
     if not labels:
         raise ValueError("no samples found in input")

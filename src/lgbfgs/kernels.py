@@ -69,10 +69,10 @@ def _inv_fold(H: np.ndarray, indices, R: np.ndarray) -> np.ndarray:
 
 def dense_B_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:
     """Fold the direct update over the pairs (e_indices[k], R[:, k]) from I / h0."""
-    dim = R.shape[0]
-    B = (1.0 / h0) * np.eye(dim)
+    eye = np.eye(R.shape[0])
+    B = (1.0 / h0) * eye
     for k, i in enumerate(indices):
-        B = dense_bfgs_update(B, np.eye(dim)[i], R[:, k])
+        B = dense_bfgs_update(B, eye[i], R[:, k])
     return B
 
 

@@ -283,18 +283,9 @@ def check_scaling_identity(cases: int = 100, seed: int = 5) -> CheckResult:
         length = int(rng.integers(1, min(d, 6) + 1))
         psi = float(rng.uniform(1.0, 3.0))
         b0 = float(rng.uniform(0.5, 2.0))
-        idxs = rng.permutation(d)[:length]
-        pairs = []
-        for i in idxs:
-            a = rng.standard_normal((d, d))
-            pairs.append((int(i), (a @ a.T + d * np.eye(d))[:, int(i)].copy()))
-        B_plain = b0 * np.eye(d)
-        B_scaled = psi * b0 * np.eye(d)
-        for i, r in pairs:
-            s = np.zeros(d)
-            s[i] = 1.0
-            B_plain = kernels.dense_bfgs_update(B_plain, s, r)
-            B_scaled = kernels.dense_bfgs_update(B_scaled, s, psi * r)
+        store = _random_store(rng, d, length, h0=1.0 / b0)
+        B_plain = kernels.dense_B_from_pairs(store.indices, store.R, 1.0 / b0)
+        B_scaled = kernels.dense_B_from_pairs(store.indices, psi * store.R, 1.0 / (psi * b0))
         worst = max(worst, float(np.linalg.norm(B_scaled - psi * B_plain))
                     / float(np.linalg.norm(B_plain)))
     return CheckResult("correction_scaling_identity", worst <= 1e-10, worst, 1e-10)

@@ -11,18 +11,12 @@ from lgbfgs.aggregation import AggregationError, aggregate_c3
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import dense_H_from_pairs
 from lgbfgs.pairs import PairStore
+from lgbfgs.verify import _dense_H, _random_store
 
 
 def random_spd(rng, d):
     a = rng.standard_normal((d, d))
     return a @ a.T + d * np.eye(d)
-
-
-def random_store(rng, d, size, h0=None):
-    store = PairStore(dim=d, tau=size, h0_scale=h0 or float(rng.uniform(0.3, 2.0)))
-    for i in rng.permutation(d)[:size]:
-        store.insert_c1(i, random_spd(rng, d)[:, i])
-    return store
 
 
 def augmented_oracle(store, index, r):
@@ -31,25 +25,21 @@ def augmented_oracle(store, index, r):
                               store.h0_scale)
 
 
-def dense_H(store):
-    return dense_H_from_pairs(store.indices, store.R, store.h0_scale)
-
-
 class TestCoefficientShapes:
     def test_coefficients_reproduce_oracle(self):
         """The aggregated store yields the augmented-history fold."""
         rng = np.random.default_rng(1)
-        store = random_store(rng, 3, 2, h0=1.0)
+        store = _random_store(rng, 3, 2, h0=1.0)
         idx = store.indices[0]
         new = random_spd(rng, 3)[:, idx]
         target = augmented_oracle(store, idx, new)
         aggregate_c3(store, 0, idx, new)
-        rel = np.linalg.norm(dense_H(store) - target) / np.linalg.norm(target)
+        rel = np.linalg.norm(_dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-8
 
     def test_wrong_slot_rejected(self):
         rng = np.random.default_rng(2)
-        store = random_store(rng, 5, 3)
+        store = _random_store(rng, 5, 3)
         idx = store.indices[0]
         new = random_spd(rng, 5)[:, idx]
         with pytest.raises(AggregationError):
@@ -57,7 +47,7 @@ class TestCoefficientShapes:
 
     def test_c2_event_rejected(self):
         rng = np.random.default_rng(3)
-        store = random_store(rng, 5, 3)
+        store = _random_store(rng, 5, 3)
         idx = store.indices[-1]
         new = random_spd(rng, 5)[:, idx]
         with pytest.raises(AggregationError):
@@ -72,7 +62,7 @@ class TestFailureAtomicity:
     ])
     def test_failed_event_leaves_store_unchanged(self, slot, j, tol):
         rng = np.random.default_rng(12)
-        store = random_store(rng, 6, 4)
+        store = _random_store(rng, 6, 4)
         idx = store.indices[slot]
         new = random_spd(rng, 6)[:, idx]
         indices = store.indices
@@ -91,7 +81,7 @@ class TestNewPairChecks:
     def test_bad_new_pair_rejected_before_the_bubble(self, monkeypatch, entry,
                                                      value, error):
         rng = np.random.default_rng(14)
-        store = random_store(rng, 6, 4)
+        store = _random_store(rng, 6, 4)
         idx = store.indices[1]
         new = random_spd(rng, 6)[:, idx].copy()
         new[idx if entry == "index" else (idx + 1) % 6] = value
@@ -116,7 +106,7 @@ class TestAggregateStructure:
 
     def test_prefix_pairs_untouched(self):
         rng = np.random.default_rng(5)
-        store = random_store(rng, 8, 5)
+        store = _random_store(rng, 8, 5)
         prefix = store.R[:, :2].copy()
         j = 2
         idx = store.indices[j]
@@ -129,7 +119,7 @@ class TestAggregateStructure:
         for _ in range(200):
             d = int(rng.integers(3, 9))
             size = int(rng.integers(2, min(d, 5) + 1))
-            store = random_store(rng, d, size)
+            store = _random_store(rng, d, size)
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
             new = random_spd(rng, d)[:, idx]
@@ -142,7 +132,7 @@ class TestAggregateStructure:
         for _ in range(50):
             d = int(rng.integers(3, 10))
             size = int(rng.integers(2, min(d, 6) + 1))
-            store = random_store(rng, d, size)
+            store = _random_store(rng, d, size)
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
             new = random_spd(rng, d)[:, idx]
@@ -179,7 +169,7 @@ class TestSchurSuffix:
         for _ in range(40):
             d = int(rng.integers(3, 16))
             size = int(rng.integers(2, min(d, 8) + 1))
-            store = random_store(rng, d, size)
+            store = _random_store(rng, d, size)
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
             new = random_spd(rng, d)[:, idx]
@@ -249,7 +239,7 @@ class TestSchurSuffix:
         ]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         rng = np.random.default_rng(15)
-        store = random_store(rng, 30, 12)
+        store = _random_store(rng, 30, 12)
         idx = store.indices[0]
         aggregate_c3(store, 0, idx, random_spd(rng, 30)[:, idx])
         assert calls == ["dtrsm", "dtrsm"]
@@ -265,26 +255,12 @@ class TestFoldEquivalence:
         new = random_spd(rng, 3)[:, 0]
         target = augmented_oracle(store, 0, new)
         aggregate_c3(store, 0, 0, new)
-        rel = np.linalg.norm(dense_H(store) - target) / np.linalg.norm(target)
+        rel = np.linalg.norm(_dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-8
 
     def test_randomized_events_match_dense_oracle(self):
         """100 randomized events within dimension 12 stay below 1e-8 relative."""
-        rng = np.random.default_rng(9)
-        worst = 0.0
-        for _ in range(100):
-            d = int(rng.integers(3, 13))
-            size = int(rng.integers(2, min(d, 6) + 1))
-            store = random_store(rng, d, size)
-            j = int(rng.integers(0, size - 1))
-            idx = store.indices[j]
-            new = random_spd(rng, d)[:, idx]
-            target = augmented_oracle(store, idx, new)
-            aggregate_c3(store, j, idx, new)
-            rel = np.linalg.norm(dense_H(store) - target) \
-                / np.linalg.norm(target)
-            worst = max(worst, rel)
-        assert worst <= 1e-8
+        assert verify.check_aggregation_equivalence(cases=100, seed=9).passed
 
     def test_single_matrix_histories(self):
         """Curvature data from one matrix (quadratic-run structure)."""
@@ -303,7 +279,7 @@ class TestFoldEquivalence:
             new = A[:, idx]
             target = augmented_oracle(store, idx, new)
             aggregate_c3(store, j, idx, new)
-            rel = np.linalg.norm(dense_H(store) - target) \
+            rel = np.linalg.norm(_dense_H(store) - target) \
                 / np.linalg.norm(target)
             worst = max(worst, rel)
         assert worst <= 1e-8
@@ -312,12 +288,12 @@ class TestFoldEquivalence:
         """A full-width event (drop the oldest of many) stays exact."""
         rng = np.random.default_rng(11)
         d, size = 20, 12
-        store = random_store(rng, d, size, h0=0.5)
+        store = _random_store(rng, d, size, h0=0.5)
         idx = store.indices[0]
         new = random_spd(rng, d)[:, idx]
         target = augmented_oracle(store, idx, new)
         aggregate_c3(store, 0, idx, new)
-        rel = np.linalg.norm(dense_H(store) - target) / np.linalg.norm(target)
+        rel = np.linalg.norm(_dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-10
 
 

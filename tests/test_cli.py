@@ -16,6 +16,7 @@ from lgbfgs.cli import (
     EXIT_BAD_DATASET,
     EXIT_BAD_TAU,
     ExperimentConfig,
+    build_parser,
     main,
     run_experiment,
 )
@@ -211,6 +212,12 @@ class TestVerifySuite:
         worst = max(r.worst for r in results if not r.passed)
         assert worst > 1e-3  # residual far above tolerance, not a borderline miss
 
+    def test_parser_accepts_each_registered_scope(self, monkeypatch):
+        """The scope choices are the registry's keys, a newly registered one too."""
+        monkeypatch.setitem(verify.SCOPES, "extra", [])
+        for scope in [*verify.SCOPES, "all"]:
+            assert build_parser().parse_args(["verify", scope]).scope == scope
+
 
 class TestSynthCommand:
     def test_writes_parseable_dataset(self, tmp_path):
@@ -240,6 +247,15 @@ class TestSynthCommand:
         assert main(["synth", str(path)]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 20, "d": 5}))
+        out = tmp_path / "no_dir" / "x.libsvm"
+        assert main(["synth", str(spec), "--output", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: cannot write output {str(out)!r}" in err
         assert "Traceback" not in err
 
 

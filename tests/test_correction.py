@@ -9,25 +9,10 @@ from lgbfgs.correction import (
     scale_factor,
     weighted_step_norm,
 )
-from lgbfgs.kernels import dense_B_from_pairs, dense_H_from_pairs, two_loop_direction
+from lgbfgs.kernels import dense_B_from_pairs, two_loop_direction
 from lgbfgs.objectives import QuadraticObjective
 from lgbfgs.pairs import PairStore
-
-
-def random_store(rng, d, size, h0=1.0):
-    store = PairStore(dim=d, tau=max(size, 1), h0_scale=h0)
-    for i in rng.permutation(d)[:size]:
-        a = rng.standard_normal((d, d))
-        store.insert_c1(i, (a @ a.T + d * np.eye(d))[:, i])
-    return store
-
-
-def dense_B(store):
-    return dense_B_from_pairs(store.indices, store.R, store.h0_scale)
-
-
-def dense_H(store):
-    return dense_H_from_pairs(store.indices, store.R, store.h0_scale)
+from lgbfgs.verify import _dense_H, _random_store
 
 
 class TestWeightedStepNorm:
@@ -72,7 +57,7 @@ class TestScaleFactor:
 class TestApplyScaling:
     def test_identity_scale_is_noop(self):
         rng = np.random.default_rng(0)
-        store = random_store(rng, 4, 2)
+        store = _random_store(rng, 4, 2, h0=1.0)
         before = store.R.copy()
         apply_scaling(store, 1.0)
         np.testing.assert_array_equal(store.R, before)
@@ -84,14 +69,13 @@ class TestApplyScaling:
             apply_scaling(store, 0.9)
 
     def test_hand_case_direct_operator_doubles(self):
-        r = np.array([2.0, 0.0])
         store = PairStore(dim=2, tau=1, h0_scale=1.0)
-        store.insert_c1(0, r)
-        np.testing.assert_allclose(dense_B(store), np.diag([2.0, 1.0]),
-                                   atol=1e-14)
+        store.insert_c1(0, np.array([2.0, 0.0]))
+        before = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
         apply_scaling(store, 2.0)
-        np.testing.assert_allclose(dense_B(store), np.diag([4.0, 2.0]),
-                                   atol=1e-14)
+        after = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
+        np.testing.assert_allclose(before, np.diag([2.0, 1.0]), atol=1e-14)
+        np.testing.assert_allclose(after, np.diag([4.0, 2.0]), atol=1e-14)
 
     def test_direct_fold_scales_linearly(self):
         """Scaled seed and variations multiply the direct fold by psi."""
@@ -101,10 +85,10 @@ class TestApplyScaling:
             d = int(rng.integers(2, 8))
             size = int(rng.integers(1, min(d, 5) + 1))
             psi = float(rng.uniform(1.0, 3.0))
-            store = random_store(rng, d, size, h0=float(rng.uniform(0.5, 2.0)))
-            B_before = dense_B(store)
+            store = _random_store(rng, d, size, h0=float(rng.uniform(0.5, 2.0)))
+            B_before = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
             apply_scaling(store, psi)
-            B_after = dense_B(store)
+            B_after = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
             worst = max(worst, np.linalg.norm(B_after - psi * B_before)
                         / np.linalg.norm(B_before))
         assert worst <= 1e-10
@@ -113,17 +97,17 @@ class TestApplyScaling:
         rng = np.random.default_rng(2)
         for _ in range(100):
             d = int(rng.integers(2, 8))
-            store = random_store(rng, d, int(rng.integers(1, min(d, 5) + 1)))
+            store = _random_store(rng, d, int(rng.integers(1, min(d, 5) + 1)), h0=1.0)
             psi = float(rng.uniform(1.0, 4.0))
-            H_before = dense_H(store)
+            H_before = _dense_H(store)
             apply_scaling(store, psi)
-            np.testing.assert_allclose(dense_H(store), H_before / psi,
+            np.testing.assert_allclose(_dense_H(store), H_before / psi,
                                        atol=1e-12 * np.linalg.norm(H_before))
 
     def test_direction_scales_inversely(self):
         """Two-loop directions shrink by exactly 1/psi after scaling."""
         rng = np.random.default_rng(3)
-        store = random_store(rng, 5, 3)
+        store = _random_store(rng, 5, 3, h0=1.0)
         g = rng.standard_normal(5)
         before = two_loop_direction(store, g)
         apply_scaling(store, 2.5)
@@ -133,7 +117,7 @@ class TestApplyScaling:
     def test_bit_identical_to_scaling_each_variation(self):
         """Scaling in place gives exactly psi * r per column and h0 / psi."""
         rng = np.random.default_rng(5)
-        store = random_store(rng, 7, 4, h0=0.3)
+        store = _random_store(rng, 7, 4, h0=0.3)
         expected = [1.9 * store.R[:, k] for k in range(store.size)]
         apply_scaling(store, 1.9)
         for k, r in enumerate(expected):
@@ -142,7 +126,7 @@ class TestApplyScaling:
 
     def test_indices_and_order_untouched(self):
         rng = np.random.default_rng(4)
-        store = random_store(rng, 6, 4)
+        store = _random_store(rng, 6, 4, h0=1.0)
         idx = list(store.indices)
         apply_scaling(store, 1.7)
         assert store.indices == idx

@@ -20,7 +20,7 @@ from lgbfgs.objectives import LogisticObjective, QuadraticObjective
 
 class TestParse:
     def test_basic_line(self):
-        ds = parse_libsvm("+1 1:0.5 3:-2\n")
+        ds = parse_libsvm(io.StringIO("+1 1:0.5 3:-2\n"))
         assert ds.n_samples == 1
         assert ds.n_features == 3
         assert ds.labels[0] == 1.0
@@ -29,36 +29,36 @@ class TestParse:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
-            parse_libsvm("")
+            parse_libsvm(io.StringIO(""))
 
     def test_zero_label_maps_to_negative(self):
-        ds = parse_libsvm("0 1:1\n1 1:2\n")
+        ds = parse_libsvm(io.StringIO("0 1:1\n1 1:2\n"))
         np.testing.assert_array_equal(ds.labels, [-1.0, 1.0])
 
     def test_nonbinary_label_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_libsvm("+1 1:1\n3 1:2\n")
+            parse_libsvm(io.StringIO("+1 1:1\n3 1:2\n"))
 
     def test_malformed_token_carries_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_libsvm("+1 1:1\n-1 1:abc\n")
+            parse_libsvm(io.StringIO("+1 1:1\n-1 1:abc\n"))
 
     def test_zero_based_index_rejected(self):
         with pytest.raises(ValueError, match="1-based"):
-            parse_libsvm("+1 0:1\n")
+            parse_libsvm(io.StringIO("+1 0:1\n"))
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            parse_libsvm("+1 2:1 2:3\n")
+            parse_libsvm(io.StringIO("+1 2:1 2:3\n"))
 
     def test_explicit_dimension(self):
-        ds = parse_libsvm("+1 1:1\n", n_features=5)
+        ds = parse_libsvm(io.StringIO("+1 1:1\n"), n_features=5)
         assert ds.n_features == 5
         with pytest.raises(ValueError, match="exceeds"):
-            parse_libsvm("+1 7:1\n", n_features=5)
+            parse_libsvm(io.StringIO("+1 7:1\n"), n_features=5)
 
     def test_label_only_row_is_zero_row(self):
-        ds = parse_libsvm("+1 2:1\n-1\n")
+        ds = parse_libsvm(io.StringIO("+1 2:1\n-1\n"))
         assert ds.n_samples == 2
         assert ds.row_norms()[1] == 0.0
 
@@ -78,13 +78,19 @@ class TestParse:
         ds = parse_libsvm(io.StringIO("+1 1:2\n"))
         assert ds.n_samples == 1
 
+    def test_missing_path_raises_file_not_found(self, tmp_path):
+        """A str or os.PathLike is always a path, never text to parse."""
+        for missing in (str(tmp_path / "none.txt"), tmp_path / "none.txt.gz"):
+            with pytest.raises(FileNotFoundError):
+                parse_libsvm(missing)
+
     @pytest.mark.parametrize("text, line", [
         ("+1 1:nan 2:1\n-1 1:inf\n", 1),
         ("+1 1:1\n-1 1:-inf\n", 2),
     ])
     def test_non_finite_value_rejected(self, text, line):
         with pytest.raises(ValueError, match=f"line {line}: non-finite feature value"):
-            parse_libsvm(text)
+            parse_libsvm(io.StringIO(text))
 
 
 class TestRoundTrip:
@@ -92,12 +98,12 @@ class TestRoundTrip:
         rng = np.random.default_rng(0)
         ds = synth_logistic_dataset(n=25, d=7, seed=1)
         text = serialize_libsvm(ds)
-        again = parse_libsvm(text, n_features=7)
+        again = parse_libsvm(io.StringIO(text), n_features=7)
         np.testing.assert_array_equal(ds.labels, again.labels)
         np.testing.assert_array_equal(ds.features, again.features.toarray())
 
     def test_serialize_to_stream(self):
-        ds = parse_libsvm("+1 1:0.25\n")
+        ds = parse_libsvm(io.StringIO("+1 1:0.25\n"))
         buf = io.StringIO()
         serialize_libsvm(ds, buf)
         assert buf.getvalue() == "+1 1:0.25\n"
@@ -138,19 +144,19 @@ class TestDenseLayout:
         labels = rng.choice([-1.0, 1.0], size=10)
         texts = [serialize_libsvm(ds) for ds in dense_and_csr(entries, labels)]
         assert texts[0] == texts[1]
-        again = parse_libsvm(texts[0], n_features=6)
+        again = parse_libsvm(io.StringIO(texts[0]), n_features=6)
         np.testing.assert_array_equal(again.features.toarray(), entries)
         np.testing.assert_array_equal(again.labels, labels)
 
 
 class TestNormalize:
     def test_row_scaling_hand_case(self):
-        ds = parse_libsvm("+1 1:3 2:4\n")
+        ds = parse_libsvm(io.StringIO("+1 1:3 2:4\n"))
         normalized = normalize_rows(ds)
         np.testing.assert_allclose(normalized.features.toarray()[0], [0.6, 0.8])
 
     def test_unit_rows_unchanged(self):
-        ds = parse_libsvm("+1 1:1\n")
+        ds = parse_libsvm(io.StringIO("+1 1:1\n"))
         np.testing.assert_allclose(normalize_rows(ds).features.toarray(), [[1.0]])
 
     def test_idempotent(self):
@@ -161,7 +167,7 @@ class TestNormalize:
                                    atol=1e-15)
 
     def test_zero_rows_preserved(self, caplog):
-        ds = parse_libsvm("+1 2:1\n-1\n")
+        ds = parse_libsvm(io.StringIO("+1 2:1\n-1\n"))
         with caplog.at_level("WARNING"):
             out = normalize_rows(ds)
         assert "zero rows" in caplog.text

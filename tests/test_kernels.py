@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from lgbfgs import verify
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import (
     compact_B_column,
@@ -16,6 +17,7 @@ from lgbfgs.kernels import (
     two_loop_direction,
 )
 from lgbfgs.pairs import PairStore
+from lgbfgs.verify import _dense_H, _exact_direct_fold, _random_store
 
 E0 = np.array([1.0, 0.0])
 
@@ -43,24 +45,11 @@ def reference_two_loop(store, v):
     return q
 
 
-def random_store(rng, d, size, h0=None):
-    store = PairStore(dim=d, tau=max(size, 1),
-                      h0_scale=h0 or float(rng.uniform(0.5, 2.0)))
-    for i in rng.permutation(d)[:size]:
-        spd = random_spd(rng, d)
-        store.insert_c1(i, spd[:, i])
-    return store
-
-
 def single_pair_store():
     """One pair (e_0, 2 e_0) over the identity seed in dimension 2."""
     store = PairStore(dim=2, tau=1, h0_scale=1.0)
     store.insert_c1(0, 2 * E0)
     return store
-
-
-def dense_H(store):
-    return dense_H_from_pairs(store.indices, store.R, store.h0_scale)
 
 
 class TestDenseUpdates:
@@ -122,20 +111,20 @@ class TestDenseUpdates:
 class TestDenseFold:
     def test_empty_store(self):
         store = PairStore(dim=3, tau=2, h0_scale=2.5)
-        np.testing.assert_allclose(dense_H(store), 2.5 * np.eye(3))
+        np.testing.assert_allclose(_dense_H(store), 2.5 * np.eye(3))
 
     def test_single_pair_matches_inverse_update(self):
         store = single_pair_store()
-        np.testing.assert_allclose(dense_H(store), np.diag([0.5, 1.0]),
+        np.testing.assert_allclose(_dense_H(store), np.diag([0.5, 1.0]),
                                    atol=1e-14)
 
     def test_fold_unrolls_to_chained_updates(self):
         rng = np.random.default_rng(4)
-        store = random_store(rng, 4, 2, h0=1.0)
+        store = _random_store(rng, 4, 2, h0=1.0)
         H = np.eye(4)
         for k, i in enumerate(store.indices):
             H = dense_inv_bfgs_update(H, np.eye(4)[i], store.R[:, k])
-        np.testing.assert_allclose(dense_H(store), H)
+        np.testing.assert_allclose(_dense_H(store), H)
 
     def test_repeated_index_history(self):
         """A full history may repeat an index; the fold chains every pair."""
@@ -152,8 +141,8 @@ class TestDenseFold:
     def test_direct_fold_inverts_inverse_fold(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            store = random_store(rng, 5, 3)
-            H = dense_H(store)
+            store = _random_store(rng, 5, 3)
+            H = _dense_H(store)
             B = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
             np.testing.assert_allclose(B @ H, np.eye(5), atol=1e-9)
 
@@ -162,12 +151,10 @@ class TestDenseFold:
         """A fold run in np.longdouble keeps long-double curvature scalars: at
         h0 = 1e-6 it matches the exact rational fold to 1e-13 relative, where
         scalars rounded to float64 leave errors of a few 1e-12."""
-        from lgbfgs.verify import _exact_direct_fold
-
         rng = np.random.default_rng(0)
         for _ in range(15):
             d = int(rng.integers(4, 10))
-            store = random_store(rng, d, int(rng.integers(1, d + 1)), h0=h0)
+            store = _random_store(rng, d, int(rng.integers(1, d + 1)), h0=h0)
             exact = np.array([[float(v) for v in row]
                               for row in _exact_direct_fold(store.indices, store.R, h0)])
             got = dense_B_from_pairs(store.indices, store.R.astype(np.longdouble),
@@ -191,25 +178,14 @@ class TestTwoLoop:
 
     def test_matches_dense_fold_on_random_stores(self):
         """Central oracle equivalence at 1e-10 relative over 200 stores."""
-        rng = np.random.default_rng(6)
-        worst = 0.0
-        for _ in range(200):
-            d = int(rng.integers(2, 21))
-            size = int(rng.integers(0, min(d, 10) + 1))
-            store = random_store(rng, d, size)
-            g = rng.standard_normal(d)
-            dense = dense_H(store) @ g
-            got = two_loop_direction(store, g)
-            worst = max(worst, np.linalg.norm(got + dense)
-                        / max(np.linalg.norm(dense), 1e-300))
-        assert worst <= 1e-10
+        assert verify.check_two_loop_vs_dense(cases=200, seed=6).passed
 
     def test_vector_input_matches_reference_bit_for_bit(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             d = int(rng.integers(2, 30))
             size = int(rng.integers(0, min(d, 12) + 1))
-            store = random_store(rng, d, size, h0=10.0 ** rng.uniform(-6.0, 2.0))
+            store = _random_store(rng, d, size, h0=10.0 ** rng.uniform(-6.0, 2.0))
             g = rng.standard_normal(d)
             expected = reference_two_loop(store, g)
             np.testing.assert_array_equal(two_loop_direction(store, g), -expected)
@@ -220,7 +196,7 @@ class TestTwoLoop:
         for _ in range(50):
             d = int(rng.integers(2, 30))
             size = int(rng.integers(0, min(d, 12) + 1))
-            store = random_store(rng, d, size)
+            store = _random_store(rng, d, size)
             V = rng.standard_normal((d, int(rng.integers(1, 6))))
             by_column = np.column_stack(
                 [two_loop_direction(store, V[:, c]) for c in range(V.shape[1])]
@@ -231,13 +207,13 @@ class TestTwoLoop:
 
     @pytest.mark.parametrize("shape", [(3,), (5, 2, 1), (4, 0, 2)])
     def test_rejects_wrong_shape(self, shape):
-        store = random_store(np.random.default_rng(16), 4, 2)
+        store = _random_store(np.random.default_rng(16), 4, 2)
         with pytest.raises(ValueError):
             two_loop_direction(store, np.ones(shape))
 
     def test_apply_is_positive_definite_form(self):
         rng = np.random.default_rng(7)
-        store = random_store(rng, 6, 3)
+        store = _random_store(rng, 6, 3)
         for _ in range(10):
             v = rng.standard_normal(6)
             assert float(v @ two_loop_direction(store, v)) < 0.0
@@ -254,25 +230,14 @@ class TestCompactRepresentation:
                                    atol=1e-14)
 
     def test_matches_dense_inverse_on_random_stores(self):
-        rng = np.random.default_rng(8)
-        worst = 0.0
-        for _ in range(200):
-            d = int(rng.integers(2, 21))
-            size = int(rng.integers(0, min(d, 10) + 1))
-            store = random_store(rng, d, size)
-            B = np.linalg.inv(dense_H(store))
-            i = int(rng.integers(0, d))
-            col = compact_B_column(store, i)
-            worst = max(worst, np.linalg.norm(col - B[:, i])
-                        / max(np.linalg.norm(B[:, i]), 1e-300))
-        assert worst <= 1e-9
+        assert verify.check_compact_column_vs_dense(cases=200, seed=8).passed
 
     def test_column_symmetry(self):
         """e_k' (B e_i) equals e_i' (B e_k) across random stores."""
         rng = np.random.default_rng(9)
         for _ in range(30):
             d = int(rng.integers(3, 12))
-            store = random_store(rng, d, int(rng.integers(1, min(d, 6))))
+            store = _random_store(rng, d, int(rng.integers(1, min(d, 6))))
             i, k = rng.choice(d, size=2, replace=False)
             ci = compact_B_column(store, int(i))
             ck = compact_B_column(store, int(k))
@@ -280,7 +245,7 @@ class TestCompactRepresentation:
 
     def test_diag_matches_columns(self):
         rng = np.random.default_rng(10)
-        store = random_store(rng, 7, 4)
+        store = _random_store(rng, 7, 4)
         idx = [0, 2, 5, 6]
         diag = compact_B_diag(store, idx)
         for k, i in enumerate(idx):
@@ -296,7 +261,7 @@ class TestCompactRepresentation:
         a column match the dense direct fold at seed scales from 1e-4 to 1e2."""
         rng = np.random.default_rng(seed)
         size = 1 + int(size_frac * (min(d, 10) - 1))
-        store = random_store(rng, d, size, h0=10.0**log10_h0)
+        store = _random_store(rng, d, size, h0=10.0**log10_h0)
         B = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
         idx = [int(i) for i in rng.choice(store.indices + list(range(d)), n_cand)]
         diag = compact_B_diag(store, idx)

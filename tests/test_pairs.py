@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from lgbfgs import verify
 from lgbfgs.aggregation import aggregate_c3, retain
 from lgbfgs.correction import apply_scaling
 from lgbfgs.errors import CurvatureError
-from lgbfgs.kernels import dense_H_from_pairs, dense_inv_bfgs_update
+from lgbfgs.kernels import dense_H_from_pairs
 from lgbfgs.pairs import PairStore
 
 
@@ -237,19 +238,9 @@ class TestReplaceSuffixChecks:
 
 class TestInvariantFuzz:
     def test_random_insert_replace_sequences(self):
-        """Size stays bounded and indices stay distinct over 1000 random ops."""
-        rng = np.random.default_rng(42)
-        d, tau = 8, 4
-        store = PairStore(dim=d, tau=tau)
-        for _ in range(1000):
-            if store.size < tau and rng.random() < 0.5:
-                free = [i for i in range(d) if i not in store.indices]
-                i = int(rng.choice(free))
-                store.insert_c1(i, dense_r(i, rng, d))
-            elif store.size:
-                store.replace_c2(store.indices[-1], dense_r(store.indices[-1], rng, d))
-            assert store.size <= tau
-            assert len(set(store.indices)) == store.size
+        """Size stays bounded and indices stay distinct over 1000 random
+        C1/C2/C3 retentions."""
+        assert verify.check_store_invariants_fuzz(ops=1000, seed=42).passed
 
     def test_validation_rejects_duplicates(self):
         store = store_with([1], tau=3)
@@ -263,14 +254,6 @@ class TestInvariantFuzz:
         store = store_with([1], tau=1)
         with pytest.raises(CurvatureError):
             store.insert_c1(2, unit_r(2))
-
-
-def reference_fold(pairs, h0, dim):
-    """Inverse fold over a plain list of (index, r) pairs from h0 * I."""
-    H = h0 * np.eye(dim)
-    for i, r in pairs:
-        H = dense_inv_bfgs_update(H, np.eye(dim)[i], r)
-    return H
 
 
 OPS = st.lists(
@@ -311,7 +294,8 @@ class TestStoreProperty:
                 j = int(rng.integers(0, store.size - 1))
                 i = store.indices[j]
                 r = dense_r(i, rng, dim)
-                target = reference_fold(model + [(i, r)], h0, dim)
+                indices, cols = zip(*model, (i, r))
+                target = dense_H_from_pairs(indices, np.column_stack(cols), h0)
                 aggregate_c3(store, j, i, r)
                 got = dense_H_from_pairs(store.indices, store.R, store.h0_scale)
                 assert np.linalg.norm(got - target) <= 1e-8 * np.linalg.norm(target)
@@ -357,7 +341,8 @@ class TestStoreProperty:
                 assert retain(store, i, r) == "C2"
                 model[-1] = (i, r)
             else:
-                target = reference_fold(model + [(i, r)], 0.7, dim)
+                indices, cols = zip(*model, (i, r))
+                target = dense_H_from_pairs(indices, np.column_stack(cols), 0.7)
                 assert retain(store, i, r) == "C3"
                 j = stored.index(i)
                 assert store.indices == stored[:j] + stored[j + 1:] + [i]

@@ -222,18 +222,7 @@ class TestLgBfgsStep:
 class TestFullMemoryEquivalence:
     def test_matches_dense_greedy_iterates(self):
         """tau = d with the fixed-prefix policy replays the dense greedy run."""
-        d = 10
-        obj = quad_problem(d=d, hi=10.0, seed=1)
-        x0 = np.ones(d)
-        common = dict(tau=d, max_iters=50, grad_tol=0.0,
-                      correction=CorrectionConfig("basic"))
-        tr_lg = run(obj, x0, SolverConfig(method="lg_bfgs",
-                                          subset_policy=SubsetPolicy("fixed_prefix"),
-                                          **common))
-        tr_gb = run(obj, x0, SolverConfig(method="greedy_bfgs", **common))
-        for a, b in zip(tr_lg.records, tr_gb.records):
-            assert a.grad_norm == pytest.approx(b.grad_norm, rel=1e-8, abs=1e-280)
-        np.testing.assert_allclose(tr_lg.x_final, tr_gb.x_final, atol=1e-8)
+        assert verify.check_full_memory_equivalence(seed=1).passed
 
 
 class TestWarmStart:
