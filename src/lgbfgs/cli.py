@@ -2,8 +2,10 @@
 
 Subcommands:
 
-* ``run <config.json>`` -- execute a (solver x tau) sweep on one problem and
-  write a CSV trace.
+* ``run <config.json>`` -- execute a (solver x tau) sweep on one problem, one
+  cell after another, and write a CSV trace of every cell.  A cell whose step
+  raises ``CurvatureError`` or ``AggregationError`` ends there with a logged
+  warning; its rows up to that iterate are written with the others.
 * ``verify [scope]`` -- run the registered invariant suites; exit 0 iff all
   checks pass.
 * ``synth <spec.json>`` -- generate a synthetic logistic dataset in LIBSVM
@@ -44,7 +46,6 @@ config and seed except for the wall-time column.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
@@ -54,11 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verify
-from .correction import CorrectionConfig
 from .data import parse_libsvm, normalize_rows, serialize_libsvm, synth_logistic_dataset, synth_problem
-from .greedy import SubsetPolicy
 from .objectives import LogisticObjective, Objective
-from .solvers import METHODS, SolverConfig, Trace, run, warm_start
+from .solvers import METHODS, SolverConfig, run, warm_start
 
 logger = logging.getLogger(__name__)
 
@@ -203,8 +202,8 @@ def _solver_cells(cfg: ExperimentConfig) -> list[SolverConfig]:
                         alpha=entry.get("alpha"),
                         max_iters=cfg.max_iters,
                         grad_tol=cfg.grad_tol,
-                        correction=CorrectionConfig(mode=entry.get("correction", "off")),
-                        subset_policy=SubsetPolicy(entry.get("subset_policy", "adaptive")),
+                        correction=entry.get("correction", "off"),
+                        subset_policy=entry.get("subset_policy", "adaptive"),
                         h0_scale=entry.get("h0_scale"),
                         lbfgs_scaling=entry.get("lbfgs_scaling", "fixed"),
                         record_dense_diags=cfg.record_dense_diags,
@@ -217,16 +216,11 @@ def _solver_cells(cfg: ExperimentConfig) -> list[SolverConfig]:
     return cells
 
 
-def _run_cell(obj: Objective, x0: np.ndarray, cell: SolverConfig) -> Trace:
-    logger.info("running %s tau=%d", cell.method, cell.tau)
-    return run(obj, x0, cell)
-
-
 def _format(value: float) -> str:
     return repr(float(value))
 
 
-def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> str:
+def run_experiment(cfg: ExperimentConfig) -> str:
     """Execute the sweep and write the CSV trace; returns the output path."""
     obj = _build_objective(cfg.problem, cfg.seed)
     x0 = np.zeros(obj.info.dim)
@@ -234,17 +228,16 @@ def run_experiment(cfg: ExperimentConfig, parallel: int = 1) -> str:
         x0 = warm_start(obj, x0, cfg.warm_start_k0)
     cells = _solver_cells(cfg)
     for cell in cells:
-        if cell.method == "lg_bfgs" and cell.subset_policy.mode == "fixed_prefix" \
+        if cell.method == "lg_bfgs" and cell.subset_policy == "fixed_prefix" \
                 and cell.tau > obj.info.dim:
             raise TauError(
                 f"invalid tau {cell.tau}: exceeds dimension {obj.info.dim} "
                 "under the fixed_prefix policy"
             )
-    if parallel > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
-            traces = list(pool.map(lambda c: _run_cell(obj, x0, c), cells))
-    else:
-        traces = [_run_cell(obj, x0, cell) for cell in cells]
+    traces = []
+    for cell in cells:
+        logger.info("running %s tau=%d", cell.method, cell.tau)
+        traces.append(run(obj, x0, cell))
 
     f_best = min(min(r.f_value for r in tr.records) for tr in traces)
     rows = []
@@ -282,7 +275,7 @@ def _cmd_run(args) -> int:
         cfg = ExperimentConfig.from_json(args.config)
         if args.output:
             cfg.output = args.output
-        run_experiment(cfg, parallel=args.parallel)
+        run_experiment(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_TAU if isinstance(exc, TauError) else EXIT_BAD_CONFIG
@@ -293,11 +286,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        results, passed = verify.run_suite(args.scope)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    results, passed = verify.run_suite(args.scope)
     for result in results:
         print(result.render())
     return 0 if passed else EXIT_VERIFY_FAILED
@@ -350,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a benchmark sweep from a JSON config")
     p_run.add_argument("config")
     p_run.add_argument("--output", help="override the config's output path")
-    p_run.add_argument("--parallel", type=int, default=1,
-                       help="run independent (solver, tau) cells concurrently")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")

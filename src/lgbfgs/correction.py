@@ -11,8 +11,6 @@ decaying slack term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .objectives import Objective, Point
@@ -21,21 +19,11 @@ from .pairs import PairStore
 OFF = "off"
 BASIC = "basic"
 DELTA = "delta"
+MODES = (OFF, BASIC, DELTA)
 
 # the slack DELTA0 * DECAY**t of the ``delta`` mode at iteration t
 DELTA0 = 0.1
 DECAY = 0.5
-
-
-@dataclass(frozen=True)
-class CorrectionConfig:
-    """Scaling mode: off (psi = 1), basic (1 + CM*phi), delta (+ DECAY^t * DELTA0)."""
-
-    mode: str = OFF
-
-    def __post_init__(self):
-        if self.mode not in (OFF, BASIC, DELTA):
-            raise ValueError(f"unknown correction mode {self.mode!r}")
 
 
 def weighted_step_norm(obj: Objective, x, x_next) -> float:
@@ -50,14 +38,15 @@ def weighted_step_norm(obj: Objective, x, x_next) -> float:
     return obj.weighted_norm(x, coords(x_next) - coords(x))
 
 
-def scale_factor(phi: float, cfg: CorrectionConfig, cm: float, t: int) -> float:
-    """Correction scale psi for iteration t given the weighted step length phi."""
+def scale_factor(phi: float, mode: str, cm: float, t: int) -> float:
+    """Correction scale psi for iteration t given the weighted step length phi,
+    by mode: off (psi = 1), basic (1 + CM*phi), delta (+ DECAY^t * DELTA0)."""
     if phi < 0:
         raise ValueError(f"phi must be nonnegative, got {phi}")
-    if cfg.mode == OFF:
+    if mode == OFF:
         return 1.0
     psi = 1.0 + cm * phi
-    if cfg.mode == DELTA:
+    if mode == DELTA:
         psi += DECAY**t * DELTA0
     return psi
 

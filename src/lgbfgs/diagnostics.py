@@ -34,13 +34,14 @@ def hessian_cholesky(hess: np.ndarray):
 def newton_decrement(obj: Objective, x, grad=None, chol=None) -> float:
     """Gradient norm weighted by the inverse Hessian at x (an array or a point).
 
-    Solved by dense Cholesky up to ``DENSE_SOLVE_LIMIT`` dimensions, otherwise
-    by conjugate gradients on Hessian-vector products.  A caller that already
-    holds them passes ``grad``, the gradient at x, and ``chol``, the
-    ``hessian_cholesky`` of the dense Hessian at x.
+    A caller that already holds them passes ``grad``, the gradient at x, and
+    ``chol``, the ``hessian_cholesky`` of the dense Hessian at x; a given
+    ``chol`` is always used.  Without one, the decrement is solved by dense
+    Cholesky up to ``DENSE_SOLVE_LIMIT`` dimensions, otherwise by conjugate
+    gradients on Hessian-vector products.
     """
     g = obj.value_grad(x)[1] if grad is None else grad
-    if obj.info.dim <= DENSE_SOLVE_LIMIT:
+    if chol is not None or obj.info.dim <= DENSE_SOLVE_LIMIT:
         chol = hessian_cholesky(obj.hess_matrix(x)) if chol is None else chol
         y = scipy.linalg.cho_solve(chol, g)
     else:

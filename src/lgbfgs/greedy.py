@@ -8,8 +8,6 @@ Ties break to the smallest index so traces are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CurvatureError
@@ -19,26 +17,15 @@ from .pairs import PairStore
 
 FIXED_PREFIX = "fixed_prefix"
 ADAPTIVE = "adaptive"
+POLICIES = (FIXED_PREFIX, ADAPTIVE)
 
 
-@dataclass(frozen=True)
-class SubsetPolicy:
-    """Candidate-subset rule for the greedy step.
-
-    fixed_prefix: always the first tau coordinates.
+def subset_indices(mode: str, store: PairStore) -> list[int]:
+    """Candidate basis indices under the policy ``mode``, ascending for
+    tie-break order.  fixed_prefix: always the first tau coordinates.
     adaptive: the full basis while the store has room, then the stored indices.
     """
-
-    mode: str = ADAPTIVE
-
-    def __post_init__(self):
-        if self.mode not in (FIXED_PREFIX, ADAPTIVE):
-            raise ValueError(f"unknown subset policy mode {self.mode!r}")
-
-
-def subset_indices(policy: SubsetPolicy, store: PairStore) -> list[int]:
-    """Candidate basis indices under the policy; ascending for tie-break order."""
-    if policy.mode == FIXED_PREFIX:
+    if mode == FIXED_PREFIX:
         return list(range(store.tau))
     if store.size < store.tau:
         return list(range(store.dim))

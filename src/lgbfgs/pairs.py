@@ -1,8 +1,8 @@
 """Bounded, ordered curvature-pair history with basis-index bookkeeping.
 
 Variable variations are always coordinate basis vectors, so a pair is a basis
-index and its gradient variation r, and parallelism tests reduce to exact
-index comparison.  The variations are the columns of one preallocated
+index and its gradient variation r, and a test of whether two variations are
+collinear reduces to exact index comparison.  The variations are the columns of one preallocated
 column-major d x tau array, oldest first; ``R`` is its live d x size block,
 contiguous per variation for the two-loop and as a block for the compact
 representation.  ``lgbfgs.aggregation.retain`` sorts each incoming pair into

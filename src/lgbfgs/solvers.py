@@ -22,22 +22,26 @@ given configuration; traces carry one record per evaluated iterate.  For every
 method and diagnostics setting, the guard stops the run as ``diverged`` when
 its value grows for too many consecutive iterations or its value, gradient or
 iterate turns non-finite; iterates are checked before the objective sees them,
-and diagnostics are computed only for rows that pass the guard.
+and diagnostics are computed only for rows that pass the guard.  A step that
+raises ``CurvatureError`` or ``AggregationError`` ends its run as
+``curvature_error`` or ``aggregation_failed``: the trace keeps its rows up to
+the iterate the step left from, and the error is logged as a warning.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import aggregation, diagnostics, greedy, kernels
-from .correction import BASIC, CorrectionConfig, apply_scaling, scale_factor, weighted_step_norm
-from .errors import CurvatureError
-from .greedy import SubsetPolicy, greedy_pair, subset_indices
+from .correction import BASIC, MODES, OFF, apply_scaling, scale_factor, weighted_step_norm
+from .errors import AggregationError, CurvatureError
+from .greedy import ADAPTIVE, POLICIES, greedy_pair, subset_indices
 from .objectives import Objective, Point
 from .pairs import PairStore
 
@@ -51,6 +55,8 @@ METHODS = (GD, LBFGS, BFGS_DENSE, GREEDY_BFGS, LG_BFGS)
 # consecutive value increases after which the guard stops a run as diverged
 DIVERGENCE_PATIENCE = 20
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -60,6 +66,9 @@ class SolverConfig:
     1/L for gradient descent.  ``h0_scale=None`` resolves to 1/L (seed
     operator L*I).  ``lbfgs_scaling`` picks the seed for the classic
     limited-memory baseline: the fixed 1/L or the newest-pair rescaling.
+    ``correction`` is the scaling mode (off, basic, delta; see
+    ``correction.scale_factor``) and ``subset_policy`` the greedy candidate
+    rule (adaptive, fixed_prefix; see ``greedy.subset_indices``).
     """
 
     method: str = LG_BFGS
@@ -67,8 +76,8 @@ class SolverConfig:
     tau: int = 10
     max_iters: int = 100
     grad_tol: float = 1e-12
-    correction: CorrectionConfig = field(default_factory=CorrectionConfig)
-    subset_policy: SubsetPolicy = field(default_factory=SubsetPolicy)
+    correction: str = OFF
+    subset_policy: str = ADAPTIVE
     h0_scale: float | None = None
     lbfgs_scaling: str = "fixed"
     record_dense_diags: bool = False
@@ -86,6 +95,10 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.lbfgs_scaling not in ("fixed", "latest_pair"):
             raise ValueError(f"unknown lbfgs_scaling {self.lbfgs_scaling!r}")
+        if self.correction not in MODES:
+            raise ValueError(f"unknown correction mode {self.correction!r}")
+        if self.subset_policy not in POLICIES:
+            raise ValueError(f"unknown subset policy {self.subset_policy!r}")
 
 
 @dataclass
@@ -254,7 +267,7 @@ class _LgBfgs(_Step):
     greedy pair selection over the policy subset, and C1/C2/C3 retention."""
 
     def __init__(self, obj, cfg):
-        if cfg.subset_policy.mode == greedy.FIXED_PREFIX and cfg.tau > obj.info.dim:
+        if cfg.subset_policy == greedy.FIXED_PREFIX and cfg.tau > obj.info.dim:
             raise ValueError("fixed_prefix policy requires tau <= dim")
         super().__init__(obj, cfg)
         self.store = PairStore(dim=obj.info.dim, tau=min(cfg.tau, obj.info.dim),
@@ -320,18 +333,24 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
                        else "max_iters" if t == cfg.max_iters else None)
         stepped = None
         if stop_reason is None:
-            x_next = x + method.alpha * method.direction(t, x, g)
-            if np.all(np.isfinite(x_next)):
-                point_next = obj.at(x_next)
-                fields.update(method.curvature(t, point, point_next))
-                if B is not None:
-                    stepped = B, hess, method.applied
-                f, g_next = obj.value_grad(point_next)
-                method.update(x, g, x_next, g_next)
-                point, g = point_next, g_next
-            else:
-                stop_reason = "diverged"
-            x = x_next
+            try:
+                x_next = x + method.alpha * method.direction(t, x, g)
+                if np.all(np.isfinite(x_next)):
+                    point_next = obj.at(x_next)
+                    fields.update(method.curvature(t, point, point_next))
+                    if B is not None:
+                        stepped = B, hess, method.applied
+                    f, g_next = obj.value_grad(point_next)
+                    method.update(x, g, x_next, g_next)
+                    point, g = point_next, g_next
+                else:
+                    stop_reason = "diverged"
+                x = x_next
+            except (CurvatureError, AggregationError) as exc:
+                stop_reason = ("aggregation_failed" if isinstance(exc, AggregationError)
+                               else "curvature_error")
+                logger.warning("%s tau=%d stopped at t=%d: %s: %s", cfg.method, cfg.tau, t,
+                               type(exc).__name__, exc)
         records.append(IterationRecord(t, f_t, gnorm, method.pair_count,
                                        time.perf_counter() - start, **fields))
         if stop_reason is not None:
@@ -349,7 +368,7 @@ def _step_diagnostics(record: IterationRecord, info, cfg: SolverConfig, B, hess,
     is the inequality's 1 + CM * phi."""
     phi, psi, candidates = applied
     _, record.beta_tau = diagnostics.relative_condition_numbers(psi * B - hess_next, candidates)
-    if cfg.method == LG_BFGS and cfg.correction.mode == BASIC:
+    if cfg.method == LG_BFGS and cfg.correction == BASIC:
         record.contraction = diagnostics.contraction_residual(
             info, B, hess, phi, record.beta_tau, record.sigma, sigma_next)
 

@@ -16,10 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import aggregation, diagnostics, kernels
-from .correction import CorrectionConfig
 from .data import synth_problem
 from .errors import AggregationError
-from .greedy import SubsetPolicy
 from .pairs import PairStore
 from .solvers import SolverConfig, run, warm_start
 
@@ -298,11 +296,8 @@ def check_full_memory_equivalence(seed: int = 6) -> CheckResult:
     obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, 10.0, d),
                         seed=seed, rotate=True)
     x0 = np.ones(d)
-    common = dict(tau=d, max_iters=50, grad_tol=0.0,
-                  correction=CorrectionConfig("basic"))
-    tr_lg = run(obj, x0, SolverConfig(method="lg_bfgs",
-                                      subset_policy=SubsetPolicy("fixed_prefix"),
-                                      **common))
+    common = dict(tau=d, max_iters=50, grad_tol=0.0, correction="basic")
+    tr_lg = run(obj, x0, SolverConfig(method="lg_bfgs", subset_policy="fixed_prefix", **common))
     tr_gb = run(obj, x0, SolverConfig(method="greedy_bfgs", **common))
     worst = 0.0
     for a, b in zip(tr_lg.records, tr_gb.records):
@@ -320,8 +315,7 @@ def check_linear_rate_bound(d: int = 10, tau: int = 5, k0: int = 3,
                         seed=seed, rotate=True)
     x0 = warm_start(obj, np.ones(d), k0)
     cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=200, grad_tol=0.0,
-                       correction=CorrectionConfig("basic"),
-                       record_dense_diags=True)
+                       correction="basic", record_dense_diags=True)
     trace = run(obj, x0, cfg)
     lam0 = trace.records[0].lambda_f
     factor = 1.0 - obj.info.mu / (2.0 * obj.info.lipschitz_L)
@@ -340,7 +334,7 @@ def check_contraction_inequality(d: int = 5, tau: int = 3, hi: float = 8.0,
     obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, hi, d),
                         seed=seed, rotate=True)
     cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=100, grad_tol=0.0,
-                       correction=CorrectionConfig("basic"), record_dense_diags=True)
+                       correction="basic", record_dense_diags=True)
     trace = run(obj, np.ones(d), cfg)
     residuals = [rec.contraction for rec in trace.records[:cfg.max_iters]]
     worst = np.inf if len(residuals) < cfg.max_iters or None in residuals else -min(residuals)
@@ -386,8 +380,8 @@ def check_memory_rate_tradeoff(d: int = 20, hi: float = 10.0, seed: int = 0, k0:
         finals = []
         for tau in taus:
             cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=iters, grad_tol=0.0,
-                               correction=CorrectionConfig("basic"), record_dense_diags=True,
-                               subset_policy=SubsetPolicy(policy))
+                               correction="basic", subset_policy=policy,
+                               record_dense_diags=True)
             records = run(obj, x0, cfg).records
             betas = [rec.beta_tau for rec in records[:-1]]
             if len(records) != iters + 1 or None in betas:

@@ -1,5 +1,6 @@
 """CLI: experiment runs, CSV schema and determinism, verify suite, synth."""
 
+import functools
 import json
 import re
 import subprocess
@@ -78,13 +79,23 @@ class TestRunExperiment:
         second = [row[:-1] for row in read_rows(cfg["output"])]
         assert first == second
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        path, cfg = write_config(tmp_path)
-        main(["run", str(path)])
-        sequential = [row[:-1] for row in read_rows(cfg["output"])]
-        main(["run", str(path), "--parallel", "2"])
-        parallel = [row[:-1] for row in read_rows(cfg["output"])]
-        assert sequential == parallel
+    def test_failing_cell_keeps_the_sweep(self, tmp_path, caplog):
+        """The dense greedy baseline loses definiteness on this problem; its
+        cell ends there with one warning, and every cell is written."""
+        path, cfg = write_config(
+            tmp_path, seed=4, warm_start_k0=0, max_iters=40,
+            problem={"kind": "synth_logistic", "n": 300, "d": 30, "mu": 1e-3},
+            solvers=[{"method": "lg_bfgs", "taus": [6], "correction": "basic"},
+                     {"method": "greedy_bfgs", "correction": "basic"}])
+        with caplog.at_level("WARNING"):
+            assert main(["run", str(path)]) == 0
+        rows = read_rows(cfg["output"])
+        assert [int(r[2]) for r in rows if r[0] == "lg_bfgs"] == list(range(41))
+        greedy = [int(r[2]) for r in rows if r[0] == "greedy_bfgs"]
+        assert greedy == list(range(len(greedy))) and len(greedy) < 41
+        [warning] = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert f"greedy_bfgs tau=10 stopped at t={greedy[-1]}: CurvatureError" \
+            in warning.getMessage()
 
     def test_unknown_solver_exit_code(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, solvers=[{"method": "bfgsx"}])
@@ -176,17 +187,34 @@ class TestRunExperiment:
         assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def cached_checks():
+    """Every registered check, wrapped to run at most once in this module."""
+    return {scope: [functools.cache(check) for check in checks]
+            for scope, checks in verify.SCOPES.items()}
+
+
+@pytest.fixture
+def cached_scopes(monkeypatch, cached_checks):
+    """``verify.SCOPES`` holding the module's cached checks."""
+    for scope, checks in cached_checks.items():
+        monkeypatch.setitem(verify.SCOPES, scope, checks)
+
+
 class TestVerifySuite:
+    @pytest.mark.usefixtures("cached_scopes")
     def test_kernels_scope_passes(self, capsys):
         assert main(["verify", "kernels"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == len(verify.SCOPES["kernels"])
 
+    @pytest.mark.usefixtures("cached_scopes")
     def test_aggregation_scope_passes(self, capsys):
         assert main(["verify", "aggregation"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == len(verify.SCOPES["aggregation"])
 
+    @pytest.mark.usefixtures("cached_scopes")
     def test_report_line_count_matches_registry(self, capsys):
         """The whole registered suite, once: one [PASS] line per check."""
         assert main(["verify", "all"]) == 0
@@ -211,6 +239,12 @@ class TestVerifySuite:
         assert not passed
         worst = max(r.worst for r in results if not r.passed)
         assert worst > 1e-3  # residual far above tolerance, not a borderline miss
+
+    def test_unknown_scope_is_usage_error(self):
+        """argparse rejects a scope outside the registry with its usage exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "bogus"])
+        assert exc.value.code == 2
 
     def test_parser_accepts_each_registered_scope(self, monkeypatch):
         """The scope choices are the registry's keys, a newly registered one too."""

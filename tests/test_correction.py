@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from lgbfgs.correction import (
-    CorrectionConfig,
-    apply_scaling,
-    scale_factor,
-    weighted_step_norm,
-)
+from lgbfgs.correction import apply_scaling, scale_factor, weighted_step_norm
 from lgbfgs.kernels import dense_B_from_pairs, two_loop_direction
 from lgbfgs.objectives import QuadraticObjective
 from lgbfgs.pairs import PairStore
+from lgbfgs.solvers import SolverConfig
 from lgbfgs.verify import _dense_H, _random_store
 
 
@@ -30,28 +26,27 @@ class TestWeightedStepNorm:
 
 class TestScaleFactor:
     def test_off_is_identity(self):
-        assert scale_factor(3.7, CorrectionConfig("off"), cm=2.0, t=5) == 1.0
+        assert scale_factor(3.7, "off", cm=2.0, t=5) == 1.0
 
     def test_basic_with_zero_cm(self):
-        assert scale_factor(1.3, CorrectionConfig("basic"), cm=0.0, t=0) == 1.0
+        assert scale_factor(1.3, "basic", cm=0.0, t=0) == 1.0
 
     def test_basic_formula(self):
-        assert scale_factor(0.5, CorrectionConfig("basic"), cm=2.0, t=0) == 2.0
+        assert scale_factor(0.5, "basic", cm=2.0, t=0) == 2.0
 
     def test_delta_formula(self):
-        cfg = CorrectionConfig("delta")
-        assert scale_factor(0.0, cfg, cm=0.0, t=2) == pytest.approx(1.025)
+        assert scale_factor(0.0, "delta", cm=0.0, t=2) == pytest.approx(1.025)
 
     def test_negative_phi_rejected(self):
         with pytest.raises(ValueError):
-            scale_factor(-0.1, CorrectionConfig("basic"), cm=1.0, t=0)
+            scale_factor(-0.1, "basic", cm=1.0, t=0)
 
     def test_delta_config_validation(self):
         """The config is a mode alone; the delta slack is fixed."""
-        with pytest.raises(ValueError):
-            CorrectionConfig("bogus")
+        with pytest.raises(ValueError, match="unknown correction mode"):
+            SolverConfig(correction="bogus")
         with pytest.raises(TypeError):
-            CorrectionConfig("delta", delta0=0.2)
+            scale_factor(0.0, "delta", cm=0.0, t=0, delta0=0.2)
 
 
 class TestApplyScaling:

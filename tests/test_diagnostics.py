@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lgbfgs import diagnostics, verify
-from lgbfgs.correction import CorrectionConfig, weighted_step_norm
+from lgbfgs.correction import weighted_step_norm
 from lgbfgs.data import synth_problem
 from lgbfgs.diagnostics import (
     DiagnosticsError,
@@ -15,7 +15,6 @@ from lgbfgs.diagnostics import (
     relative_condition_numbers,
     trace_metric,
 )
-from lgbfgs.greedy import SubsetPolicy
 from lgbfgs.objectives import QuadraticObjective
 from lgbfgs.solvers import SolverConfig, run, warm_start
 
@@ -51,6 +50,19 @@ class TestNewtonDecrement:
         monkeypatch.setattr(diagnostics, "DENSE_SOLVE_LIMIT", 59)
         cg = [newton_decrement(obj, x) for x in xs]
         assert dense == pytest.approx(cg, rel=1e-8)
+
+    def test_given_cholesky_used_above_limit(self, monkeypatch):
+        """A caller's Cholesky factor replaces conjugate gradients at any dimension."""
+        obj = synth_problem("logistic", d=60, n=200, mu=1e-2, seed=2)
+        x = 0.3 * np.random.default_rng(1).standard_normal(60)
+        dense = newton_decrement(obj, x)
+        chol = hessian_cholesky(obj.hess_matrix(x))
+        calls = []
+        hess_vec = obj.hess_vec
+        monkeypatch.setattr(obj, "hess_vec", lambda *a: calls.append(a) or hess_vec(*a))
+        monkeypatch.setattr(diagnostics, "DENSE_SOLVE_LIMIT", 59)
+        assert newton_decrement(obj, x, chol=chol) == dense
+        assert calls == []
 
 
 class TestTraceMetric:
@@ -217,8 +229,8 @@ class TestProductBoundOnInstrumentedRuns:
         if tau == d:
             # full basis: the subset always contains the maximal diagonal
             cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=50, grad_tol=0.0,
-                               correction=CorrectionConfig("basic"),
-                               record_dense_diags=True, subset_policy=SubsetPolicy(policy))
+                               correction="basic",
+                               record_dense_diags=True, subset_policy=policy)
             betas = [r.beta_tau for r in run(obj, x0, cfg).records[:-1]]
             assert all(b == pytest.approx(1.0) or np.isinf(b) for b in betas)
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lgbfgs.errors import CurvatureError
-from lgbfgs.greedy import ADAPTIVE, FIXED_PREFIX, SubsetPolicy, greedy_pair, subset_indices
+from lgbfgs.greedy import ADAPTIVE, FIXED_PREFIX, greedy_pair, subset_indices
 from lgbfgs.objectives import QuadraticObjective
 from lgbfgs.pairs import PairStore
+from lgbfgs.solvers import SolverConfig
 
 
 def store_with(indices, d, tau, h0=1.0, matrix=None):
@@ -24,19 +25,19 @@ def store_with(indices, d, tau, h0=1.0, matrix=None):
 class TestSubsetIndices:
     def test_fixed_prefix(self):
         store = PairStore(dim=6, tau=3)
-        assert subset_indices(SubsetPolicy(FIXED_PREFIX), store) == [0, 1, 2]
+        assert subset_indices(FIXED_PREFIX, store) == [0, 1, 2]
 
     def test_adaptive_below_capacity_is_full_basis(self):
         store = store_with([1], d=4, tau=2)
-        assert subset_indices(SubsetPolicy(ADAPTIVE), store) == [0, 1, 2, 3]
+        assert subset_indices(ADAPTIVE, store) == [0, 1, 2, 3]
 
     def test_adaptive_at_capacity_is_stored(self):
         store = store_with([1, 3], d=4, tau=2)
-        assert subset_indices(SubsetPolicy(ADAPTIVE), store) == [1, 3]
+        assert subset_indices(ADAPTIVE, store) == [1, 3]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SubsetPolicy("other")
+        with pytest.raises(ValueError, match="unknown subset policy"):
+            SolverConfig(subset_policy="other")
 
 
 class TestGreedyPair:

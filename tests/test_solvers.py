@@ -1,6 +1,7 @@
 """Solver drivers: step correctness, stopping rules, traces, equivalences."""
 
 from collections import Counter
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from lgbfgs import aggregation, greedy, solvers, verify
-from lgbfgs.correction import CorrectionConfig
 from lgbfgs.data import synth_problem
-from lgbfgs.greedy import SubsetPolicy
+from lgbfgs.errors import AggregationError, CurvatureError
 from lgbfgs.objectives import QuadraticObjective
 from lgbfgs.solvers import GREEDY_BFGS, LG_BFGS, METHODS, SolverConfig, run, warm_start
 
@@ -78,6 +78,33 @@ class TestStoppingRules:
         assert (trace.records[0].lambda_f is not None) == record_dense_diags
         assert trace.records[0].beta_tau is None
         assert trace.records[0].contraction is None
+
+    @pytest.mark.parametrize("error, reason", [(AggregationError, "aggregation_failed"),
+                                               (CurvatureError, "curvature_error")])
+    def test_failing_step_ends_run(self, monkeypatch, caplog, error, reason):
+        """A step that raises at t=3 ends the run with a trace: rows t = 0..3,
+        the row-3 iterate as x_final, and one warning naming the cell."""
+        obj = quad_problem()
+        cfg = SolverConfig(method=LG_BFGS, tau=3, max_iters=10, grad_tol=0.0)
+        x3 = run(obj, np.ones(6), replace(cfg, max_iters=3)).x_final
+        calls, select = [], solvers.greedy_pair
+
+        def failing_select(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise error("injected")
+            return select(*args)
+
+        monkeypatch.setattr(solvers, "greedy_pair", failing_select)
+        with caplog.at_level("WARNING", logger="lgbfgs.solvers"):
+            trace = run(obj, np.ones(6), cfg)
+        assert trace.stop_reason == reason
+        assert [rec.t for rec in trace.records] == [0, 1, 2, 3]
+        np.testing.assert_array_equal(trace.x_final, x3)
+        [warning] = caplog.records
+        assert warning.levelname == "WARNING"
+        assert "lg_bfgs tau=3 stopped at t=3" in warning.getMessage()
+        assert "injected" in warning.getMessage()
 
 
 class TestObjectiveCallCounts:
@@ -160,7 +187,7 @@ class TestLgBfgsStep:
         obj = quad_problem(d=4, seed=6)
         x0 = np.ones(4)
         cfg_on = SolverConfig(method="lg_bfgs", tau=3, max_iters=30, grad_tol=0.0,
-                              correction=CorrectionConfig("basic"))
+                              correction="basic")
         cfg_off = SolverConfig(method="lg_bfgs", tau=3, max_iters=30, grad_tol=0.0)
         tr_on = run(obj, x0, cfg_on)
         tr_off = run(obj, x0, cfg_off)
@@ -180,7 +207,7 @@ class TestLgBfgsStep:
         """A delta-corrected run whose C3 events are ill-conditioned runs out."""
         obj = synth_problem("logistic", d=30, n=300, mu=1e-3, seed=4)
         cfg = SolverConfig(method="lg_bfgs", tau=6, max_iters=40, grad_tol=0.0,
-                           correction=CorrectionConfig("delta"))
+                           correction="delta")
         trace = run(obj, np.ones(30), cfg)
         assert trace.stop_reason == "max_iters"
         assert "C3" in {r.case_tag for r in trace.records}
@@ -208,7 +235,7 @@ class TestLgBfgsStep:
         monkeypatch.setattr(aggregation, "_fold_defect", recording_gate)
         obj = synth_problem("logistic", d=30, n=300, mu=1e-3, seed=4)
         cfg = SolverConfig(method="lg_bfgs", tau=6, max_iters=40, grad_tol=0.0,
-                           correction=CorrectionConfig("delta"))
+                           correction="delta")
         assert run(obj, np.ones(30), cfg).stop_reason == "max_iters"
         assert len(numerators) == 3
         for (indices, R, h0), got in numerators:
@@ -236,7 +263,7 @@ class TestWarmStart:
         x0 = np.ones(6)
         x1 = warm_start(obj, x0, 1)
         cfg = SolverConfig(method="greedy_bfgs", max_iters=1, grad_tol=0.0,
-                           correction=CorrectionConfig("off"))
+                           correction="off")
         trace = run(obj, x0, cfg)
         np.testing.assert_allclose(x1, trace.x_final)
 
@@ -266,7 +293,7 @@ class TestDiagnosticsRecording:
         obj = quad_problem(d=6, hi=8.0, seed=9)
         x0 = warm_start(obj, np.ones(6), 2)
         cfg = SolverConfig(method="lg_bfgs", tau=4, max_iters=30, grad_tol=0.0,
-                           correction=CorrectionConfig("basic"),
+                           correction="basic",
                            record_dense_diags=True)
         trace = run(obj, x0, cfg)
         lams = [r.lambda_f for r in trace.records]
@@ -275,7 +302,7 @@ class TestDiagnosticsRecording:
     def test_sigma_and_beta_recorded(self):
         obj = quad_problem(d=5, seed=10)
         cfg = SolverConfig(method="lg_bfgs", tau=3, max_iters=10, grad_tol=0.0,
-                           correction=CorrectionConfig("basic"),
+                           correction="basic",
                            record_dense_diags=True)
         trace = run(obj, np.ones(5), cfg)
         assert all(r.sigma is not None for r in trace.records)
@@ -308,7 +335,7 @@ class TestDiagnosticsRecording:
         obj = synth_problem("logistic", d=20, n=200, mu=1e-3, seed=0)
         x0 = warm_start(obj, np.zeros(20), 3)
         cfg = SolverConfig(method="lg_bfgs", tau=20, max_iters=60, grad_tol=0.0,
-                           correction=CorrectionConfig("basic"), record_dense_diags=True)
+                           correction="basic", record_dense_diags=True)
         trace = run(obj, x0, cfg)
         assert trace.stop_reason == "max_iters"
         assert any(r.contraction is None for r in trace.records[:-1])
@@ -319,7 +346,7 @@ class TestDiagnosticsRecording:
         other correction record beta_tau but no contraction."""
         obj = quad_problem(d=8, hi=30.0, seed=4)
         cfg = SolverConfig(method="lg_bfgs", tau=4, max_iters=40, grad_tol=0.0,
-                           correction=CorrectionConfig(mode), record_dense_diags=True)
+                           correction=mode, record_dense_diags=True)
         stepped = run(obj, np.ones(8), cfg).records[:-1]
         assert all(r.beta_tau is not None for r in stepped)
         assert all(r.contraction is None for r in stepped)
@@ -335,8 +362,8 @@ class TestDiagnosticsRecording:
         tau = 1 + int(tau_frac * (d - 1))
         obj = quad_problem(d=d, hi=10.0 ** log10_top, seed=seed)
         cfg = SolverConfig(method="lg_bfgs", tau=tau, max_iters=30, grad_tol=0.0,
-                           correction=CorrectionConfig("basic"),
-                           subset_policy=SubsetPolicy(policy), record_dense_diags=True)
+                           correction="basic",
+                           subset_policy=policy, record_dense_diags=True)
         trace = run(obj, np.ones(d), cfg)
         steps = [r.contraction for r in trace.records if r.case_tag is not None]
         assert steps
@@ -361,7 +388,7 @@ class TestCorrectedRunProperties:
         monkeypatch.setattr(solvers, "greedy_pair", recording_select)
         obj = quad_problem(d=6, hi=9.0, seed=12)
         cfg = SolverConfig(method="lg_bfgs", tau=4, max_iters=40, grad_tol=0.0,
-                           correction=CorrectionConfig("basic"))
+                           correction="basic")
         run(obj, np.ones(6), cfg)
         assert len(ratios) == 40
         assert min(ratios) >= 1.0 - 1e-12
@@ -382,7 +409,7 @@ class TestCorrectedRunProperties:
         x0 = warm_start(obj, np.ones(6), 2)
         monkeypatch.setattr(solvers, "weighted_step_norm", recording_norm)
         cfg = SolverConfig(method="lg_bfgs", tau=4, max_iters=30, grad_tol=0.0,
-                           correction=CorrectionConfig("basic"))
+                           correction="basic")
         run(obj, x0, cfg)
         assert len(steps) == 30
         for phi, lam in steps:
@@ -400,7 +427,7 @@ class TestCorrectedRunProperties:
         monkeypatch.setattr(solvers, "apply_scaling", recording_scale)
         obj = quad_problem(d=5, hi=6.0, seed=14)
         cfg = SolverConfig(method="lg_bfgs", tau=3, max_iters=40, grad_tol=0.0,
-                           correction=CorrectionConfig("delta"))
+                           correction="delta")
         trace = run(obj, np.ones(5), cfg)
         assert all(psi > 1.0 for psi, _ in scalings)
         h0s = [h0 for _, h0 in scalings]
@@ -420,6 +447,6 @@ class TestConfigValidation:
     def test_fixed_prefix_tau_exceeding_dim(self):
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         cfg = SolverConfig(method="lg_bfgs", tau=5,
-                           subset_policy=SubsetPolicy("fixed_prefix"))
+                           subset_policy="fixed_prefix")
         with pytest.raises(ValueError):
             run(obj, np.zeros(2), cfg)
