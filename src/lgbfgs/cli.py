@@ -4,39 +4,42 @@ Subcommands:
 
 * ``run <config.json>`` -- execute a (solver x tau) sweep on one problem, one
   cell after another, and write a CSV trace of every cell.  A cell whose step
-  raises ``CurvatureError`` or ``AggregationError`` ends there with a logged
-  warning; its rows up to that iterate are written with the others.
+  or dense diagnostics fail ends there with a logged warning and
+  ``stop_reason`` ``curvature_error``, ``aggregation_failed`` or
+  ``diagnostics_failed``; its rows up to that iterate are written too.
 * ``verify [scope]`` -- run the registered invariant suites; exit 0 iff all
   checks pass.
 * ``synth <spec.json>`` -- generate a synthetic logistic dataset in LIBSVM
   format.
 
-Exit codes: 0 success, 1 verification failure, 2 unknown solver, malformed
-config or unwritable output, 3 unreadable or malformed dataset, 4 invalid
-memory size.  The environment variable ``LGBFGS_LOG`` sets the log level.
+Exit codes (each error class carries its own; ``main`` prints ``error: ...``
+and returns it): 0 success, 1 verification failure, 2 malformed config,
+problem, solver entry or synth spec, or unwritable output (``ConfigError``),
+3 unreadable or malformed dataset (``DatasetError``), 4 invalid memory size
+(``TauError``).  The environment variable ``LGBFGS_LOG`` sets the log level.
 
-Config files are JSON.  A run config looks like::
+Inputs are JSON objects.  Each has a table of required (*) and optional
+fields below; ``_checked`` rejects a missing or unknown field and a value of
+another JSON type (a bool is not a number, a float not an integer).  An
+omitted optional field takes the default in brackets.
 
-    {
-      "seed": 0,
-      "problem": {"kind": "libsvm", "path": "data.txt", "mu": 1e-4,
-                  "normalize": true},
-      "warm_start_k0": 10,
-      "max_iters": 100,
-      "grad_tol": 1e-12,
-      "record_dense_diags": false,
-      "solvers": [
-        {"method": "lg_bfgs", "taus": [10, 20]},
-        {"method": "lbfgs", "taus": [10]},
-        {"method": "gd"}
-      ],
-      "output": "trace.csv"
-    }
+* run config: ``problem``* object, ``solvers``* nonempty list of solver
+  entries, ``seed``* integer >= 0, ``output`` string [``trace.csv``],
+  ``warm_start_k0`` integer >= 0 [0], ``max_iters`` integer >= 0 [100],
+  ``grad_tol`` number [1e-12], ``record_dense_diags`` bool [false].
+* problem, by ``kind``*: ``libsvm`` -- ``path``* string, ``mu`` number
+  [1e-4], ``normalize`` bool [true]; ``synth_logistic`` -- ``n``*, ``d``*
+  integers >= 0, ``mu`` number [1e-4]; ``synth_quadratic`` -- ``d``* integer
+  >= 0, ``spectrum`` nonempty list of numbers [[1, 100]], ``rotate`` bool
+  [true].
+* solver entry: ``method``* string; ``tau`` integer [10] or ``taus``
+  nonempty list of integers, not both; ``alpha``, ``h0_scale`` numbers
+  [method default, 1/L]; ``correction`` string [``off``]; ``subset_policy``
+  string [``adaptive``]; ``lbfgs_scaling`` string [``fixed``].
+* synth spec: ``n``*, ``d``* integers >= 0, ``kind`` string [``logistic``],
+  ``seed`` integer >= 0 [0], ``output`` string [``synthetic.libsvm``].
 
-``problem.kind`` is one of ``libsvm``, ``synth_logistic`` (fields n, d, mu),
-or ``synth_quadratic`` (fields d, spectrum, rotate).  Per-solver entries may
-override ``alpha``, ``correction`` (off/basic/delta), ``subset_policy``,
-``h0_scale``, and ``lbfgs_scaling``.  The trace CSV starts with a schema
+README.md has an example run config.  The trace CSV starts with a schema
 comment line followed by the header
 ``solver,tau,iteration,f_gap,grad_norm,lambda_f,pair_count,case_tag,wall_time_s``;
 rows are sorted by (solver, tau, iteration) and are byte-stable for a fixed
@@ -57,7 +60,7 @@ import numpy as np
 from . import verify
 from .data import parse_libsvm, normalize_rows, serialize_libsvm, synth_logistic_dataset, synth_problem
 from .objectives import LogisticObjective, Objective
-from .solvers import METHODS, SolverConfig, run, warm_start
+from .solvers import SolverConfig, run, warm_start
 
 logger = logging.getLogger(__name__)
 
@@ -71,31 +74,83 @@ EXIT_BAD_TAU = 4
 
 
 class ConfigError(ValueError):
-    """A malformed run config, problem or output path (exit 2)."""
+    """A malformed config, problem, solver entry or synth spec, or an unwritable output."""
+
+    exit_code = EXIT_BAD_CONFIG
 
 
 class TauError(ConfigError):
-    """A memory size tau the solver cannot use (exit 4)."""
+    """A memory size tau the solver cannot use."""
+
+    exit_code = EXIT_BAD_TAU
 
 
 class DatasetError(ValueError):
-    """A dataset file that is not valid LIBSVM text (exit 3)."""
+    """A dataset file that cannot be read or is not valid LIBSVM text."""
+
+    exit_code = EXIT_BAD_DATASET
 
 
+def _list_of(item, kinds: str):
+    """The JSON type of a nonempty list whose entries are of type ``item``."""
+    return (lambda v: type(v) is list and bool(v) and all(item[0](x) for x in v),
+            f"a nonempty list of {kinds}")
+
+
+# JSON types: a check and its description; a bool is never a number and a
+# float never an integer
+_INT = (lambda v: type(v) is int, "an integer")
 _COUNT = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_STR = (lambda v: type(v) is str, "a string")
+_OBJECT = (lambda v: type(v) is dict, "an object")
 
-# each run config field's type check and its description for the error
-_FIELDS = {
-    "problem": (lambda v: isinstance(v, dict), "an object"),
-    "solvers": (lambda v: isinstance(v, list) and bool(v) and all(isinstance(e, dict) for e in v),
-                "a nonempty list of objects"),
-    "seed": _COUNT,
-    "output": (lambda v: isinstance(v, str), "a string"),
-    "warm_start_k0": _COUNT,
-    "max_iters": _COUNT,
-    "grad_tol": (lambda v: type(v) in (int, float), "a number"),
-    "record_dense_diags": (lambda v: isinstance(v, bool), "true or false"),
+# (required, optional) fields of each JSON object; defaults are the consumers'
+_CONFIG = ({"problem": _OBJECT, "solvers": _list_of(_OBJECT, "objects"), "seed": _COUNT},
+           {"output": _STR, "warm_start_k0": _COUNT, "max_iters": _COUNT,
+            "grad_tol": _NUMBER, "record_dense_diags": _BOOL})
+_PROBLEMS = {
+    "libsvm": ({"kind": _STR, "path": _STR}, {"mu": _NUMBER, "normalize": _BOOL}),
+    "synth_logistic": ({"kind": _STR, "n": _COUNT, "d": _COUNT}, {"mu": _NUMBER}),
+    "synth_quadratic": ({"kind": _STR, "d": _COUNT},
+                        {"spectrum": _list_of(_NUMBER, "numbers"), "rotate": _BOOL}),
 }
+_SOLVER = ({"method": _STR},
+           {"tau": _INT, "taus": _list_of(_INT, "integers"), "alpha": _NUMBER,
+            "correction": _STR, "subset_policy": _STR, "h0_scale": _NUMBER,
+            "lbfgs_scaling": _STR})
+_SYNTH = ({"n": _COUNT, "d": _COUNT},
+          {"kind": _STR, "seed": _COUNT, "output": (_STR[0], "a path")})
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _checked(raw, fields, what: str, field: str = "field {!r}") -> dict:
+    """``raw`` if it is a JSON object with every required field of ``fields``
+    (a (required, optional) pair of name -> type tables), no other field, and
+    each value of its field's type; else ``ConfigError``.  ``what`` names the
+    object in the message and ``field`` formats a field's name."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{what} must be a JSON object")
+    required, optional = fields
+    types = {**required, **optional}
+    missing = sorted(required.keys() - raw.keys())
+    if missing:
+        raise ConfigError(f"{what} requires a {missing[0]!r} field")
+    for name, value in raw.items():
+        if name not in types:
+            raise ConfigError(f"{what} has an unknown field {name!r}")
+        check, kind = types[name]
+        if not check(value):
+            raise ConfigError(f"{what}: {field.format(name)} must be {kind}, got {value!r}")
+    return raw
 
 
 @dataclass
@@ -113,107 +168,57 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        missing = {"problem", "solvers", "seed"} - raw.keys()
-        if missing:
-            raise ConfigError(f"config is missing fields: {sorted(missing)}")
-        unknown = raw.keys() - _FIELDS.keys()
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in raw.items():
-            check, kind = _FIELDS[name]
-            if not check(value):
-                raise ConfigError(f"config field {name!r} must be {kind}, got {value!r}")
-        return cls(**raw)
+        return cls(**_checked(_read_json(path, "config"), _CONFIG, "config"))
 
 
 def _build_objective(problem: dict, seed: int) -> Objective:
     kind = problem.get("kind")
-
-    def required(name: str):
-        if name not in problem:
-            raise ConfigError(f"{kind} problem requires a {name!r} field")
-        return problem[name]
-
+    if type(kind) is not str or kind not in _PROBLEMS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    fields = {k: v for k, v in _checked(problem, _PROBLEMS[kind], f"{kind} problem").items()
+              if k != "kind"}
     if kind == "libsvm":
-        path = problem.get("path")
-        if not path:
-            raise ConfigError("libsvm problem requires a 'path' field")
+        path = fields["path"]
         try:
             ds = parse_libsvm(path)
-        except OSError as exc:
-            raise FileNotFoundError(f"cannot read dataset {path!r}: {exc}") from exc
-        except ValueError as exc:
-            raise DatasetError(f"malformed dataset {path!r}: {exc}") from exc
-        if problem.get("normalize", True):
+        except (OSError, ValueError) as exc:
+            raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
+        if fields.get("normalize", True):
             ds = normalize_rows(ds)
     try:
         if kind == "libsvm":
-            return LogisticObjective(ds, reg_mu=float(problem.get("mu", 1e-4)))
+            return LogisticObjective(ds, reg_mu=fields.get("mu", 1e-4))
         if kind == "synth_logistic":
-            return synth_problem(
-                "logistic",
-                d=int(required("d")),
-                n=int(required("n")),
-                mu=float(problem.get("mu", 1e-4)),
-                seed=seed,
-            )
-        if kind == "synth_quadratic":
-            return synth_problem(
-                "quadratic",
-                d=int(required("d")),
-                spectrum=problem.get("spectrum", (1.0, 100.0)),
-                seed=seed,
-                rotate=bool(problem.get("rotate", True)),
-            )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+            return synth_problem("logistic", seed=seed, **fields)
+        return synth_problem("quadratic", seed=seed, **{"spectrum": (1.0, 100.0), **fields})
+    except ValueError as exc:
         raise ConfigError(f"invalid {kind} problem: {exc}") from exc
-    raise ConfigError(f"unknown problem kind {kind!r}")
 
 
 def _solver_cells(cfg: ExperimentConfig) -> list[SolverConfig]:
     cells = []
-    for entry in cfg.solvers:
-        method = entry.get("method")
-        if method not in METHODS:
-            raise ConfigError(f"unknown solver method {method!r}")
-        taus = entry.get("taus", [entry.get("tau", 10)])
-        if isinstance(taus, int):
-            taus = [taus]
-        try:
-            for tau in taus:
-                tau = int(tau)
-                if tau < 1:
-                    raise TauError(f"invalid tau {tau} for solver {method}")
-                cells.append(
-                    SolverConfig(
-                        method=method,
-                        tau=tau,
-                        alpha=entry.get("alpha"),
-                        max_iters=cfg.max_iters,
-                        grad_tol=cfg.grad_tol,
-                        correction=entry.get("correction", "off"),
-                        subset_policy=entry.get("subset_policy", "adaptive"),
-                        h0_scale=entry.get("h0_scale"),
-                        lbfgs_scaling=entry.get("lbfgs_scaling", "fixed"),
-                        record_dense_diags=cfg.record_dense_diags,
-                    )
-                )
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid {method} solver entry: {exc}") from exc
+    for raw in cfg.solvers:
+        what = f"invalid {raw['method']} solver entry" if "method" in raw else "invalid solver entry"
+        entry = dict(_checked(raw, _SOLVER, what))
+        if "tau" in entry and "taus" in entry:
+            raise ConfigError(f"{what}: give 'tau' or 'taus', not both")
+        for tau in entry.pop("taus", None) or [entry.pop("tau", 10)]:
+            if tau < 1:
+                raise TauError(f"invalid tau {tau} for solver {entry['method']}")
+            try:
+                cells.append(SolverConfig(**entry, tau=tau, max_iters=cfg.max_iters,
+                                          grad_tol=cfg.grad_tol,
+                                          record_dense_diags=cfg.record_dense_diags))
+            except ValueError as exc:
+                raise ConfigError(f"{what}: {exc}") from exc
     return cells
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def _format(value: float) -> str:
@@ -222,11 +227,8 @@ def _format(value: float) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> str:
     """Execute the sweep and write the CSV trace; returns the output path."""
-    obj = _build_objective(cfg.problem, cfg.seed)
-    x0 = np.zeros(obj.info.dim)
-    if cfg.warm_start_k0 > 0:
-        x0 = warm_start(obj, x0, cfg.warm_start_k0)
     cells = _solver_cells(cfg)
+    obj = _build_objective(cfg.problem, cfg.seed)
     for cell in cells:
         if cell.method == "lg_bfgs" and cell.subset_policy == "fixed_prefix" \
                 and cell.tau > obj.info.dim:
@@ -234,6 +236,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
                 f"invalid tau {cell.tau}: exceeds dimension {obj.info.dim} "
                 "under the fixed_prefix policy"
             )
+    x0 = warm_start(obj, np.zeros(obj.info.dim), cfg.warm_start_k0)
     traces = []
     for cell in cells:
         logger.info("running %s tau=%d", cell.method, cell.tau)
@@ -257,11 +260,7 @@ def run_experiment(cfg: ExperimentConfig) -> str:
                 )
             )
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
-    try:
-        fh = open(cfg.output, "w")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {cfg.output!r}: {exc}") from exc
-    with fh:
+    with _open_output(cfg.output) as fh:
         fh.write(f"# schema={CSV_SCHEMA}\n")
         fh.write(CSV_HEADER + "\n")
         for row in rows:
@@ -271,17 +270,10 @@ def run_experiment(cfg: ExperimentConfig) -> str:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_json(args.config)
-        if args.output:
-            cfg.output = args.output
-        run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_TAU if isinstance(exc, TauError) else EXIT_BAD_CONFIG
-    except (FileNotFoundError, DatasetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_DATASET
+    cfg = ExperimentConfig.from_json(args.config)
+    if args.output:
+        cfg.output = args.output
+    run_experiment(cfg)
     return 0
 
 
@@ -293,37 +285,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read synth spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    if not isinstance(spec, dict):
-        print("error: synth spec must be a JSON object", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    spec = _checked(_read_json(args.spec, "synth spec"), _SYNTH, "bad synth spec",
+                    field="synth {}")
     kind = spec.get("kind", "logistic")
     if kind != "logistic":
-        print(f"error: synth can only emit logistic datasets, got {kind!r}",
-              file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    try:
-        ds = synth_logistic_dataset(
-            n=int(spec["n"]), d=int(spec["d"]), seed=int(spec.get("seed", 0))
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        print(f"error: bad synth spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise ConfigError(f"synth can only emit logistic datasets, got {kind!r}")
+    ds = synth_logistic_dataset(n=spec["n"], d=spec["d"], seed=spec.get("seed", 0))
     out = args.output or spec.get("output", "synthetic.libsvm")
-    if not isinstance(out, str):
-        print(f"error: synth output must be a path, got {out!r}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    try:
-        fh = open(out, "w")
-    except OSError as exc:
-        print(f"error: cannot write output {out!r}: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    with fh:
+    with _open_output(out) as fh:
         serialize_libsvm(ds, fh)
     print(f"wrote {ds.n_samples} samples x {ds.n_features} features to {out}")
     return 0
@@ -359,7 +328,11 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, DatasetError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -44,11 +44,14 @@ def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray
 
 
 def dense_inv_bfgs_update(H: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Inverse-form rank-two update: H+ = V'HV + ss'/(s'r), V = I - rs'/(s'r)."""
+    """Inverse-form rank-two update: H+ = V'HV + ss'/(s'r), V = I - rs'/(s'r).
+
+    Expanded as H - (s(Hr)' + (Hr)s')/c + (1 + r'Hr/c) ss'/c with c = s'r,
+    which is O(d^2) and exactly symmetric for a symmetric H.
+    """
     c = _curvature(s, r)
-    v = np.eye(H.shape[0]) - np.outer(r, s) / c
-    out = v.T @ H @ v + np.outer(s, s) / c
-    return 0.5 * (out + out.T)
+    hr = H @ r
+    return H - (np.outer(s, hr) + np.outer(hr, s)) / c + ((1 + r @ hr / c) / c) * np.outer(s, s)
 
 
 def dense_H_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:

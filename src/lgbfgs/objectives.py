@@ -196,7 +196,7 @@ class Objective:
 
 
 class QuadraticObjective(Objective):
-    """f(x) = x'Ax/2 - b'x with A symmetric positive definite.
+    """f(x) = x'Ax/2 with A symmetric positive definite, minimized at the origin.
 
     The Hessian is constant, so the Hessian-Lipschitz constant is zero and
     every correction factor collapses to one.  Used as the controlled test
@@ -204,7 +204,7 @@ class QuadraticObjective(Objective):
     the diagonal of A.
     """
 
-    def __init__(self, hess, offset=None):
+    def __init__(self, hess):
         hess = np.asarray(hess, dtype=float)
         if hess.ndim == 1:
             hess = np.diag(hess)
@@ -220,17 +220,11 @@ class QuadraticObjective(Objective):
         if mu <= 0:
             raise ValueError(f"quadratic Hessian must be positive definite (min eig {mu})")
         self.info = ObjectiveInfo(dim=d, mu=mu, lipschitz_L=lip, hess_lip_CL=0.0)
-        self.offset = (
-            np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
-        )
-        if self.offset.shape != (d,):
-            raise ValueError("offset length must match the Hessian dimension")
 
     def value_grad(self, x):
         p = self._point(x)
         ax = self.hess_vec(p, p.x)
-        value = 0.5 * float(p.x @ ax) - float(self.offset @ p.x)
-        return value, ax - self.offset
+        return 0.5 * float(p.x @ ax), ax
 
     def hess_vec(self, x, v):
         self._point(x)
@@ -247,9 +241,6 @@ class QuadraticObjective(Objective):
     def hess_matrix(self, x):
         self._point(x)
         return self._hess.copy()
-
-    def minimizer(self) -> np.ndarray:
-        return np.linalg.solve(self._hess, self.offset)
 
 
 class LogisticObjective(Objective):

@@ -23,9 +23,10 @@ method and diagnostics setting, the guard stops the run as ``diverged`` when
 its value grows for too many consecutive iterations or its value, gradient or
 iterate turns non-finite; iterates are checked before the objective sees them,
 and diagnostics are computed only for rows that pass the guard.  A step that
-raises ``CurvatureError`` or ``AggregationError`` ends its run as
-``curvature_error`` or ``aggregation_failed``: the trace keeps its rows up to
-the iterate the step left from, and the error is logged as a warning.
+raises ``CurvatureError`` or ``AggregationError``, or a row whose dense
+diagnostics raise ``DiagnosticsError``, ends its run as ``curvature_error``,
+``aggregation_failed`` or ``diagnostics_failed``: the trace keeps its rows up
+to that iterate, and the error is logged as a warning.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import scipy.linalg
 
 from . import aggregation, diagnostics, greedy, kernels
 from .correction import BASIC, MODES, OFF, apply_scaling, scale_factor, weighted_step_norm
-from .errors import AggregationError, CurvatureError
+from .errors import AggregationError, CurvatureError, DiagnosticsError
 from .greedy import ADAPTIVE, POLICIES, greedy_pair, subset_indices
 from .objectives import Objective, Point
 from .pairs import PairStore
@@ -294,6 +295,13 @@ class _LgBfgs(_Step):
         return {"case_tag": case}
 
 
+# the stop reason of a run that a step or a row's dense diagnostics end by raising
+_FAILURES = {
+    CurvatureError: "curvature_error",
+    AggregationError: "aggregation_failed",
+    DiagnosticsError: "diagnostics_failed",
+}
+
 _STEPS = {
     GD: _Step,
     LBFGS: _Lbfgs,
@@ -320,20 +328,21 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
         diverged = not finite or (f_t > f_prev and increases >= DIVERGENCE_PATIENCE)
         f_prev = f_t
         fields, B, hess = {}, None, None
-        if cfg.record_dense_diags and not diverged:
-            B, chol = method.dense_B(), None
-            if B is not None:
-                hess = obj.hess_matrix(point)
-                chol = diagnostics.hessian_cholesky(hess)
-                fields["sigma"] = diagnostics.trace_metric(obj, point, B, chol=chol)
-            fields["lambda_f"] = diagnostics.newton_decrement(obj, point, grad=g, chol=chol)
-            if stepped is not None:
-                _step_diagnostics(records[-1], obj.info, cfg, *stepped, hess, fields["sigma"])
         stop_reason = ("diverged" if diverged else "grad_tol" if gnorm <= cfg.grad_tol
                        else "max_iters" if t == cfg.max_iters else None)
-        stepped = None
-        if stop_reason is None:
-            try:
+        try:
+            if cfg.record_dense_diags and not diverged:
+                B, chol = method.dense_B(), None
+                if B is not None:
+                    hess = obj.hess_matrix(point)
+                    chol = diagnostics.hessian_cholesky(hess)
+                    fields["sigma"] = diagnostics.trace_metric(obj, point, B, chol=chol)
+                fields["lambda_f"] = diagnostics.newton_decrement(obj, point, grad=g, chol=chol)
+                if stepped is not None:
+                    _step_diagnostics(records[-1], obj.info, cfg, *stepped, hess,
+                                      fields["sigma"])
+            stepped = None
+            if stop_reason is None:
                 x_next = x + method.alpha * method.direction(t, x, g)
                 if np.all(np.isfinite(x_next)):
                     point_next = obj.at(x_next)
@@ -346,11 +355,10 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
                 else:
                     stop_reason = "diverged"
                 x = x_next
-            except (CurvatureError, AggregationError) as exc:
-                stop_reason = ("aggregation_failed" if isinstance(exc, AggregationError)
-                               else "curvature_error")
-                logger.warning("%s tau=%d stopped at t=%d: %s: %s", cfg.method, cfg.tau, t,
-                               type(exc).__name__, exc)
+        except tuple(_FAILURES) as exc:
+            stop_reason = _FAILURES[type(exc)]
+            logger.warning("%s tau=%d stopped at t=%d: %s: %s", cfg.method, cfg.tau, t,
+                           type(exc).__name__, exc)
         records.append(IterationRecord(t, f_t, gnorm, method.pair_count,
                                        time.perf_counter() - start, **fields))
         if stop_reason is not None:

@@ -97,6 +97,21 @@ class TestRunExperiment:
         assert f"greedy_bfgs tau=10 stopped at t={greedy[-1]}: CurvatureError" \
             in warning.getMessage()
 
+    def test_dense_diagnostics_failure_keeps_the_sweep(self, tmp_path, caplog):
+        """With d > n and mu = 1e-18 the Hessian's Cholesky fails in each cell's
+        dense diagnostics; each cell ends there with one warning, and both are
+        written."""
+        path, cfg = write_config(
+            tmp_path, warm_start_k0=0, max_iters=5, record_dense_diags=True,
+            problem={"kind": "synth_logistic", "n": 5, "d": 60, "mu": 1e-18},
+            solvers=[{"method": "lbfgs", "tau": 3}, {"method": "lg_bfgs", "tau": 3}])
+        with caplog.at_level("WARNING"):
+            assert main(["run", str(path)]) == 0
+        assert {r[0] for r in read_rows(cfg["output"])} == {"lbfgs", "lg_bfgs"}
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 2
+        assert all("stopped at t=" in w and "DiagnosticsError" in w for w in warnings)
+
     def test_unknown_solver_exit_code(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, solvers=[{"method": "bfgsx"}])
         assert main(["run", str(path)]) == EXIT_BAD_CONFIG
@@ -311,7 +326,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("problem, message", [
         ({"kind": "synth_logistic", "n": 0, "d": 5}, "n >= 1"),
-        ({"kind": "synth_logistic", "n": 40, "d": "x"}, "invalid literal"),
+        ({"kind": "synth_logistic", "n": 40, "d": "x"}, "'d' must be an integer >= 0"),
         ({"kind": "synth_quadratic", "d": 5, "spectrum": [0, 1]}, "strictly positive"),
     ])
     def test_bad_problem_value_is_config_error(self, tmp_path, capsys, problem, message):
@@ -323,7 +338,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("text, mu, code, message", [
         ("1 2:x\n", 1e-3, EXIT_BAD_DATASET, "malformed feature token"),
-        ("1 1:0.5 2:1.0\n-1 1:1.0\n", "x", EXIT_BAD_CONFIG, "could not convert"),
+        ("1 1:0.5 2:1.0\n-1 1:1.0\n", "x", EXIT_BAD_CONFIG, "'mu' must be a number"),
         ("+1 1:nan 2:1\n-1 1:inf\n", 1e-3, EXIT_BAD_DATASET,
          "line 1: non-finite feature value"),
     ], ids=["malformed_line", "non_numeric_mu", "non_finite_value"])
@@ -338,6 +353,44 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, obj, change, field", [
+        ("run", "config", {"seed": 1.7}, "seed"),
+        ("run", "config", {"max_iters": True}, "max_iters"),
+        ("run", "config", {"grad_tol": False}, "grad_tol"),
+        ("run", "config", {"sead": 0}, "sead"),
+        ("run", "problem", {"mux": 5.0}, "mux"),
+        ("run", "problem", {"n": True}, "n"),
+        ("run", "problem", {"d": 8.0}, "d"),
+        ("run", "problem", {"mu": True}, "mu"),
+        ("run", "solver", {"corection": "basic"}, "corection"),
+        ("run", "solver", {"tau": 4}, "tau"),
+        ("run", "solver", {"taus": [4.0]}, "taus"),
+        ("run", "solver", {"taus": [True]}, "taus"),
+        ("run", "solver", {"alpha": True}, "alpha"),
+        ("synth", "spec", {"sead": 3}, "sead"),
+        ("synth", "spec", {"n": True}, "n"),
+        ("synth", "spec", {"seed": 1.7}, "seed"),
+        ("synth", "spec", {"d": 5.0}, "d"),
+    ])
+    def test_reader_rejects_unknown_or_mistyped_field(self, tmp_path, capsys, command, obj,
+                                                      change, field):
+        """One unknown key or one value of the wrong JSON type in any object the
+        CLI reads exits 2 naming the field, before anything is written."""
+        out = tmp_path / "out"
+        if command == "synth":
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"n": 20, "d": 5, "output": str(out), **change}))
+        else:
+            path, cfg = write_config(tmp_path, output=str(out))
+            target = {"config": cfg, "problem": cfg["problem"], "solver": cfg["solvers"][0]}
+            target[obj].update(change)
+            path.write_text(json.dumps(cfg))
+        assert main([command, str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and re.search(rf"\b{field}\b", line)
+        assert not out.exists()
 
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

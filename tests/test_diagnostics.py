@@ -21,8 +21,8 @@ from lgbfgs.solvers import SolverConfig, run, warm_start
 
 class TestNewtonDecrement:
     def test_zero_at_minimizer(self):
-        obj = QuadraticObjective(np.array([2.0, 3.0]), offset=np.array([2.0, 3.0]))
-        assert newton_decrement(obj, np.ones(2)) == pytest.approx(0.0, abs=1e-12)
+        obj = QuadraticObjective(np.array([2.0, 3.0]))
+        assert newton_decrement(obj, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
         obj = QuadraticObjective(np.array([1.0, 4.0]))

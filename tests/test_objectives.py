@@ -87,13 +87,6 @@ class TestQuadratic:
         obj = QuadraticObjective(np.array([1.0, 4.0]))
         assert obj.weighted_norm(np.zeros(2), np.zeros(2)) == 0.0
 
-    def test_minimizer(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 4))
-        obj = QuadraticObjective(a @ a.T + 4 * np.eye(4), offset=rng.standard_normal(4))
-        _, grad = obj.value_grad(obj.minimizer())
-        np.testing.assert_allclose(grad, 0.0, atol=1e-12)
-
     def test_dimension_mismatch_raises(self):
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

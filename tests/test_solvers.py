@@ -37,9 +37,9 @@ class TestGradientDescent:
 class TestStoppingRules:
     @pytest.mark.parametrize("method", METHODS)
     def test_start_at_minimizer_yields_single_record(self, method):
-        obj = QuadraticObjective(np.array([1.0, 2.0]), offset=np.array([1.0, 2.0]))
+        obj = QuadraticObjective(np.array([1.0, 2.0]))
         cfg = SolverConfig(method=method, tau=2, max_iters=50, grad_tol=1e-10)
-        trace = run(obj, np.ones(2), cfg)
+        trace = run(obj, np.zeros(2), cfg)
         assert len(trace.records) == 1
         assert trace.records[0].grad_norm <= 1e-10
         assert trace.stop_reason == "grad_tol"
