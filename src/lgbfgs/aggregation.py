@@ -42,6 +42,8 @@ store unchanged.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.blas import dger, dtrsm
 
@@ -56,39 +58,50 @@ GATE_TOL = 1e-8
 def _fold_defect(prefix, suffix_a, suffix_b, h0: float) -> tuple[float, float]:
     """Exact Frobenius distance between two suffix folds over a shared prefix.
 
-    ``prefix`` and both suffixes are histories (indices, R).  A suffix with
-    basis vectors S and variations Y folds the prefix operator H_p into
-    H_p + Theta, in the inverse compact form of Byrd, Nocedal and Schnabel
-    (1994): Theta = S A S' - S X' - X S' with R = triu(S'Y), D its diagonal,
-    W = H_p Y, X = W R^-1 and A = R^-T (D + Y'W) R^-1 = G'G + Z'X for
-    G = D^1/2 R^-1, Z = Y R^-1.  Theta is zero outside its sigma x sigma block,
-    sigma the suffix indices, and its (not sigma) x sigma block and transpose,
-    so |Theta|^2 = |Theta_ss|^2 + 2 |Theta_ps|^2.  Returns (defect, scale),
-    scale the second fold's |Theta| floored at sqrt(d) h0.
+    ``prefix`` and both suffixes are histories (indices, R); ``suffix_b`` lists
+    the indices of ``suffix_a`` after the last of them, as an event's full
+    suffix does.  A suffix with basis vectors S and variations Y folds the
+    prefix operator H_p into H_p + Theta, in the inverse compact form of Byrd,
+    Nocedal and Schnabel (1994): Theta = S A S' - S X' - X S' with R = triu(S'Y),
+    D its diagonal, W = H_p Y, X = W R^-1 and A = R^-T (D + Y'W) R^-1 = G'G + Z'X
+    for G = D^1/2 R^-1, Z = Y R^-1.  Theta is zero outside its sigma x sigma
+    block, sigma the suffix indices, and its (not sigma) x sigma block and
+    transpose, so |Theta|^2 = |Theta_ss|^2 + 2 |Theta_ps|^2.  Returns (defect,
+    scale), scale the second fold's |Theta| floored at sqrt(d) h0.
     """
+    sigma = list(suffix_a[0])
+    if list(suffix_b[0]) != sigma[-1:] + sigma:
+        raise ValueError(f"suffix indices {list(suffix_b[0])} are not {sigma[-1:] + sigma}")
+    d, k = len(suffix_a[1]), len(sigma)
     w = _two_loop(prefix[1], prefix[0], h0, np.hstack([suffix_a[1], suffix_b[1]]))
-    sigma = np.unique(np.concatenate([suffix_a[0], suffix_b[0]]).astype(np.intp))
 
     def fold(idx, Y, W):
-        # one solve [Z; X; G] R = [Y; W; D^1/2] reads only R, the upper triangle
-        # of S'Y; A = G'G + Z'X never forms D + Y'W, which cancels when R is
-        # ill-conditioned
-        SY = Y[idx, :]
-        rhs = np.vstack([Y, W, np.diag(np.sqrt(SY.diagonal()))])
-        Z, X, G = np.split(dtrsm(1.0, SY, rhs, side=1), [len(Y), 2 * len(Y)])
-        # sel is S' restricted to sigma: a repeated index sums its two columns
-        sel = np.equal.outer(idx, sigma).astype(float)
-        XS = X @ sel
-        ss = sel.T @ (G.T @ G + Z.T @ X) @ sel - XS[sigma] - XS[sigma].T
-        XS[sigma] = 0.0
-        # Theta's entries as a vector whose 2-norm is Theta's Frobenius norm
-        return np.concatenate([ss.ravel(), np.sqrt(2.0) * XS.ravel()])
+        # (A, X) with columns in sigma's order, from one solve
+        # [Z; G; X; G] R = [Y; D^1/2; W; D^1/2] that reads only R, the upper
+        # triangle of S'Y; A = [Z; G]'[X; G] never forms D + Y'W, which cancels
+        # when R is ill-conditioned
+        n, SY = len(idx), Y[idx, :]
+        rhs = np.empty((2 * (d + n), n), order="F")
+        rhs[:d], rhs[d + n:-n] = Y, W
+        rhs[d:d + n] = rhs[-n:] = np.diag(np.sqrt(SY.diagonal()))
+        sol = dtrsm(1.0, SY, rhs, side=1, overwrite_b=1)
+        if n > k:
+            # S' restricted to sigma: the repeated index sums its two columns
+            sol[:, -1] += sol[:, 0]
+            sol = sol[:, 1:]
+        return sol[:d + n].T @ sol[d + n:], sol[d + n:-n]
 
-    w_a, w_b = np.hsplit(w, [len(suffix_a[0])])
-    theta_a = fold(list(suffix_a[0]), suffix_a[1], w_a)
-    theta_b = fold(list(suffix_b[0]), suffix_b[1], w_b)
-    scale = max(float(np.linalg.norm(theta_b)), np.sqrt(len(w)) * h0, 1e-30)
-    return float(np.linalg.norm(theta_a - theta_b)), scale
+    def norm(A, X):
+        # |Theta| from its sigma x sigma block and, with X's sigma rows zeroed in
+        # place, the rest of its columns
+        XS = X[sigma]
+        X[sigma] = 0.0
+        return math.hypot(np.linalg.norm(A - XS - XS.T), math.sqrt(2.0) * np.linalg.norm(X))
+
+    A_a, X_a = fold(sigma, suffix_a[1], w[:, :k])
+    A_b, X_b = fold(sigma[-1:] + sigma, suffix_b[1], w[:, k:])
+    defect = norm(A_a - A_b, X_a - X_b)
+    return defect, max(norm(A_b, X_b), math.sqrt(d) * h0, 1e-30)
 
 
 def _schur_suffix(store: PairStore, j: int, r: np.ndarray) -> np.ndarray:
@@ -110,16 +123,16 @@ def _schur_suffix(store: PairStore, j: int, r: np.ndarray) -> np.ndarray:
         # rejects it while it is empty (p = 0)
         if p:
             w = F[i, :p]
-            s = np.sqrt(1.0 + h0 * float(w @ w))
+            s = math.sqrt(1.0 + h0 * (w @ w))
             dger(-h0 / (s * (1.0 + s)), F[:, :p] @ w, w, a=F[:, :p], overwrite_a=1)
             F[i, :p] = 0.0
-        F[:, p] = R[:, p] / np.sqrt(R[i, p])
+        np.divide(R[:, p], math.sqrt(R[i, p]), out=F[:, p])
         if p > j:
             # Schur_a(B_p) e_i = G G[i, :]', G = F - (F f) f'/|f|^2 with f = F[a, :]'
             f = F[a, : p + 1]
             G = dger(-1.0 / (f @ f), F[:, : p + 1] @ f, f, a=F[:, : p + 1])
             G[a] = 0.0
-            out[:, p - j - 1] = G @ G[i]
+            np.dot(G, G[i], out=out[:, p - j - 1])
     out[:, -1] = r
     return out
 

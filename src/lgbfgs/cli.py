@@ -20,8 +20,9 @@ problem, solver entry or synth spec, or unwritable output (``ConfigError``),
 
 Inputs are JSON objects.  Each has a table of required (*) and optional
 fields below; ``_checked`` rejects a missing or unknown field and a value of
-another JSON type (a bool is not a number, a float not an integer).  An
-omitted optional field takes the default in brackets.
+another JSON type (a bool is not a number, a float not an integer, and
+``NaN``, ``Infinity`` and ``-Infinity`` are not numbers).  An omitted optional
+field takes the default in brackets.
 
 * run config: ``problem``* object, ``solvers``* nonempty list of solver
   entries, ``seed``* integer >= 0, ``output`` string [``trace.csv``],
@@ -36,7 +37,7 @@ omitted optional field takes the default in brackets.
   nonempty list of integers, not both; ``alpha``, ``h0_scale`` numbers
   [method default, 1/L]; ``correction`` string [``off``]; ``subset_policy``
   string [``adaptive``]; ``lbfgs_scaling`` string [``fixed``].
-* synth spec: ``n``*, ``d``* integers >= 0, ``kind`` string [``logistic``],
+* synth spec: ``n``*, ``d``* integers >= 1, ``kind`` string [``logistic``],
   ``seed`` integer >= 0 [0], ``output`` string [``synthetic.libsvm``].
 
 README.md has an example run config.  The trace CSV starts with a schema
@@ -51,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -97,11 +99,13 @@ def _list_of(item, kinds: str):
             f"a nonempty list of {kinds}")
 
 
-# JSON types: a check and its description; a bool is never a number and a
-# float never an integer
+# JSON types: a check and its description; a bool is never a number, a float
+# never an integer, and the NaN and Infinity literals that Python's json reads
+# are no JSON number
 _INT = (lambda v: type(v) is int, "an integer")
 _COUNT = (lambda v: type(v) is int and v >= 0, "an integer >= 0")
-_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_SIZE = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_NUMBER = (lambda v: type(v) is int or type(v) is float and math.isfinite(v), "a number")
 _BOOL = (lambda v: type(v) is bool, "true or false")
 _STR = (lambda v: type(v) is str, "a string")
 _OBJECT = (lambda v: type(v) is dict, "an object")
@@ -120,7 +124,7 @@ _SOLVER = ({"method": _STR},
            {"tau": _INT, "taus": _list_of(_INT, "integers"), "alpha": _NUMBER,
             "correction": _STR, "subset_policy": _STR, "h0_scale": _NUMBER,
             "lbfgs_scaling": _STR})
-_SYNTH = ({"n": _COUNT, "d": _COUNT},
+_SYNTH = ({"n": _SIZE, "d": _SIZE},
           {"kind": _STR, "seed": _COUNT, "output": (_STR[0], "a path")})
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .objectives import LogisticObjective, QuadraticObjective, row_sums
+from .objectives import LogisticObjective, QuadraticObjective, row_sums, square_rows
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +56,7 @@ class Dataset:
 
     def row_norms(self) -> np.ndarray:
         f = self.features
-        return np.sqrt(row_sums(f.multiply(f) if sp.issparse(f) else f * f))
+        return np.sqrt(row_sums(f.multiply(f)) if sp.issparse(f) else square_rows(f))
 
 
 def _map_label(token: str, lineno: int) -> float:

@@ -15,7 +15,9 @@ The logistic objective picks its feature storage from the density of the
 samples alone: at least ``DENSE_MIN_DENSITY`` of the entries nonzero gives
 C-ordered ndarrays (BLAS matrix-vector products, 16 B per entry for Z and
 Z**2), anything sparser gives CSR plus a CSC copy for columns (32 B per
-nonzero).  Dense wins on both time and memory from density 1/2 up.
+nonzero).  Dense wins on both time and memory from density 1/2 up.  Z**2 is
+kept transposed, d x n (C-ordered or CSR), so a Hessian diagonal over k
+candidate indices reads k rows of it: O(k n), not O(d n).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .errors import CurvatureError
 
@@ -54,6 +55,23 @@ def row_sums(m) -> np.ndarray:
     if n * d == 0:
         return np.zeros(n)
     return np.add.reduceat(m.ravel(), np.arange(0, n * d, d))
+
+
+# rows of a dense Z squared at a time by ``square_rows``
+_BLOCK_ROWS = 128
+
+
+def square_rows(Z: np.ndarray, out_T: np.ndarray | None = None) -> np.ndarray:
+    """``row_sums(Z * Z)`` of a 2-D ndarray, bit for bit, without an n x d
+    temporary: Z is squared a block of rows at a time.  With ``out_T``, a d x n
+    array, the squares are also written into it transposed."""
+    sums = np.empty(Z.shape[0])
+    for k in range(0, Z.shape[0], _BLOCK_ROWS):
+        sq = np.square(Z[k:k + _BLOCK_ROWS])
+        sums[k:k + _BLOCK_ROWS] = row_sums(sq)
+        if out_T is not None:
+            out_T[:, k:k + _BLOCK_ROWS] = sq.T
+    return sums
 
 
 @dataclass(frozen=True)
@@ -94,18 +112,19 @@ class ObjectiveInfo:
 class Point:
     """An iterate x of one objective plus what that objective derives from x alone.
 
-    Made by ``Objective.at``; its arrays are read-only.  ``margins`` (Z @ x)
-    and ``weights`` (the sigmoid curvature weights) are set by the logistic
-    objective only.
+    Made by ``Objective.at``; its arrays are read-only.  ``margins`` (Z @ x),
+    ``weights`` (the sigmoid curvature weights) and ``exp_neg_abs``
+    (exp(-|margins|)) are set by the logistic objective only.
     """
 
     objective: "Objective"
     x: np.ndarray
     margins: np.ndarray | None = None
     weights: np.ndarray | None = None
+    exp_neg_abs: np.ndarray | None = None
 
     def __post_init__(self):
-        for a in (self.x, self.margins, self.weights):
+        for a in (self.x, self.margins, self.weights, self.exp_neg_abs):
             if a is not None:
                 a.flags.writeable = False
 
@@ -271,18 +290,18 @@ class LogisticObjective(Objective):
                 features = features.toarray()
             self._Z = np.ascontiguousarray(features, dtype=float)
             self._Zc = None
-            self._Z2 = self._Z * self._Z
+            self._Z2T = np.empty((d, n))
+            sq_norms = square_rows(self._Z, self._Z2T)
         else:
-            self._Z = sp.csr_matrix(features, dtype=float)
-            self._Zc = self._Z.tocsc()
-            # entrywise square of Z, sharing Z's sparsity arrays
-            self._Z2 = sp.csr_matrix(
-                (self._Z.data**2, self._Z.indices, self._Z.indptr), shape=self._Z.shape
-            )
+            Z = self._Z = sp.csr_matrix(features, dtype=float)
+            Zc = self._Zc = Z.tocsc()
+            # entrywise square of Z', sharing the CSC copy's sparsity arrays
+            self._Z2T = sp.csr_matrix((Zc.data**2, Zc.indices, Zc.indptr), shape=(d, n))
+            sq_norms = row_sums(sp.csr_matrix((Z.data**2, Z.indices, Z.indptr), shape=(n, d)))
         self._y = np.asarray(dataset.labels, dtype=float)
         if self._y.shape != (n,):
             raise ValueError("label count does not match the sample count")
-        max_norm = float(np.sqrt(row_sums(self._Z2).max())) if n else 0.0
+        max_norm = float(np.sqrt(sq_norms.max())) if n else 0.0
         lip = 0.25 * max_norm**2 + self.reg_mu
         self.info = ObjectiveInfo(dim=d, mu=self.reg_mu, lipschitz_L=lip,
                                   hess_lip_CL=float(SIGMOID_CURVATURE_BOUND * max_norm**3))
@@ -293,15 +312,16 @@ class LogisticObjective(Objective):
         margins = self._Z @ x
         # sigma(m)(1 - sigma(m)) per sample, overflow-safe; independent of labels
         a = np.exp(-np.abs(margins))
-        return Point(self, x, margins, a / (1.0 + a) ** 2)
+        return Point(self, x, margins, a / (1.0 + a) ** 2, a)
 
     def value_grad(self, x):
         p = self._point(x)
-        margins = self._y * p.margins
-        value = float(np.mean(np.logaddexp(0.0, -margins)))
+        t, a = self._y * p.margins, p.exp_neg_abs
+        # log(1 + e^-t) = max(0, -t) + log1p(a) and its derivative -sigma(-t)
+        # = -[t > 0 ? a : 1] / (1 + a), from a = e^-|t| (= e^-|m|), which never overflows
+        value = float(np.mean(np.maximum(-t, 0.0) + np.log1p(a)))
         value += 0.5 * self.reg_mu * float(p.x @ p.x)
-        # d/dm log(1 + e^-m) = -sigma(-m)
-        coeff = -self._y * expit(-margins)
+        coeff = -self._y * np.where(t > 0.0, a, 1.0) / (1.0 + a)
         grad = self._Z.T @ coeff / self._n + self.reg_mu * p.x
         return value, grad
 
@@ -322,8 +342,10 @@ class LogisticObjective(Objective):
     def hess_diag(self, x, indices):
         p = self._point(x)
         idx = self._check_indices(indices)
-        diag = self._Z2.T @ p.weights / self._n + self.reg_mu
-        return diag[idx]
+        # the candidates' rows of Z**2' only; the whole basis needs no gather
+        full = idx.size >= self.info.dim
+        diag = (self._Z2T if full else self._Z2T[idx]) @ p.weights / self._n + self.reg_mu
+        return diag[idx] if full else diag
 
     def hess_matrix(self, x):
         p = self._point(x)

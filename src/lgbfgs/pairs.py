@@ -76,15 +76,18 @@ class PairStore:
     def _check_columns(self, indices, R: np.ndarray) -> None:
         """Checks index range, finite entries and curvature R[indices[k], k] > 0 of
         the pairs (indices[k], R[:, k]) in one pass each, naming the first offender."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if np.any(bad := (idx < 0) | (idx >= self.dim)):
-            raise IndexError(f"basis index {idx[bad][0]} out of range for dim {self.dim}")
-        if np.any(bad := ~np.isfinite(R).all(axis=0)):
-            raise ValueError(f"gradient variation at index {idx[bad][0]} has non-finite entries")
-        curv = R[idx, np.arange(idx.size)]
-        if np.any(bad := ~(curv > 0.0)):
-            raise CurvatureError(f"pair at index {idx[bad][0]} has curvature "
-                                 f"{curv[bad][0]:.3e} <= 0")
+        dim = self.dim
+        for i in indices:
+            if not 0 <= i < dim:
+                raise IndexError(f"basis index {i} out of range for dim {dim}")
+        # each check scans everything once and looks for the offender only on failure
+        if not np.isfinite(R).all():
+            k = int(np.argmin(np.isfinite(R).all(axis=0)))
+            raise ValueError(f"gradient variation at index {indices[k]} has non-finite entries")
+        curv = R[indices, range(len(indices))]
+        if not (curv > 0.0).all():
+            k = int(np.argmin(curv > 0.0))
+            raise CurvatureError(f"pair at index {indices[k]} has curvature {curv[k]:.3e} <= 0")
 
     def insert_c1(self, index: int, r) -> None:
         """Append a pair whose index is not stored yet."""

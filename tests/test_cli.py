@@ -298,6 +298,18 @@ class TestSynthCommand:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("size", [{"n": 0, "d": 5}, {"n": 20, "d": 0}], ids=["n", "d"])
+    def test_empty_dataset_spec_is_config_error(self, tmp_path, capsys, size):
+        """A spec with no samples or no features exits 2 and writes nothing,
+        rather than a file that ``run`` rejects as a malformed dataset."""
+        spec, out = tmp_path / "spec.json", tmp_path / "synth.libsvm"
+        spec.write_text(json.dumps(size))
+        assert main(["synth", str(spec), "--output", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        [field] = [k for k, v in size.items() if v == 0]
+        assert f"synth {field} must be an integer >= 1" in err
+        assert not out.exists()
+
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n": 20, "d": 5}))
@@ -353,6 +365,24 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("obj, field, value", [
+        ("config", "grad_tol", float("nan")),
+        ("solver", "h0_scale", float("inf")),
+        ("solver", "h0_scale", -float("inf")),
+    ], ids=["grad_tol_nan", "h0_scale_inf", "h0_scale_minus_inf"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, obj, field, value):
+        """Python's json reads the non-JSON literals NaN, Infinity and -Infinity;
+        a field holding one exits 2 naming the field, before anything runs."""
+        path, cfg = write_config(tmp_path)
+        (cfg if obj == "config" else cfg["solvers"][0])[field] = value
+        path.write_text(json.dumps(cfg))
+        assert re.search(r"\bNaN\b|\bInfinity\b", path.read_text())
+        assert main(["run", str(path)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"{field!r} must be a number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("command, obj, change, field", [
         ("run", "config", {"seed": 1.7}, "seed"),

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 from hypothesis import assume, given, settings
 
 from lgbfgs import objectives
@@ -138,6 +139,46 @@ class TestLogistic:
         ds = synth_logistic_dataset(n=100, d=8, seed=2)
         obj = LogisticObjective(ds, reg_mu=1e-3)
         assert obj.info.lipschitz_L == pytest.approx(0.25 + 1e-3)
+
+    @pytest.mark.parametrize("n, d", [(5000, 1000), (2000, 200)], ids=["fill-d1000", "c3-d200"])
+    @pytest.mark.parametrize("density", [0.0, 2.0], ids=["dense", "csr"])
+    def test_lipschitz_constant_keeps_its_bits(self, n, d, density):
+        """L reads the row sums of Z**2 bit for bit as ``row_sums`` gives them on
+        the n x d squares (dense) or on Z's CSR entries squared, on the
+        benchmark's problems in either layout."""
+        with mock.patch.object(objectives, "DENSE_MIN_DENSITY", density):
+            obj = synth_problem("logistic", d=d, n=n, mu=1e-4, seed=0)
+        Z = obj.dataset.features
+        if density:
+            Z = sp.csr_matrix(Z)
+            sq = sp.csr_matrix((Z.data**2, Z.indices, Z.indptr), shape=Z.shape)
+        else:
+            sq = Z * Z
+        max_norm = float(np.sqrt(objectives.row_sums(sq).max()))
+        assert obj.info.lipschitz_L == 0.25 * max_norm**2 + 1e-4
+
+    def test_value_grad_matches_logaddexp_form(self):
+        """The value and gradient from a = exp(-|m|) match log(1 + e^-ym) by
+        np.logaddexp and its derivative by expit to 1e-14 relative, at margins up
+        to +-800 and without an overflow, invalid or divide warning."""
+        rng = np.random.default_rng(5)
+        n, d, mu = 64, 6, 1e-3
+        Z = rng.standard_normal((n, d))
+        Z[:4] = [[1.0] + [0.0] * (d - 1), [-1.0] + [0.0] * (d - 1)] * 2
+        y = rng.choice([-1.0, 1.0], size=n)
+        obj = LogisticObjective(Dataset(Z, y), reg_mu=mu)
+        for scale in (1e-3, 1.0, 30.0, 800.0):
+            x = np.zeros(d)
+            x[0] = scale
+            x[1:] = rng.standard_normal(d - 1)
+            t = y * (Z @ x)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                f, g = obj.value_grad(x)
+            want_f = np.mean(np.logaddexp(0.0, -t)) + 0.5 * mu * (x @ x)
+            want_g = Z.T @ (-y * expit(-t)) / n + mu * x
+            assert abs(t).max() >= scale
+            assert f == pytest.approx(want_f, rel=1e-14, abs=0)
+            assert np.linalg.norm(g - want_g) <= 1e-14 * np.linalg.norm(want_g)
 
     def test_hess_column_matches_hess_vec_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -347,12 +388,22 @@ class TestPoints:
     @settings(max_examples=60, deadline=None)
     @given(problem=logistic_problems(), data=st.data())
     def test_hess_diag_matches_dense_diagonal(self, problem, data):
+        """In both layouts, hess_diag at an unsorted list with repeats (longer
+        than d or not), a single index and the whole basis is the dense
+        diagonal indexed: read from the candidates' rows of Z**2' alone, or
+        from all of it."""
         obj, x = problem
         d = obj.info.dim
-        indices = data.draw(st.lists(st.integers(0, d - 1), max_size=3 * d))
-        full = obj.hess_matrix(x).diagonal()
-        np.testing.assert_allclose(obj.hess_diag(x, range(d)), full, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(obj.hess_diag(x, indices), full[indices], rtol=1e-14, atol=0)
+        lists = [data.draw(st.lists(st.integers(0, d - 1), max_size=3 * d)),
+                 [data.draw(st.integers(0, d - 1))], range(d)]
+        for density in (0.0, 2.0):
+            with mock.patch.object(objectives, "DENSE_MIN_DENSITY", density):
+                layout = LogisticObjective(obj.dataset, reg_mu=obj.reg_mu)
+            assert stored_dense(layout) == (density == 0.0)
+            full = layout.hess_matrix(x).diagonal()
+            for indices in lists:
+                np.testing.assert_allclose(layout.hess_diag(x, indices), full[list(indices)],
+                                           rtol=1e-14, atol=0)
 
     @settings(max_examples=60, deadline=None)
     @given(problem=st.one_of(logistic_problems(), quadratic_problems()), data=st.data())
@@ -387,7 +438,7 @@ class TestPoints:
         p = obj.at(x)
         x[0] = 7.0
         assert p.x[0] == 1.0
-        for a in (p.x, p.margins, p.weights):
+        for a in (p.x, p.margins, p.weights, p.exp_neg_abs):
             with pytest.raises(ValueError):
                 a[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
