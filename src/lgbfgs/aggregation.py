@@ -5,8 +5,9 @@ slot), pair j is dropped and the gradient variations of the pairs after it are
 rewritten so that the implicit inverse operator built from the shortened
 history equals the one built from the full history plus the new pair
 (displacement aggregation: Berahas, Curtis and Zhou, Math. Program. 2022).
-``retain`` sorts each incoming pair into the store's three retention cases
-(C1 append, C2 replace the last pair, C3 this event).
+``retain`` sorts each incoming pair into the three retention cases (C1
+append, C2 replace the last pair, C3 this event) and writes each through the
+store's one mutation, ``PairStore.replace_suffix``.
 
 The rewritten suffix is one Schur complement per pair.  Let a be the stale
 index.  An inverse update along e_b leaves H's block off row and column b
@@ -147,48 +148,49 @@ def _event_histories(store: PairStore, j: int, index: int, r: np.ndarray):
 
 
 def retain(store: PairStore, index: int, r: np.ndarray) -> str:
-    """Retain the pair (index, r) in the store and return its case.
+    """Retain the pair (index, r) in the store and return its case; the one
+    place that tells the cases apart.
 
-    C1: the index is not stored, so the pair is appended (below capacity only;
-    at capacity the greedy subset was violated and ``CurvatureError`` is
-    raised).  C2: it is the most recent index, whose pair is replaced.  C3: it
-    is an older stored index, whose pair ``aggregate_c3`` drops.
+    C1: the index is not stored, so the pair is appended as a one-pair suffix
+    at slot ``size`` (below capacity only; at capacity the greedy subset was
+    violated and ``CurvatureError`` is raised).  C2: it is the most recent
+    index, whose pair is replaced by a one-pair suffix at slot ``size - 1``.
+    C3: it is an older stored index, whose pair ``aggregate_c3`` drops.
     """
     stored = store.indices
-    if index not in stored:
-        store.insert_c1(index, r)
-        return "C1"
-    j = stored.index(index)
-    if j == len(stored) - 1:
-        store.replace_c2(index, r)
-        return "C2"
-    aggregate_c3(store, j, index, r)
-    return "C3"
+    if index in stored[:-1]:
+        aggregate_c3(store, index, r)
+        return "C3"
+    c2 = stored[-1:] == [index]
+    slot = store.size - 1 if c2 else store.size
+    store.replace_suffix(slot, [index], np.asarray(r, dtype=float)[:, None])
+    return "C2" if c2 else "C1"
 
 
-def aggregate_c3(
-    store: PairStore, j: int, index: int, r: np.ndarray, tol: float = GATE_TOL
-) -> None:
-    """Drop stale pair j, rewrite downstream variations, append the pair (index, r).
+def aggregate_c3(store: PairStore, index: int, r: np.ndarray) -> None:
+    """Drop the stale pair at ``index``, rewrite downstream variations, append
+    the pair (index, r).
 
     Mutates the store in place; size and index-distinctness are preserved and
-    the implicit inverse operator matches the full-history one within ``tol``
-    (relative, gated on the exact defect).  Raises ``AggregationError``, leaving
-    the store unchanged, when ``index`` is not stored at slot j before the most
-    recent one, or the defect exceeds ``tol``.
+    the implicit inverse operator matches the full-history one within
+    ``GATE_TOL`` (relative, gated on the exact defect).  Raises
+    ``AggregationError``, leaving the store unchanged, when ``index`` is not
+    stored or is the most recent index, or the defect exceeds ``GATE_TOL``.
     """
     r = store.check_pair(index, r)
-    if not (0 <= j < store.size - 1 and store.indices[j] == int(index)):
+    stored, index = store.indices, int(index)
+    if index not in stored[:-1]:
         raise AggregationError(
-            f"aggregation requires a C3 event at slot {j}; index {index} is not "
-            f"stored there before the last slot (stored {store.indices})"
+            f"aggregation requires a C3 event; index {index} is not stored "
+            f"before the last slot (stored {stored})"
         )
+    j = stored.index(index)
     histories = _event_histories(store, j, index, r)
     defect, scale = _fold_defect(*histories, store.h0_scale)
     # a NaN defect, from a curvature or |f|^2 that underflowed, fails the gate too
-    if not defect <= tol * scale:
+    if not defect <= GATE_TOL * scale:
         raise AggregationError(
-            f"aggregation defect {defect:.3e} exceeds {tol:.1e} * scale "
+            f"aggregation defect {defect:.3e} exceeds {GATE_TOL:.1e} * scale "
             f"{scale:.3e} (block size {store.size - j}, dropped slot {j})"
         )
     store.replace_suffix(j, *histories[1])

@@ -13,7 +13,6 @@ synthetic Gaussian data is dense and never passes through CSR.
 from __future__ import annotations
 
 import gzip
-import io
 import logging
 import math
 import os
@@ -71,19 +70,17 @@ def _map_label(token: str, lineno: int) -> float:
     raise ValueError(f"line {lineno}: non-binary label {token!r}")
 
 
-def parse_libsvm(source, n_features: int | None = None) -> Dataset:
+def parse_libsvm(source) -> Dataset:
     """Parse LIBSVM-formatted text into a Dataset.
 
     ``source`` is a path (``str`` or ``os.PathLike``; gzip when it ends in
     ``.gz``) or a text stream such as ``io.StringIO``; a missing path raises
-    ``FileNotFoundError``.  Feature dimension is inferred from the maximal index
-    unless ``n_features`` is given (needed when separate splits must share a
-    dimension).
+    ``FileNotFoundError``.  The feature dimension is the maximal index.
     """
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
         with gzip.open(path, "rt") if path.endswith(".gz") else open(path) as stream:
-            return parse_libsvm(stream, n_features)
+            return parse_libsvm(stream)
 
     labels: list[float] = []
     data: list[float] = []
@@ -118,22 +115,16 @@ def parse_libsvm(source, n_features: int | None = None) -> Dataset:
 
     if not labels:
         raise ValueError("no samples found in input")
-    d = max_index + 1 if n_features is None else int(n_features)
-    if max_index >= d:
-        raise ValueError(
-            f"feature index {max_index + 1} exceeds declared dimension {d}"
-        )
     features = sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr)),
-        shape=(len(labels), d),
+        shape=(len(labels), max_index + 1),
     )
     return Dataset(features=features, labels=np.array(labels))
 
 
-def serialize_libsvm(ds: Dataset, stream=None) -> str | None:
-    """Write a Dataset back to LIBSVM text; values use shortest round-trip repr."""
-    own = stream is None
-    out = io.StringIO() if own else stream
+def serialize_libsvm(ds: Dataset, stream) -> None:
+    """Write a Dataset to a text stream as LIBSVM text; values use the shortest
+    round-trip repr."""
     csr = sp.csr_matrix(ds.features, copy=True)
     csr.sort_indices()
     for row in range(ds.n_samples):
@@ -141,10 +132,7 @@ def serialize_libsvm(ds: Dataset, stream=None) -> str | None:
         start, stop = csr.indptr[row], csr.indptr[row + 1]
         for k in range(start, stop):
             parts.append(f"{csr.indices[k] + 1}:{float(csr.data[k])!r}")
-        out.write(" ".join(parts) + "\n")
-    if own:
-        return out.getvalue()
-    return None
+        stream.write(" ".join(parts) + "\n")
 
 
 def normalize_rows(ds: Dataset) -> Dataset:

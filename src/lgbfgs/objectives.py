@@ -299,8 +299,6 @@ class LogisticObjective(Objective):
             self._Z2T = sp.csr_matrix((Zc.data**2, Zc.indices, Zc.indptr), shape=(d, n))
             sq_norms = row_sums(sp.csr_matrix((Z.data**2, Z.indices, Z.indptr), shape=(n, d)))
         self._y = np.asarray(dataset.labels, dtype=float)
-        if self._y.shape != (n,):
-            raise ValueError("label count does not match the sample count")
         max_norm = float(np.sqrt(sq_norms.max())) if n else 0.0
         lip = 0.25 * max_norm**2 + self.reg_mu
         self.info = ObjectiveInfo(dim=d, mu=self.reg_mu, lipschitz_L=lip,

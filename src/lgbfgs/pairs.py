@@ -5,13 +5,12 @@ index and its gradient variation r, and a test of whether two variations are
 collinear reduces to exact index comparison.  The variations are the columns of one preallocated
 column-major d x tau array, oldest first; ``R`` is its live d x size block,
 contiguous per variation for the two-loop and as a block for the compact
-representation.  ``lgbfgs.aggregation.retain`` sorts each incoming pair into
-one of the store's mutations:
-
-* C1 -- index not stored yet (only legal below capacity): ``insert_c1``.
-* C2 -- index equals the most recently stored one: ``replace_c2``.
-* C3 -- index equals an older stored pair j: aggregation commits the
-  rewritten suffix through ``replace_suffix``.
+representation.  ``replace_suffix`` is the store's one mutation: it checks a
+whole rewritten suffix before writing any of it, so every invariant holds
+after every call.  ``lgbfgs.aggregation.retain`` alone tells the retention
+cases apart: a C1 (new index) is a one-pair suffix at slot ``size``, a C2
+(the most recent index) one at slot ``size - 1``, and a C3 (an older index)
+the suffix that aggregation rewrites.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ class PairStore:
 
     ``h0_scale`` is the scalar of the diagonal seed operator for the implicit
     inverse-Hessian fold; ``dim`` and ``tau`` are the array's fixed shape.
-    Every mutation keeps at most ``tau`` pairs with pairwise distinct indices
-    and positive curvatures r[index].
+    ``replace_suffix`` keeps at most ``tau`` pairs with pairwise distinct
+    indices and positive curvatures r[index].
     """
 
     def __init__(self, dim: int, tau: int, h0_scale: float = 1.0):
@@ -88,29 +87,6 @@ class PairStore:
         if not (curv > 0.0).all():
             k = int(np.argmin(curv > 0.0))
             raise CurvatureError(f"pair at index {indices[k]} has curvature {curv[k]:.3e} <= 0")
-
-    def insert_c1(self, index: int, r) -> None:
-        """Append a pair whose index is not stored yet."""
-        r = self.check_pair(index, r)
-        if self.size >= self.tau:
-            raise CurvatureError(f"store at capacity tau={self.tau}; cannot append")
-        if int(index) in self._idx:
-            raise CurvatureError(
-                f"index {index} already stored; appending would duplicate a variation"
-            )
-        self._R[:, self.size] = r
-        self._idx.append(int(index))
-
-    def replace_c2(self, index: int, r) -> None:
-        """Replace the most recent pair by a new one at the same index."""
-        r = self.check_pair(index, r)
-        if not self._idx:
-            raise CurvatureError("cannot replace the last pair of an empty store")
-        if int(index) != self._idx[-1]:
-            raise CurvatureError(
-                f"index {index} does not match the last stored index {self._idx[-1]}"
-            )
-        self._R[:, self.size - 1] = r
 
     def replace_suffix(self, j: int, indices, R: np.ndarray) -> None:
         """Replace the pairs from slot j on by the columns of ``R`` at ``indices``;

@@ -86,10 +86,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.alpha is not None and not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.h0_scale is not None and not self.h0_scale > 0:
-            raise ValueError(f"h0_scale must be positive, got {self.h0_scale}")
+        for name in ("alpha", "h0_scale"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not np.isfinite(self.grad_tol):
+            raise ValueError(f"grad_tol must be finite, got {self.grad_tol}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.max_iters < 0:

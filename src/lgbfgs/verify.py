@@ -39,10 +39,11 @@ class CheckResult:
 def _random_store(rng, d, size, h0=None) -> PairStore:
     idxs = rng.permutation(d)[:size]
     store = PairStore(dim=d, tau=max(size, 1), h0_scale=h0 or float(rng.uniform(0.5, 2.0)))
-    for i in idxs:
+    R = np.empty((d, size))
+    for k, i in enumerate(idxs):
         a = rng.standard_normal((d, d))
-        a = a @ a.T + d * np.eye(d)
-        store.insert_c1(int(i), a[:, int(i)])
+        R[:, k] = (a @ a.T + d * np.eye(d))[:, i]
+    store.replace_suffix(0, idxs, R)
     return store
 
 
@@ -144,13 +145,12 @@ def check_aggregation_equivalence(cases: int = 100, seed: int = 3) -> CheckResul
         d = int(rng.integers(3, 13))
         size = int(rng.integers(2, min(d, 6) + 1))
         store = _random_store(rng, d, size)
-        j = int(rng.integers(0, size - 1))
-        idx = store.indices[j]
+        idx = store.indices[int(rng.integers(0, size - 1))]
         a = rng.standard_normal((d, d))
         r = (a @ a.T + d * np.eye(d))[:, idx]
         target = kernels.dense_H_from_pairs(
             store.indices + [idx], np.column_stack([store.R, r]), store.h0_scale)
-        aggregation.aggregate_c3(store, j, idx, r)
+        aggregation.aggregate_c3(store, idx, r)
         got = _dense_H(store)
         worst = max(worst, float(np.linalg.norm(got - target))
                     / float(np.linalg.norm(target)))
@@ -182,22 +182,21 @@ def _stress_inputs(cases=1500, seed=11, d_max=12, size_max=6, log10_cond=8.0) ->
         h0 = 10.0 ** rng.uniform(-4.0, 1.0)
         indices = tuple(int(i) for i in rng.permutation(d)[:size])
         R = np.column_stack([_ill_conditioned_spd(rng, d, cond)[:, i] for i in indices])
-        j = int(rng.integers(0, size - 1))
-        idx = indices[j]
-        events.append((d, h0, indices, _frozen(R), j, idx,
+        idx = indices[int(rng.integers(0, size - 1))]
+        events.append((d, h0, indices, _frozen(R), idx,
                        _frozen(_ill_conditioned_spd(rng, d, cond)[:, idx])))
     return tuple(events)
 
 
 def _stress_histories(**params):
-    """C3 events (store, j, index, r): d in [3, d_max], 2 to min(d, size_max) stored
+    """C3 events (store, index, r): d in [3, d_max], 2 to min(d, size_max) stored
     pairs, each pair and the new one from its own Hessian of condition number
     log-uniform up to 10**log10_cond, seed scale log-uniform in [1e-4, 10].
     Each event gets a fresh store, since aggregation mutates it."""
-    for d, h0, indices, R, j, idx, r in _stress_inputs(**params):
+    for d, h0, indices, R, idx, r in _stress_inputs(**params):
         store = PairStore(dim=d, tau=len(indices), h0_scale=h0)
         store.replace_suffix(0, indices, R)
-        yield store, j, idx, r
+        yield store, idx, r
 
 
 def check_aggregation_stress(**params) -> CheckResult:
@@ -223,11 +222,11 @@ def check_aggregation_stress_harsh() -> CheckResult:
     return replace(check_aggregation_stress(**_HARSH), name="aggregation_stress_harsh")
 
 
-def _gate_error(store: PairStore, j: int, index: int, r: np.ndarray):
+def _gate_error(store: PairStore, index: int, r: np.ndarray):
     """(error, defect/scale) of the aggregation gate on a C3 event, error the
     largest gap of its (defect, scale) to the dense folds of the same histories
     in ``np.longdouble``, over their scale."""
-    histories = aggregation._event_histories(store, j, index, r)
+    histories = aggregation._event_histories(store, store.indices.index(index), index, r)
     (ip, Rp), (ia, Ra), (ib, Rb) = histories
     h0 = np.longdouble(store.h0_scale)
     H_p = kernels.dense_H_from_pairs(ip, Rp.astype(np.longdouble), h0)

@@ -19,6 +19,14 @@ def random_spd(rng, d):
     return a @ a.T + d * np.eye(d)
 
 
+def store_from(d, h0, indices, column):
+    """A store of the pairs (i, column(i)) for ``indices``, columns drawn in order."""
+    indices = [int(i) for i in indices]
+    store = PairStore(dim=d, tau=len(indices), h0_scale=h0)
+    store.replace_suffix(0, indices, np.column_stack([column(i) for i in indices]))
+    return store
+
+
 def augmented_oracle(store, index, r):
     """Dense fold of the full history plus the new pair (index, r)."""
     return dense_H_from_pairs(store.indices + [index], np.column_stack([store.R, r]),
@@ -33,17 +41,9 @@ class TestCoefficientShapes:
         idx = store.indices[0]
         new = random_spd(rng, 3)[:, idx]
         target = augmented_oracle(store, idx, new)
-        aggregate_c3(store, 0, idx, new)
+        aggregate_c3(store, idx, new)
         rel = np.linalg.norm(_dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-8
-
-    def test_wrong_slot_rejected(self):
-        rng = np.random.default_rng(2)
-        store = _random_store(rng, 5, 3)
-        idx = store.indices[0]
-        new = random_spd(rng, 5)[:, idx]
-        with pytest.raises(AggregationError):
-            aggregate_c3(store, 1, idx, new)
 
     def test_c2_event_rejected(self):
         rng = np.random.default_rng(3)
@@ -51,24 +51,26 @@ class TestCoefficientShapes:
         idx = store.indices[-1]
         new = random_spd(rng, 5)[:, idx]
         with pytest.raises(AggregationError):
-            aggregate_c3(store, 2, idx, new)
+            aggregate_c3(store, idx, new)
 
 
 class TestFailureAtomicity:
-    @pytest.mark.parametrize("slot, j, tol", [
-        (1, 1, 0.0),  # valid event, unreachable tolerance
-        (0, 1, 1e-8),  # wrong slot
-        (3, 3, 1e-8),  # C2 event
+    @pytest.mark.parametrize("index, gate_tol", [
+        ("older", 0.0),  # valid event, unreachable tolerance
+        ("newest", aggregation.GATE_TOL),  # C2 event
+        ("unstored", aggregation.GATE_TOL),
     ])
-    def test_failed_event_leaves_store_unchanged(self, slot, j, tol):
+    def test_failed_event_leaves_store_unchanged(self, monkeypatch, index, gate_tol):
         rng = np.random.default_rng(12)
         store = _random_store(rng, 6, 4)
-        idx = store.indices[slot]
-        new = random_spd(rng, 6)[:, idx]
         indices = store.indices
+        idx = {"older": indices[1], "newest": indices[3],
+               "unstored": min(set(range(6)) - set(indices))}[index]
+        new = random_spd(rng, 6)[:, idx]
         r_bytes = store.R.tobytes()
+        monkeypatch.setattr(aggregation, "GATE_TOL", gate_tol)
         with pytest.raises(AggregationError):
-            aggregate_c3(store, j, idx, new, tol=tol)
+            aggregate_c3(store, idx, new)
         assert store.indices == indices
         assert store.R.tobytes() == r_bytes
 
@@ -88,18 +90,16 @@ class TestNewPairChecks:
         before = (store.indices, store.R.tobytes())
         monkeypatch.setattr(aggregation, "_schur_suffix", None)
         with pytest.raises(error):
-            aggregate_c3(store, 1, idx, new)
+            aggregate_c3(store, idx, new)
         assert (store.indices, store.R.tobytes()) == before
 
 
 class TestAggregateStructure:
     def test_dropped_index_moves_to_end(self):
         rng = np.random.default_rng(4)
-        store = PairStore(dim=4, tau=2, h0_scale=1.0)
-        store.insert_c1(1, random_spd(rng, 4)[:, 1])
-        store.insert_c1(2, random_spd(rng, 4)[:, 2])
+        store = store_from(4, 1.0, [1, 2], lambda i: random_spd(rng, 4)[:, i])
         new = random_spd(rng, 4)[:, 1]
-        aggregate_c3(store, 0, 1, new)
+        aggregate_c3(store, 1, new)
         assert store.indices == [2, 1]
         assert store.size == 2
         np.testing.assert_array_equal(store.R[:, -1], new)
@@ -111,7 +111,7 @@ class TestAggregateStructure:
         j = 2
         idx = store.indices[j]
         new = random_spd(rng, 8)[:, idx]
-        aggregate_c3(store, j, idx, new)
+        aggregate_c3(store, idx, new)
         np.testing.assert_array_equal(store.R[:, :2], prefix)
 
     def test_size_constant_across_fuzzed_events(self):
@@ -123,7 +123,7 @@ class TestAggregateStructure:
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
             new = random_spd(rng, d)[:, idx]
-            aggregate_c3(store, j, idx, new)
+            aggregate_c3(store, idx, new)
             assert store.size == size
             assert len(set(store.indices)) == size
 
@@ -136,7 +136,7 @@ class TestAggregateStructure:
             j = int(rng.integers(0, size - 1))
             idx = store.indices[j]
             new = random_spd(rng, d)[:, idx]
-            aggregate_c3(store, j, idx, new)
+            aggregate_c3(store, idx, new)
             assert np.all(store.R[store.indices, np.arange(size)] > 0.0)
 
 
@@ -192,9 +192,8 @@ class TestSchurSuffix:
         rng = np.random.default_rng(seed)
         size = 2 + int(size_frac * (min(d, 8) - 2))
         j = int(j_frac * (size - 2))
-        store = PairStore(dim=d, tau=size, h0_scale=10.0**log10_h0)
-        for i in rng.permutation(d)[:size]:
-            store.insert_c1(i, verify._ill_conditioned_spd(rng, d, 10.0**log10_cond)[:, i])
+        store = store_from(d, 10.0**log10_h0, rng.permutation(d)[:size],
+                           lambda i: verify._ill_conditioned_spd(rng, d, 10.0**log10_cond)[:, i])
         new = verify._ill_conditioned_spd(rng, d, 10.0**log10_cond)[:, store.indices[j]]
         got = aggregation._schur_suffix(store, j, new)[:, :-1]
         want = schur_columns(store, j, verify._exact_direct_fold)
@@ -241,7 +240,7 @@ class TestSchurSuffix:
         rng = np.random.default_rng(15)
         store = _random_store(rng, 30, 12)
         idx = store.indices[0]
-        aggregate_c3(store, 0, idx, random_spd(rng, 30)[:, idx])
+        aggregate_c3(store, idx, random_spd(rng, 30)[:, idx])
         assert calls == ["dtrsm", "dtrsm"]
 
 
@@ -249,12 +248,10 @@ class TestFoldEquivalence:
     def test_three_dim_hand_case(self):
         """Two stored pairs, repeat of the first: equivalence at 1e-8."""
         rng = np.random.default_rng(8)
-        store = PairStore(dim=3, tau=2, h0_scale=1.0)
-        store.insert_c1(0, random_spd(rng, 3)[:, 0])
-        store.insert_c1(1, random_spd(rng, 3)[:, 1])
+        store = store_from(3, 1.0, [0, 1], lambda i: random_spd(rng, 3)[:, i])
         new = random_spd(rng, 3)[:, 0]
         target = augmented_oracle(store, 0, new)
-        aggregate_c3(store, 0, 0, new)
+        aggregate_c3(store, 0, new)
         rel = np.linalg.norm(_dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-8
 
@@ -270,15 +267,12 @@ class TestFoldEquivalence:
             d = int(rng.integers(4, 12))
             A = random_spd(rng, d)
             size = int(rng.integers(2, min(d, 6) + 1))
-            store = PairStore(dim=d, tau=size,
-                              h0_scale=1.0 / float(np.linalg.eigvalsh(A)[-1]))
-            for i in rng.permutation(d)[:size]:
-                store.insert_c1(int(i), A[:, int(i)])
-            j = int(rng.integers(0, size - 1))
-            idx = store.indices[j]
+            store = store_from(d, 1.0 / float(np.linalg.eigvalsh(A)[-1]),
+                               rng.permutation(d)[:size], lambda i: A[:, i])
+            idx = store.indices[int(rng.integers(0, size - 1))]
             new = A[:, idx]
             target = augmented_oracle(store, idx, new)
-            aggregate_c3(store, j, idx, new)
+            aggregate_c3(store, idx, new)
             rel = np.linalg.norm(_dense_H(store) - target) \
                 / np.linalg.norm(target)
             worst = max(worst, rel)
@@ -292,7 +286,7 @@ class TestFoldEquivalence:
         idx = store.indices[0]
         new = random_spd(rng, d)[:, idx]
         target = augmented_oracle(store, idx, new)
-        aggregate_c3(store, 0, idx, new)
+        aggregate_c3(store, idx, new)
         rel = np.linalg.norm(_dense_H(store) - target) / np.linalg.norm(target)
         assert rel <= 1e-10
 
@@ -311,11 +305,9 @@ class TestFoldDefect:
         """The same oracle on histories with d 3-16, up to 8 pairs, seed scale
         log-uniform in [1e-6, 1e2] and pair condition numbers up to 1e8."""
         rng, size, cond = np.random.default_rng(seed), min(size, d), 10.0**log10_cond
-        store = PairStore(dim=d, tau=size, h0_scale=10.0**log10_h0)
-        for i in rng.permutation(d)[:size]:
-            store.insert_c1(i, verify._ill_conditioned_spd(rng, d, cond)[:, i])
-        j = int(rng.integers(0, size - 1))
-        idx = store.indices[j]
-        out = verify._gate_error(store, j, idx,
+        store = store_from(d, 10.0**log10_h0, rng.permutation(d)[:size],
+                           lambda i: verify._ill_conditioned_spd(rng, d, cond)[:, i])
+        idx = store.indices[int(rng.integers(0, size - 1))]
+        out = verify._gate_error(store, idx,
                                  verify._ill_conditioned_spd(rng, d, cond)[:, idx])
         assert out[0] <= 1e-10

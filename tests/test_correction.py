@@ -65,7 +65,7 @@ class TestApplyScaling:
 
     def test_hand_case_direct_operator_doubles(self):
         store = PairStore(dim=2, tau=1, h0_scale=1.0)
-        store.insert_c1(0, np.array([2.0, 0.0]))
+        store.replace_suffix(0, [0], np.array([[2.0], [0.0]]))
         before = dense_B_from_pairs(store.indices, store.R, store.h0_scale)
         apply_scaling(store, 2.0)
         after = dense_B_from_pairs(store.indices, store.R, store.h0_scale)

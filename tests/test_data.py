@@ -51,12 +51,6 @@ class TestParse:
         with pytest.raises(ValueError, match="duplicate"):
             parse_libsvm(io.StringIO("+1 2:1 2:3\n"))
 
-    def test_explicit_dimension(self):
-        ds = parse_libsvm(io.StringIO("+1 1:1\n"), n_features=5)
-        assert ds.n_features == 5
-        with pytest.raises(ValueError, match="exceeds"):
-            parse_libsvm(io.StringIO("+1 7:1\n"), n_features=5)
-
     def test_label_only_row_is_zero_row(self):
         ds = parse_libsvm(io.StringIO("+1 2:1\n-1\n"))
         assert ds.n_samples == 2
@@ -93,12 +87,16 @@ class TestParse:
             parse_libsvm(io.StringIO(text))
 
 
+def libsvm_text(ds):
+    buf = io.StringIO()
+    serialize_libsvm(ds, buf)
+    return buf.getvalue()
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_is_identity(self):
-        rng = np.random.default_rng(0)
         ds = synth_logistic_dataset(n=25, d=7, seed=1)
-        text = serialize_libsvm(ds)
-        again = parse_libsvm(io.StringIO(text), n_features=7)
+        again = parse_libsvm(io.StringIO(libsvm_text(ds)))
         np.testing.assert_array_equal(ds.labels, again.labels)
         np.testing.assert_array_equal(ds.features, again.features.toarray())
 
@@ -142,10 +140,11 @@ class TestDenseLayout:
         entries = rng.standard_normal((10, 6)) * (rng.random((10, 6)) < 0.5)
         entries[:, 5] = 0.0
         labels = rng.choice([-1.0, 1.0], size=10)
-        texts = [serialize_libsvm(ds) for ds in dense_and_csr(entries, labels)]
+        texts = [libsvm_text(ds) for ds in dense_and_csr(entries, labels)]
         assert texts[0] == texts[1]
-        again = parse_libsvm(io.StringIO(texts[0]), n_features=6)
-        np.testing.assert_array_equal(again.features.toarray(), entries)
+        again = parse_libsvm(io.StringIO(texts[0]))
+        # the width read back is the largest stored index: the zero last column drops
+        np.testing.assert_array_equal(again.features.toarray(), entries[:, :5])
         np.testing.assert_array_equal(again.labels, labels)
 
 

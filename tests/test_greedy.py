@@ -12,13 +12,7 @@ from lgbfgs.solvers import SolverConfig
 
 def store_with(indices, d, tau, h0=1.0, matrix=None):
     store = PairStore(dim=d, tau=tau, h0_scale=h0)
-    for i in indices:
-        if matrix is None:
-            r = np.zeros(d)
-            r[i] = 2.0
-        else:
-            r = matrix[:, i].copy()
-        store.insert_c1(i, r)
+    store.replace_suffix(0, indices, (2.0 * np.eye(d) if matrix is None else matrix)[:, indices])
     return store
 
 

@@ -48,7 +48,7 @@ def reference_two_loop(store, v):
 def single_pair_store():
     """One pair (e_0, 2 e_0) over the identity seed in dimension 2."""
     store = PairStore(dim=2, tau=1, h0_scale=1.0)
-    store.insert_c1(0, 2 * E0)
+    store.replace_suffix(0, [0], 2 * E0[:, None])
     return store
 
 

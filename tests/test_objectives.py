@@ -123,7 +123,7 @@ class TestLogistic:
     def test_hess_vec_at_zero_single_sample(self):
         from lgbfgs.data import parse_libsvm
 
-        ds = parse_libsvm(io.StringIO("+1 1:1 2:0\n"), n_features=2)
+        ds = parse_libsvm(io.StringIO("+1 1:1 2:0\n"))
         obj = LogisticObjective(ds, reg_mu=1e-12)
         hv = obj.hess_vec(np.zeros(2), np.array([1.0, 0.0]))
         np.testing.assert_allclose(hv, [0.25, 0.0], atol=1e-10)
@@ -354,7 +354,7 @@ class TestFeatureLayout:
         n, d = 200, 100
         text = "".join(f"+1 {rng.integers(1, d + 1)}:{rng.uniform(0.5, 1.0)!r}\n"
                        for _ in range(n))
-        ds = parse_libsvm(io.StringIO(text), n_features=d)
+        ds = parse_libsvm(io.StringIO(text))
         assert ds.features.nnz == n * d // 100
         obj = LogisticObjective(ds, reg_mu=1e-3)
         assert isinstance(obj._Z, sp.csr_matrix)

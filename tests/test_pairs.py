@@ -1,13 +1,16 @@
-"""Pair store: retention cases, mutations, and capacity/index invariants."""
+"""Pair store: retention cases, its one mutation, and capacity/index invariants."""
+
+from collections import Counter
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lgbfgs import verify
+from lgbfgs import aggregation, solvers, verify
 from lgbfgs.aggregation import aggregate_c3, retain
 from lgbfgs.correction import apply_scaling
+from lgbfgs.data import synth_problem
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import dense_H_from_pairs
 from lgbfgs.pairs import PairStore
@@ -27,44 +30,54 @@ def dense_r(idx, rng, d=5):
 
 def store_with(indices, dim=5, tau=4, scales=None):
     store = PairStore(dim=dim, tau=tau)
-    for k, i in enumerate(indices):
-        store.insert_c1(i, unit_r(i, dim, 2.0 if scales is None else scales[k]))
+    R = np.zeros((dim, len(indices)))
+    R[indices, range(len(indices))] = 2.0 if scales is None else scales
+    store.replace_suffix(0, indices, R)
     return store
 
 
+def snapshot(store):
+    return store.indices, store.R.tobytes()
+
+
 class TestCurvaturePair:
-    """The checks a pair (index, r) passes on its way into the store."""
+    """The checks a new pair (index, r) passes on its way in through ``retain``;
+    a rejected pair leaves the store unchanged."""
 
     def test_positive_curvature_required(self):
-        store = PairStore(dim=2, tau=2)
+        store = store_with([1], dim=2, tau=2)
+        before = snapshot(store)
         with pytest.raises(CurvatureError):
-            store.insert_c1(0, np.array([-1.0, 0.0]))
+            retain(store, 0, np.array([-1.0, 0.0]))
         with pytest.raises(CurvatureError):
-            store.insert_c1(1, np.array([1.0, 0.0]))
-        assert store.size == 0
+            retain(store, 0, np.array([0.0, 1.0]))
+        assert snapshot(store) == before
 
     def test_bad_index(self):
-        store = PairStore(dim=2, tau=2)
+        store = store_with([1], dim=2, tau=2)
+        before = snapshot(store)
         with pytest.raises(IndexError):
-            store.insert_c1(3, np.ones(2))
+            retain(store, 3, np.ones(2))
+        assert snapshot(store) == before
 
     def test_dense_variation(self):
         """The variation is stored as a dense float column, copied on entry."""
         store = PairStore(dim=3, tau=2)
         r = np.array([0, 2, 1])
-        store.insert_c1(1, r)
+        assert retain(store, 1, r) == "C1"
         r[:] = 9
         assert store.R.dtype == np.float64
         np.testing.assert_array_equal(store.R, [[0.0], [2.0], [1.0]])
         assert store.R[store.indices[0], 0] == 2.0
 
     def test_shape_and_finiteness(self):
-        store = PairStore(dim=3, tau=2)
+        store = store_with([1], dim=3, tau=2)
+        before = snapshot(store)
         with pytest.raises(ValueError):
-            store.insert_c1(0, np.ones(2))
+            retain(store, 0, np.ones(2))
         with pytest.raises(ValueError):
-            store.insert_c1(0, np.array([1.0, np.nan, 0.0]))
-        assert store.size == 0
+            retain(store, 0, np.array([1.0, np.nan, 0.0]))
+        assert snapshot(store) == before
 
 
 class TestClassify:
@@ -122,51 +135,59 @@ class TestClassify:
 
 
 class TestMutations:
+    """``replace_suffix`` writing the one-pair suffixes of a C1 (slot ``size``)
+    and a C2 (slot ``size - 1``)."""
+
     def test_insert_into_empty(self):
         store = PairStore(dim=5, tau=2)
-        store.insert_c1(0, unit_r(0))
+        store.replace_suffix(0, [0], unit_r(0)[:, None])
         assert store.indices == [0]
 
     def test_insert_appends(self):
         store = store_with([1], tau=2)
-        store.insert_c1(3, unit_r(3))
+        store.replace_suffix(1, [3], unit_r(3)[:, None])
         assert store.indices == [1, 3]
 
     def test_insert_at_capacity_fails(self):
         store = store_with([1, 3], tau=2)
-        with pytest.raises(CurvatureError):
-            store.insert_c1(0, unit_r(0))
+        before = snapshot(store)
+        with pytest.raises(CurvatureError, match="store size 3 exceeds tau=2"):
+            store.replace_suffix(2, [0], unit_r(0)[:, None])
+        assert snapshot(store) == before
 
     def test_replace_last(self):
         store = store_with([1, 3], tau=2, scales=[2.0, 1.0])
-        store.replace_c2(3, unit_r(3, scale=7.0))
+        store.replace_suffix(1, [3], unit_r(3, scale=7.0)[:, None])
         assert store.indices == [1, 3]
         assert store.R[3, -1] == 7.0
 
     def test_replace_single(self):
         store = store_with([1], tau=2, scales=[1.0])
-        store.replace_c2(1, unit_r(1, scale=2.0))
+        store.replace_suffix(0, [1], unit_r(1, scale=2.0)[:, None])
         assert store.size == 1
         assert store.R[1, 0] == 2.0
 
     def test_replace_empty_fails(self):
         store = PairStore(dim=5, tau=2)
-        with pytest.raises(CurvatureError):
-            store.replace_c2(1, unit_r(1))
+        with pytest.raises(IndexError, match="slot -1 out of range"):
+            store.replace_suffix(store.size - 1, [1], unit_r(1)[:, None])
 
     def test_replace_index_mismatch_fails(self):
+        """A last-slot write whose index is stored at an older slot would
+        repeat that index."""
         store = store_with([1, 3], tau=2)
-        with pytest.raises(CurvatureError):
-            store.replace_c2(1, unit_r(1))
-        assert store.R[1, 0] == 2.0
+        before = snapshot(store)
+        with pytest.raises(CurvatureError, match="not pairwise distinct"):
+            store.replace_suffix(1, [1], unit_r(1)[:, None])
+        assert snapshot(store) == before
 
     def test_replace_preserves_size_on_random_sequences(self):
         rng = np.random.default_rng(0)
         store = PairStore(dim=6, tau=3)
-        store.insert_c1(2, dense_r(2, rng, d=6))
+        assert retain(store, 2, dense_r(2, rng, d=6)) == "C1"
         for _ in range(100):
             before = store.size
-            store.replace_c2(store.indices[-1], dense_r(store.indices[-1], rng, d=6))
+            assert retain(store, 2, dense_r(2, rng, d=6)) == "C2"
             assert store.size == before
 
     def test_r_is_a_live_column_major_view(self):
@@ -244,16 +265,45 @@ class TestInvariantFuzz:
 
     def test_validation_rejects_duplicates(self):
         store = store_with([1], tau=3)
-        with pytest.raises(CurvatureError):
-            store.insert_c1(1, unit_r(1))
-        assert store.indices == [1]
+        before = snapshot(store)
+        with pytest.raises(CurvatureError, match="not pairwise distinct"):
+            store.replace_suffix(1, [1], unit_r(1)[:, None])
+        assert snapshot(store) == before
 
     def test_validation_rejects_oversize(self):
         with pytest.raises(ValueError):
             PairStore(dim=5, tau=6)
         store = store_with([1], tau=1)
+        before = snapshot(store)
         with pytest.raises(CurvatureError):
-            store.insert_c1(2, unit_r(2))
+            retain(store, 2, unit_r(2))
+        assert snapshot(store) == before
+
+
+class TestC2Run:
+    def test_c2_heavy_run_keeps_store_invariants(self, monkeypatch):
+        """Neither benchmark workload retains a C2 pair; this uncorrected
+        logistic run retains 55, and after every retention the store holds at
+        most tau pairs with distinct indices, finite variations and positive
+        curvatures."""
+        retained = []
+
+        def checked_retain(store, index, r):
+            retained.append(retain(store, index, r))
+            idx = store.indices
+            assert store.size <= store.tau and len(set(idx)) == store.size
+            assert np.isfinite(store.R).all()
+            assert (store.R[idx, range(store.size)] > 0.0).all()
+            return retained[-1]
+
+        monkeypatch.setattr(aggregation, "retain", checked_retain)
+        obj = synth_problem("logistic", d=20, n=200, mu=1e-3, seed=1)
+        cfg = solvers.SolverConfig(method="lg_bfgs", tau=4, max_iters=60, grad_tol=0.0,
+                                   correction="off")
+        trace = solvers.run(obj, np.ones(20), cfg)
+        assert trace.stop_reason == "max_iters"
+        assert Counter(retained) == {"C1": 4, "C2": 55, "C3": 1}
+        assert retained == [r.case_tag for r in trace.records if r.case_tag]
 
 
 OPS = st.lists(
@@ -283,12 +333,12 @@ class TestStoreProperty:
                 free = [i for i in range(dim) if i not in store.indices]
                 i = int(rng.choice(free))
                 r = dense_r(i, rng, dim)
-                store.insert_c1(i, r)
+                store.replace_suffix(store.size, [i], r[:, None])
                 model.append((i, r))
             elif kind == "C2" and store.size:
                 i = store.indices[-1]
                 r = dense_r(i, rng, dim)
-                store.replace_c2(i, r)
+                store.replace_suffix(store.size - 1, [i], r[:, None])
                 model[-1] = (i, r)
             elif kind == "C3" and store.size >= 2:
                 j = int(rng.integers(0, store.size - 1))
@@ -296,7 +346,7 @@ class TestStoreProperty:
                 r = dense_r(i, rng, dim)
                 indices, cols = zip(*model, (i, r))
                 target = dense_H_from_pairs(indices, np.column_stack(cols), h0)
-                aggregate_c3(store, j, i, r)
+                aggregate_c3(store, i, r)
                 got = dense_H_from_pairs(store.indices, store.R, store.h0_scale)
                 assert np.linalg.norm(got - target) <= 1e-8 * np.linalg.norm(target)
                 model = [(i, store.R[:, k].copy()) for k, i in enumerate(store.indices)]

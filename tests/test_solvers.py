@@ -444,6 +444,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(method="gd", alpha=-1.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "h0_scale", "grad_tol"])
+    def test_non_finite_number_rejected(self, field):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=field):
+                SolverConfig(**{field: value})
+
     def test_fixed_prefix_tau_exceeding_dim(self):
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         cfg = SolverConfig(method="lg_bfgs", tau=5,

@@ -4,9 +4,9 @@ The tracer wraps library functions and objective methods by name and counts
 named arguments; a renamed function, method or argument makes it raise
 ``MissingTarget``.  This runs it on a tiny problem so such a rename fails
 here, in seconds, rather than in a benchmark run.  The run (4 C1 and 21 C3
-steps) also has to reach every wrapped layer of the limited-memory step, so
-a refactor that stops calling a wrapped name through the looked-up
-namespace fails here too.
+steps, after a 2-step dense warm start) also has to call every span in
+``SPAN_NAMES`` without an error, so a refactor that silences a layer or stops
+calling a wrapped name through the looked-up namespace fails here too.
 """
 
 import importlib.util
@@ -39,15 +39,7 @@ def test_lg_bfgs_run_records_every_objective_layer():
         trace = solvers.run(obj, x0, cfg)
     assert trace.stop_reason == "max_iters"
     layers = tracer.layers()
-    names = [t[1] for t in tracer_mod.OBJECTIVE_TARGETS] + [
-        "correction.weighted_step_norm",
-        "correction.apply_scaling",
-        "greedy.greedy_pair",
-        "kernels.compact_B_diag",
-        "kernels.two_loop_direction",
-        "aggregation.aggregate_c3",
-    ]
-    for name in names:
+    for name in tracer_mod.SPAN_NAMES:
         assert layers[name].calls > 0, name
         assert layers[name].errors == 0, name
     assert solvers.run is run  # restored on exit
