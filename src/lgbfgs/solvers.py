@@ -225,7 +225,7 @@ class _BfgsDense(_SecantStep):
 
     def __init__(self, obj, cfg):
         super().__init__(obj, cfg)
-        self.H = self.h0 * np.eye(obj.info.dim)
+        self.H = np.diag(np.full(obj.info.dim, self.h0, dtype=float))
 
     def direction(self, t, x, g):
         return -(self.H @ g)
@@ -239,7 +239,7 @@ class _GreedyBfgs(_Step):
 
     def __init__(self, obj, cfg):
         super().__init__(obj, cfg)
-        self.B = np.eye(obj.info.dim) / self.h0
+        self.B = np.diag(np.full(obj.info.dim, 1.0 / self.h0))
         self.full_basis = list(range(obj.info.dim))
 
     def dense_B(self):
@@ -247,7 +247,9 @@ class _GreedyBfgs(_Step):
 
     def direction(self, t, x, g):
         try:
-            return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.B), g)
+            # cho_factor checks B; the factor it returns and g (``run`` stops on a
+            # non-finite gradient first) are finite
+            return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.B), g, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise CurvatureError(f"dense approximation lost definiteness: {exc}") from exc
 
@@ -255,7 +257,7 @@ class _GreedyBfgs(_Step):
         phi = weighted_step_norm(self.obj, point, point_next)
         psi = scale_factor(phi, self.cfg.correction, self.obj.info.self_concordant_CM, t)
         self.applied = phi, psi, self.full_basis
-        B_hat = psi * self.B
+        B_hat = self.B if psi == 1.0 else psi * self.B
         denom = self.obj.hess_diag(point_next, self.full_basis)
         index = int(np.argmax(np.diag(B_hat) / denom))
         r = self.obj.hess_column(point_next, index)

@@ -1,11 +1,14 @@
 """BFGS kernels against hand values and the dense fold oracle."""
 
+import tracemalloc
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from lgbfgs import verify
+from lgbfgs import kernels, solvers, verify
+from lgbfgs.data import synth_problem
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import (
     compact_B_column,
@@ -106,6 +109,136 @@ class TestDenseUpdates:
             dense_bfgs_update(np.eye(2), E0, -E0)
         with pytest.raises(CurvatureError):
             dense_inv_bfgs_update(np.eye(2), E0, -E0)
+
+
+def textbook_direct(B, s, r):
+    """The direct update as one expression: the reference for the blocked kernel."""
+    c = s @ r
+    bs = B @ s
+    return B + np.outer(r, r) / c - np.outer(bs, bs) / (s @ bs)
+
+
+def textbook_inverse(H, s, r):
+    """The inverse update as one expression: the reference for the blocked kernel."""
+    c = s @ r
+    hr = H @ r
+    return H - (np.outer(s, hr) + np.outer(hr, s)) / c + ((1 + r @ hr / c) / c) * np.outer(s, s)
+
+
+def update_inputs(d, s_kind, seed=0):
+    """An exactly symmetric positive definite B, a unit or dense s and r = A s."""
+    rng = np.random.default_rng(seed)
+    B = random_spd(rng, d)
+    s = np.zeros(d)
+    if s_kind == "unit":
+        s[int(rng.integers(d))] = 1.0
+    else:
+        s[:] = rng.standard_normal(d)
+    return B, s, random_spd(rng, d) @ s
+
+
+BLOCK = kernels._BLOCK_ROWS
+
+
+class TestBlockedUpdates:
+    """The row-blocked kernels give the textbook expressions bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("d", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+    @pytest.mark.parametrize("s_kind", ["unit", "dense"])
+    def test_bitwise_textbook(self, dtype, d, s_kind):
+        B, s, r = update_inputs(d, s_kind)
+        B, r = B.astype(dtype), r.astype(dtype)
+        direct = dense_bfgs_update(B, s, r)
+        assert direct.dtype == dtype
+        np.testing.assert_array_equal(direct, textbook_direct(B, s, r))
+        np.testing.assert_array_equal(direct, direct.T)
+        H = dense_inv_bfgs_update(B, s, r)
+        assert H.dtype == dtype
+        np.testing.assert_array_equal(H, textbook_inverse(B, s, r))
+
+    @pytest.mark.parametrize("s_kind", ["unit", "dense"])
+    def test_float64_matrix_with_long_double_variation(self, s_kind):
+        """Each quotient keeps the dtype the expression gives it: B's term in
+        float64, r's in long double, the sum in long double."""
+        B, s, r = update_inputs(2 * BLOCK + 3, s_kind, seed=1)
+        r = r.astype(np.longdouble)
+        direct = dense_bfgs_update(B, s, r)
+        assert direct.dtype == np.longdouble
+        np.testing.assert_array_equal(direct, textbook_direct(B, s, r))
+        np.testing.assert_array_equal(direct, direct.T)
+        np.testing.assert_array_equal(dense_inv_bfgs_update(B, s, r), textbook_inverse(B, s, r))
+
+    def test_input_is_not_written(self):
+        B, s, r = update_inputs(BLOCK + 1, "dense")
+        before = B.copy()
+        dense_bfgs_update(B, s, r)
+        dense_inv_bfgs_update(B, s, r)
+        np.testing.assert_array_equal(B, before)
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes numpy allocated while ``fn`` ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestUpdateMemory:
+    """A dense step holds its d x d arrays and one block of rows, no more."""
+
+    @pytest.mark.parametrize("update", [dense_bfgs_update, dense_inv_bfgs_update])
+    def test_one_update_allocates_one_output(self, update):
+        d = 512
+        B, s, r = update_inputs(d, "dense")
+        _, peak = traced_peak(update, B, s, r)
+        assert peak <= 1.35 * 8 * d * d
+
+    def test_greedy_run_peak(self):
+        """A step holds B, the Cholesky factor and the next B, about 2.3 d x d
+        arrays; one more d x d temporary or copy of B breaks the bound."""
+        d = 400
+        obj = synth_problem("logistic", d=d, n=1200, mu=1e-3, seed=0)
+        cfg = solvers.SolverConfig(method="greedy_bfgs", max_iters=3, grad_tol=0.0)
+        trace, peak = traced_peak(solvers.run, obj, np.zeros(d), cfg)
+        assert trace.stop_reason == "max_iters"
+        assert peak <= 2.75 * 8 * d * d
+
+
+class TestDenseTraceEquivalence:
+    """Dense runs give the same iterates with the textbook kernels patched in."""
+
+    @staticmethod
+    def parent_direct(B, s, r):
+        # the textbook update with the symmetrization the blocked kernel drops
+        out = textbook_direct(B, s, r)
+        return 0.5 * (out + out.T)
+
+    @staticmethod
+    def greedy_iterates():
+        obj = synth_problem("logistic", d=300, n=900, mu=1e-3, seed=0)
+        x0 = solvers.warm_start(obj, np.zeros(300), 3)
+        cfg = solvers.SolverConfig(method="greedy_bfgs", max_iters=3, grad_tol=0.0)
+        return x0.tobytes(), solvers.run(obj, x0, cfg).x_final.tobytes()
+
+    @staticmethod
+    def dense_bfgs_iterate():
+        obj = synth_problem("logistic", d=300, n=900, mu=1e-3, seed=0)
+        cfg = solvers.SolverConfig(method="bfgs_dense", max_iters=8, grad_tol=0.0)
+        return solvers.run(obj, np.zeros(300), cfg).x_final.tobytes()
+
+    def test_greedy_bfgs(self, monkeypatch):
+        blocked = self.greedy_iterates()
+        monkeypatch.setattr(kernels, "dense_bfgs_update", self.parent_direct)
+        assert self.greedy_iterates() == blocked
+
+    def test_bfgs_dense(self, monkeypatch):
+        blocked = self.dense_bfgs_iterate()
+        monkeypatch.setattr(kernels, "dense_inv_bfgs_update", textbook_inverse)
+        assert self.dense_bfgs_iterate() == blocked
 
 
 class TestDenseFold:
