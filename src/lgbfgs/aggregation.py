@@ -74,12 +74,7 @@ def _fold_defect(prefix, suffix_a, suffix_b, h0: float) -> tuple[float, float]:
     if list(suffix_b[0]) != sigma[-1:] + sigma:
         raise ValueError(f"suffix indices {list(suffix_b[0])} are not {sigma[-1:] + sigma}")
     d, k = len(suffix_a[1]), len(sigma)
-    if prefix[0]:
-        w = _two_loop(prefix[1], prefix[0], h0, np.hstack([suffix_a[1], suffix_b[1]]))
-        w_a, w_b = w[:, :k], w[:, k:]
-    else:
-        # an empty prefix leaves H_p = h0 I: the two-loop's bits without its copies
-        w_a, w_b = h0 * suffix_a[1], h0 * suffix_b[1]
+    w = _two_loop(prefix[1], prefix[0], h0, np.hstack([suffix_a[1], suffix_b[1]]))
 
     def fold(idx, Y, W):
         # (A, X) with columns in sigma's order, from one solve
@@ -104,8 +99,8 @@ def _fold_defect(prefix, suffix_a, suffix_b, h0: float) -> tuple[float, float]:
         X[sigma] = 0.0
         return math.hypot(np.linalg.norm(A - XS - XS.T), math.sqrt(2.0) * np.linalg.norm(X))
 
-    A_a, X_a = fold(sigma, suffix_a[1], w_a)
-    A_b, X_b = fold(sigma[-1:] + sigma, suffix_b[1], w_b)
+    A_a, X_a = fold(sigma, suffix_a[1], w[:, :k])
+    A_b, X_b = fold(sigma[-1:] + sigma, suffix_b[1], w[:, k:])
     defect = norm(A_a - A_b, X_a - X_b)
     return defect, max(norm(A_b, X_b), math.sqrt(d) * h0, 1e-30)
 

@@ -1,9 +1,8 @@
 """BFGS numerical kernels.
 
 Dense rank-two updates (direct and inverse form) act as oracles and drive the
-dense baselines; each fills one new d x d array a block of rows at a time, with
-no d x d temporary.  The two-loop recursion and the compact representation are
-the production paths: they read a :class:`~lgbfgs.pairs.PairStore`'s variation
+dense baselines.  The two-loop recursion and the compact representation are the
+production paths: they read a :class:`~lgbfgs.pairs.PairStore`'s variation
 array ``R`` and index list directly, or any d x m variation array with its
 indices, and never materialize a d x d matrix.  Folding the inverse update
 over a history (indices, R, h0) in storage order from ``h0 * I`` defines the
@@ -29,19 +28,9 @@ def _curvature(s: np.ndarray, r: np.ndarray):
     return c
 
 
-# rows of a dense rank-two update filled at a time: one scratch block of this
+# rows of the dense direct update filled at a time: one scratch block of this
 # many rows stands in for the d x d temporaries of the textbook expression
 _BLOCK_ROWS = 64
-
-
-def _row_blocks(out: np.ndarray):
-    """Yield each block of ``out``'s rows (a slice) with a scratch array of its
-    shape and dtype; every block reuses one buffer."""
-    d = out.shape[0]
-    buf = np.empty((min(_BLOCK_ROWS, d), d), dtype=out.dtype)
-    for lo in range(0, d, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        yield rows, buf[: min(_BLOCK_ROWS, d - lo)]
 
 
 def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -59,10 +48,13 @@ def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray
     sbs = s @ bs
     if sbs <= 0.0:
         raise CurvatureError(f"s'Bs = {sbs:.3e} <= 0: input lost positive definiteness")
+    d = B.shape[0]
     out = np.empty(B.shape, dtype=np.result_type(B, s, r))
+    buf = np.empty((min(_BLOCK_ROWS, d), d), dtype=out.dtype)
     # each quotient keeps its own dtype when B, s and r differ (float64 B, long-double r)
     r_type = np.result_type(r, c)
-    for rows, tmp in _row_blocks(out):
+    for lo in range(0, d, _BLOCK_ROWS):
+        rows, tmp = slice(lo, lo + _BLOCK_ROWS), buf[: min(_BLOCK_ROWS, d - lo)]
         np.divide(np.multiply.outer(r[rows], r, out=tmp), c, out=tmp, dtype=r_type)
         np.add(B[rows], tmp, out=out[rows])
         np.divide(np.multiply.outer(bs[rows], bs, out=tmp), sbs, out=tmp, dtype=bs.dtype)
@@ -74,22 +66,11 @@ def dense_inv_bfgs_update(H: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.nda
     """Inverse-form rank-two update: H+ = V'HV + ss'/(s'r), V = I - rs'/(s'r).
 
     Expanded as H - (s(Hr)' + (Hr)s')/c + (1 + r'Hr/c) ss'/c with c = s'r,
-    which is O(d^2) and exactly symmetric for a symmetric H.  Entry (i, j) is
-    (H_ij - ((s_i hr_j + hr_i s_j)/c)) + coef (s_i s_j), bit for bit that
-    expression, filled a block of rows at a time into one new d x d array.
+    which is O(d^2) and exactly symmetric for a symmetric H.
     """
     c = _curvature(s, r)
     hr = H @ r
-    coef = (1 + r @ hr / c) / c
-    out = np.empty(H.shape, dtype=np.result_type(H, s, r))
-    for rows, tmp in _row_blocks(out):
-        # out[rows] holds hr_i s_j until H's rows are read into it
-        np.add(np.multiply.outer(s[rows], hr, out=tmp),
-               np.multiply.outer(hr[rows], s, out=out[rows]), out=tmp)
-        np.subtract(H[rows], np.divide(tmp, c, out=tmp), out=out[rows])
-        np.add(out[rows], np.multiply(np.multiply.outer(s[rows], s, out=tmp), coef, out=tmp),
-               out=out[rows])
-    return out
+    return H - (np.outer(s, hr) + np.outer(hr, s)) / c + ((1 + r @ hr / c) / c) * np.outer(s, s)
 
 
 def dense_H_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:
@@ -97,21 +78,23 @@ def dense_H_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:
 
     Test oracle; indices may repeat, as in a full history before aggregation.
     """
-    return _inv_fold(np.diag(np.full(R.shape[0], h0)), indices, R)
+    return _inv_fold(h0 * np.eye(R.shape[0]), indices, R)
 
 
 def _inv_fold(H: np.ndarray, indices, R: np.ndarray) -> np.ndarray:
     """Continue an inverse fold from H over the pairs (e_indices[k], R[:, k])."""
+    eye = np.eye(R.shape[0])
     for k, i in enumerate(indices):
-        H = dense_inv_bfgs_update(H, np.eye(1, R.shape[0], i)[0], R[:, k])
+        H = dense_inv_bfgs_update(H, eye[i], R[:, k])
     return H
 
 
 def dense_B_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:
     """Fold the direct update over the pairs (e_indices[k], R[:, k]) from I / h0."""
-    B = np.diag(np.full(R.shape[0], 1.0 / h0))
+    eye = np.eye(R.shape[0])
+    B = (1.0 / h0) * eye
     for k, i in enumerate(indices):
-        B = dense_bfgs_update(B, np.eye(1, R.shape[0], i)[0], R[:, k])
+        B = dense_bfgs_update(B, eye[i], R[:, k])
     return B
 
 

@@ -225,7 +225,7 @@ class _BfgsDense(_SecantStep):
 
     def __init__(self, obj, cfg):
         super().__init__(obj, cfg)
-        self.H = np.diag(np.full(obj.info.dim, self.h0, dtype=float))
+        self.H = self.h0 * np.eye(obj.info.dim)
 
     def direction(self, t, x, g):
         return -(self.H @ g)
@@ -247,9 +247,7 @@ class _GreedyBfgs(_Step):
 
     def direction(self, t, x, g):
         try:
-            # cho_factor checks B; the factor it returns and g (``run`` stops on a
-            # non-finite gradient first) are finite
-            return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.B), g, check_finite=False)
+            return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.B), g)
         except scipy.linalg.LinAlgError as exc:
             raise CurvatureError(f"dense approximation lost definiteness: {exc}") from exc
 
