@@ -147,12 +147,14 @@ class TestBlockedUpdate:
         np.testing.assert_array_equal(direct, textbook_direct(B, s, r))
         np.testing.assert_array_equal(direct, direct.T)
 
+    @pytest.mark.parametrize("b_dtype, r_dtype", [(np.float64, np.longdouble),
+                                                  (np.longdouble, np.float64)])
     @pytest.mark.parametrize("s_kind", ["unit", "dense"])
-    def test_float64_matrix_with_long_double_variation(self, s_kind):
-        """Each quotient keeps the dtype the expression gives it: B's term in
-        float64, r's in long double, the sum in long double."""
+    def test_mixed_precision(self, b_dtype, r_dtype, s_kind):
+        """Each quotient keeps the dtype the expression gives it (B's term in
+        B's, r's in r's), and the sum is in long double."""
         B, s, r = update_inputs(2 * BLOCK + 3, s_kind, seed=1)
-        r = r.astype(np.longdouble)
+        B, r = B.astype(b_dtype), r.astype(r_dtype)
         direct = dense_bfgs_update(B, s, r)
         assert direct.dtype == np.longdouble
         np.testing.assert_array_equal(direct, textbook_direct(B, s, r))
