@@ -135,13 +135,18 @@ def serialize_libsvm(ds: Dataset, stream) -> None:
         stream.write(" ".join(parts) + "\n")
 
 
-def normalize_rows(ds: Dataset) -> Dataset:
-    """Scale every nonzero row to unit Euclidean norm; zero rows stay zero."""
+def _inverse_row_norms(ds: Dataset) -> np.ndarray:
+    """1 / each row norm, and 1 for a zero row, which is left unscaled."""
     norms = ds.row_norms()
     n_zero = int(np.sum(norms == 0.0))
     if n_zero:
         logger.warning("normalize_rows: %d zero rows left unscaled", n_zero)
-    inv = 1.0 / np.where(norms > 0.0, norms, 1.0)
+    return 1.0 / np.where(norms > 0.0, norms, 1.0)
+
+
+def normalize_rows(ds: Dataset) -> Dataset:
+    """Scale every nonzero row to unit Euclidean norm; zero rows stay zero."""
+    inv = _inverse_row_norms(ds)
     if sp.issparse(ds.features):
         scaled = sp.csr_matrix(sp.diags(inv) @ ds.features)
     else:
@@ -150,11 +155,16 @@ def normalize_rows(ds: Dataset) -> Dataset:
 
 
 def synth_logistic_dataset(n: int, d: int, seed: int) -> Dataset:
-    """Gaussian samples, unit-normalized rows, random +-1 labels; dense features."""
+    """Gaussian samples, unit-normalized rows, random +-1 labels; dense features.
+
+    The rows are scaled in place, bit for bit as ``normalize_rows`` scales
+    them, so the build holds one n x d array and validates it once.
+    """
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, d))
-    labels = rng.choice([-1.0, 1.0], size=n)
-    return normalize_rows(Dataset(features=raw, labels=labels))
+    ds = Dataset(features=raw, labels=rng.choice([-1.0, 1.0], size=n))
+    raw *= _inverse_row_norms(ds)[:, None]
+    return ds
 
 
 def synth_problem(

@@ -13,11 +13,12 @@ per iterate computes the logistic margins ``Z @ x`` once per iterate.
 
 The logistic objective picks its feature storage from the density of the
 samples alone: at least ``DENSE_MIN_DENSITY`` of the entries nonzero gives
-C-ordered ndarrays (BLAS matrix-vector products, 16 B per entry for Z and
-Z**2), anything sparser gives CSR plus a CSC copy for columns (32 B per
-nonzero).  Dense wins on both time and memory from density 1/2 up.  Z**2 is
-kept transposed, d x n (C-ordered or CSR), so a Hessian diagonal over k
-candidate indices reads k rows of it: O(k n), not O(d n).
+one C-ordered Z (BLAS matrix-vector products, 8 B per entry), anything
+sparser gives CSR plus a CSC copy for columns and a CSR Z**2 kept transposed,
+d x n (32 B per nonzero).  Dense wins on both time and memory from density
+1/2 up.  A Hessian diagonal over k candidate indices costs O(k n), not
+O(d n): on dense Z it squares the candidates' columns a block of rows at a
+time, and on CSR it reads k rows of Z**2'.
 """
 
 from __future__ import annotations
@@ -57,20 +58,16 @@ def row_sums(m) -> np.ndarray:
     return np.add.reduceat(m.ravel(), np.arange(0, n * d, d))
 
 
-# rows of a dense Z squared at a time by ``square_rows``
+# rows of a dense Z squared at a time by ``square_rows`` and ``hess_diag``
 _BLOCK_ROWS = 128
 
 
-def square_rows(Z: np.ndarray, out_T: np.ndarray | None = None) -> np.ndarray:
+def square_rows(Z: np.ndarray) -> np.ndarray:
     """``row_sums(Z * Z)`` of a 2-D ndarray, bit for bit, without an n x d
-    temporary: Z is squared a block of rows at a time.  With ``out_T``, a d x n
-    array, the squares are also written into it transposed."""
+    temporary: Z is squared a block of rows at a time."""
     sums = np.empty(Z.shape[0])
     for k in range(0, Z.shape[0], _BLOCK_ROWS):
-        sq = np.square(Z[k:k + _BLOCK_ROWS])
-        sums[k:k + _BLOCK_ROWS] = row_sums(sq)
-        if out_T is not None:
-            out_T[:, k:k + _BLOCK_ROWS] = sq.T
+        sums[k:k + _BLOCK_ROWS] = row_sums(np.square(Z[k:k + _BLOCK_ROWS]))
     return sums
 
 
@@ -289,9 +286,8 @@ class LogisticObjective(Objective):
             if sp.issparse(features):
                 features = features.toarray()
             self._Z = np.ascontiguousarray(features, dtype=float)
-            self._Zc = None
-            self._Z2T = np.empty((d, n))
-            sq_norms = square_rows(self._Z, self._Z2T)
+            self._Zc = self._Z2T = None
+            sq_norms = square_rows(self._Z)
         else:
             Z = self._Z = sp.csr_matrix(features, dtype=float)
             Zc = self._Zc = Z.tocsc()
@@ -340,9 +336,16 @@ class LogisticObjective(Objective):
     def hess_diag(self, x, indices):
         p = self._point(x)
         idx = self._check_indices(indices)
-        # the candidates' rows of Z**2' only; the whole basis needs no gather
+        # the candidates' entries of Z**2 only; the whole basis needs no gather
         full = idx.size >= self.info.dim
-        diag = (self._Z2T if full else self._Z2T[idx]) @ p.weights / self._n + self.reg_mu
+        if self._Zc is None:
+            diag = np.zeros(self.info.dim if full else idx.size)
+            for k in range(0, self._n, _BLOCK_ROWS):
+                block = self._Z[k:k + _BLOCK_ROWS]
+                diag += p.weights[k:k + _BLOCK_ROWS] @ np.square(block if full else block[:, idx])
+        else:
+            diag = (self._Z2T if full else self._Z2T[idx]) @ p.weights
+        diag = diag / self._n + self.reg_mu
         return diag[idx] if full else diag
 
     def hess_matrix(self, x):

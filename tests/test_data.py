@@ -2,6 +2,7 @@
 
 import gzip
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from lgbfgs.data import (
     synth_logistic_dataset,
     synth_problem,
 )
-from lgbfgs.objectives import LogisticObjective, QuadraticObjective
+from lgbfgs.objectives import _BLOCK_ROWS, LogisticObjective, QuadraticObjective
 
 
 class TestParse:
@@ -213,6 +214,49 @@ class TestSynthProblems:
     def test_labels_are_binary(self):
         ds = synth_logistic_dataset(n=50, d=4, seed=5)
         assert set(np.unique(ds.labels)) == {-1.0, 1.0}
+
+    def test_rows_scaled_in_place_as_normalize_rows_scales_them(self):
+        n, d, seed = 2 * _BLOCK_ROWS + 3, 7, 11
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, d))
+        want = normalize_rows(Dataset(raw, rng.choice([-1.0, 1.0], size=n)))
+        got = synth_logistic_dataset(n, d, seed)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes numpy allocated while ``fn`` ran."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildMemory:
+    """A logistic problem holds one n x d array of samples and no d x n square."""
+
+    n, d = 2000, 200
+
+    def test_dense_objective_allocates_no_square(self):
+        """Building the objective and reading Hessian diagonals allocates one
+        block of squared rows, not Z**2 (8 n d bytes)."""
+        ds = synth_logistic_dataset(self.n, self.d, seed=0)
+
+        def build_and_read():
+            obj = LogisticObjective(ds, reg_mu=1e-4)
+            p = obj.at(np.ones(self.d))
+            obj.hess_diag(p, range(self.d))
+            obj.hess_diag(p, range(0, self.d, 2))
+
+        assert traced_peak(build_and_read) < 0.1 * 8 * self.n * self.d
+
+    def test_synthetic_problem_holds_one_copy_of_the_samples(self):
+        """One n x d array plus the n x d booleans of its finiteness check."""
+        peak = traced_peak(synth_problem, "logistic", n=self.n, d=self.d)
+        assert peak < 1.4 * 8 * self.n * self.d
 
 
 class TestDatasetValidation:

@@ -385,17 +385,11 @@ def method_results(obj, x, v, i, indices):
 class TestPoints:
     """``obj.at(x)`` is an immutable point; every method accepts it for x."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(problem=logistic_problems(), data=st.data())
-    def test_hess_diag_matches_dense_diagonal(self, problem, data):
-        """In both layouts, hess_diag at an unsorted list with repeats (longer
-        than d or not), a single index and the whole basis is the dense
-        diagonal indexed: read from the candidates' rows of Z**2' alone, or
-        from all of it."""
-        obj, x = problem
-        d = obj.info.dim
-        lists = [data.draw(st.lists(st.integers(0, d - 1), max_size=3 * d)),
-                 [data.draw(st.integers(0, d - 1))], range(d)]
+    @staticmethod
+    def assert_hess_diag_is_dense_diagonal(obj, x, lists):
+        """In both layouts, hess_diag at each index list is the dense diagonal
+        indexed: read from the candidates' entries of Z**2 alone, or from all
+        of it."""
         for density in (0.0, 2.0):
             with mock.patch.object(objectives, "DENSE_MIN_DENSITY", density):
                 layout = LogisticObjective(obj.dataset, reg_mu=obj.reg_mu)
@@ -404,6 +398,26 @@ class TestPoints:
             for indices in lists:
                 np.testing.assert_allclose(layout.hess_diag(x, indices), full[list(indices)],
                                            rtol=1e-14, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=logistic_problems(), data=st.data())
+    def test_hess_diag_matches_dense_diagonal(self, problem, data):
+        """An unsorted list with repeats (longer than d or not), a single index
+        and the whole basis; at most 7 samples, so one block of dense rows."""
+        obj, x = problem
+        d = obj.info.dim
+        self.assert_hess_diag_is_dense_diagonal(obj, x, [
+            data.draw(st.lists(st.integers(0, d - 1), max_size=3 * d)),
+            [data.draw(st.integers(0, d - 1))], range(d)])
+
+    def test_hess_diag_sums_blocks_of_rows(self):
+        """2 * _BLOCK_ROWS + 1 samples: the dense loop sums two full blocks of
+        rows and one of a single row, for every kind of index list."""
+        n, d = 2 * objectives._BLOCK_ROWS + 1, 9
+        obj = synth_problem("logistic", d=d, n=n, mu=1e-3, seed=5)
+        x = 3.0 * np.random.default_rng(5).standard_normal(d)
+        self.assert_hess_diag_is_dense_diagonal(obj, x, [
+            [], [4], [7, 2, 2, 8, 0, 7], [8, 0, 5, 5, 1, 2, 3, 3, 6, 4, 7], range(d)])
 
     @settings(max_examples=60, deadline=None)
     @given(problem=st.one_of(logistic_problems(), quadratic_problems()), data=st.data())
