@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .objectives import LogisticObjective, QuadraticObjective, row_sums, square_rows
+from .objectives import (_BLOCK_ROWS, LogisticObjective, QuadraticObjective, row_sums,
+                         square_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -38,8 +39,11 @@ class Dataset:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("label count does not match the sample count")
-        values = self.features.data if sp.issparse(self.features) else self.features
-        if not np.all(np.isfinite(values)):
+        f = self.features
+        # dense samples a block of rows at a time: no n x d booleans
+        blocks = [f.data] if sp.issparse(f) else (
+            f[k:k + _BLOCK_ROWS] for k in range(0, f.shape[0], _BLOCK_ROWS))
+        if not all(np.isfinite(block).all() for block in blocks):
             raise ValueError("features have non-finite entries")
         bad = np.setdiff1d(np.unique(self.labels), [-1.0, 1.0])
         if bad.size:

@@ -1,10 +1,12 @@
 """BFGS numerical kernels.
 
 Dense rank-two updates (direct and inverse form) act as oracles and drive the
-dense baselines.  The two-loop recursion and the compact representation are the
-production paths: they read a :class:`~lgbfgs.pairs.PairStore`'s variation
-array ``R`` and index list directly, or any d x m variation array with its
-indices, and never materialize a d x d matrix.  Folding the inverse update
+dense baselines; ``dense_solve`` solves with the dense greedy baseline's B
+through a Cholesky factor built in B's own storage.  The two-loop recursion
+and the compact representation are the production paths: they read a
+:class:`~lgbfgs.pairs.PairStore`'s variation array ``R`` and index list
+directly, or any d x m variation array with its indices, and never
+materialize a d x d matrix.  Folding the inverse update
 over a history (indices, R, h0) in storage order from ``h0 * I`` defines the
 implicit operator every equivalence test refers back to.  The compact
 representation is seed-free, B = (I - S S')/h0 + F F', so no 1/h0 term
@@ -14,7 +16,7 @@ cancels at a stored index and its entries stay accurate at any seed scale.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dpotrf, dpotrs, dtrtrs
 
 from .errors import CurvatureError
 from .pairs import PairStore
@@ -33,7 +35,8 @@ def _curvature(s: np.ndarray, r: np.ndarray):
 _BLOCK_ROWS = 64
 
 
-def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Rank-two secant update of a dense Hessian approximation.
 
     B+ = B + r r'/(r's) - B s s' B/(s'Bs); keeps positive definiteness whenever
@@ -41,15 +44,24 @@ def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray
     output of this update is: entry (i, j) is (B_ij + (r_i r_j)/c) - (bs_i bs_j)/sbs,
     each operation in the dtype the textbook expression gives it, so the result
     is bit for bit that expression and exactly symmetric.  Filled a block of
-    rows at a time into one new d x d array; B is only read.
+    rows at a time into ``out``, a new d x d array by default.  ``out`` may be
+    B itself, which updates B in place with the same bits (B s is taken before
+    any row is written), but no other array that shares memory with B.
     """
+    dtype = np.result_type(B, s, r)
+    if out is None:
+        out = np.empty(B.shape, dtype=dtype)
+    elif out.shape != B.shape or out.dtype != dtype:
+        raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
+                         f"expected {B.shape} and {dtype}")
+    elif out is not B and np.may_share_memory(out, B):
+        raise ValueError("out shares memory with B without being B")
     c = _curvature(s, r)
     bs = B @ s
     sbs = s @ bs
     if sbs <= 0.0:
         raise CurvatureError(f"s'Bs = {sbs:.3e} <= 0: input lost positive definiteness")
     d = B.shape[0]
-    out = np.empty(B.shape, dtype=np.result_type(B, s, r))
     buf = np.empty((min(_BLOCK_ROWS, d), d), dtype=out.dtype)
     # each quotient keeps its own dtype when B, s and r differ (float64 B, long-double r)
     r_type = np.result_type(r, c)
@@ -60,6 +72,33 @@ def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray
         np.divide(np.multiply.outer(bs[rows], bs, out=tmp), sbs, out=tmp, dtype=bs.dtype)
         np.subtract(out[rows], tmp, out=out[rows])
     return out
+
+
+def dense_solve(B: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """B^-1 v for an exactly symmetric, C-ordered float64 B, through a Cholesky
+    factor built in B's own storage; B holds its old bits again on return.
+
+    LAPACK factors the upper triangle of B's transpose, which is B's lower
+    triangle in memory, as ``scipy.linalg.cho_factor`` factors the upper
+    triangle of its Fortran-ordered copy of B: the factor and the solution are
+    bit for bit ``cho_solve(cho_factor(B), v)``, without the d x d copy.  The
+    lower triangle is then restored from the untouched strict upper one and a
+    saved diagonal, also when B is not positive definite (``CurvatureError``).
+    """
+    diag = B.diagonal().copy()
+    try:
+        factor, info = dpotrf(B.T, lower=0, clean=0, overwrite_a=1)
+        if info > 0:
+            raise CurvatureError(f"dense approximation lost definiteness: {info}-th "
+                                 "leading minor of the array is not positive definite")
+        return dpotrs(factor, v, lower=0)[0]
+    finally:
+        d = B.shape[0]
+        for lo in range(0, d, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, d)
+            below = np.arange(hi) < np.arange(lo, hi)[:, None]
+            np.copyto(B[lo:hi, :hi], B[:hi, lo:hi].T, where=below)
+        np.fill_diagonal(B, diag)
 
 
 def dense_inv_bfgs_update(H: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:

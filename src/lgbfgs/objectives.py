@@ -58,7 +58,8 @@ def row_sums(m) -> np.ndarray:
     return np.add.reduceat(m.ravel(), np.arange(0, n * d, d))
 
 
-# rows of a dense Z squared at a time by ``square_rows`` and ``hess_diag``
+# rows of a dense sample array read at a time by ``square_rows``, by ``hess_diag``
+# over the whole basis and by ``Dataset``'s finiteness check
 _BLOCK_ROWS = 128
 
 
@@ -340,9 +341,16 @@ class LogisticObjective(Objective):
         full = idx.size >= self.info.dim
         if self._Zc is None:
             diag = np.zeros(self.info.dim if full else idx.size)
-            for k in range(0, self._n, _BLOCK_ROWS):
-                block = self._Z[k:k + _BLOCK_ROWS]
-                diag += p.weights[k:k + _BLOCK_ROWS] @ np.square(block if full else block[:, idx])
+            # one reused block of _BLOCK_ROWS * d squared entries, however few
+            # the candidates; the indices are checked, so "clip" never clips
+            rows = max(_BLOCK_ROWS, _BLOCK_ROWS * self.info.dim // max(idx.size, 1))
+            buf = np.empty((min(rows, self._n), diag.size))
+            for k in range(0, self._n, rows):
+                block = self._Z[k:k + rows]
+                squares = buf[:block.shape[0]]
+                if not full:
+                    block = np.take(block, idx, axis=1, out=squares, mode="clip")
+                diag += p.weights[k:k + rows] @ np.square(block, out=squares)
         else:
             diag = (self._Z2T if full else self._Z2T[idx]) @ p.weights
         diag = diag / self._n + self.reg_mu

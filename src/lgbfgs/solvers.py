@@ -37,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import aggregation, diagnostics, greedy, kernels
 from .correction import BASIC, MODES, OFF, apply_scaling, scale_factor, weighted_step_norm
@@ -235,7 +234,13 @@ class _BfgsDense(_SecantStep):
 
 
 class _GreedyBfgs(_Step):
-    """Dense greedy baseline: full-basis selection, optional correction."""
+    """Dense greedy baseline: full-basis selection, optional correction.
+
+    The step holds one d x d array, B.  The direction factors B in its own
+    storage and restores it (``kernels.dense_solve``); the correction scales B
+    in place and the update writes B+ over B.  ``dense_B`` hands out a copy,
+    since the next step changes B.
+    """
 
     def __init__(self, obj, cfg):
         super().__init__(obj, cfg)
@@ -243,25 +248,23 @@ class _GreedyBfgs(_Step):
         self.full_basis = list(range(obj.info.dim))
 
     def dense_B(self):
-        return self.B
+        return self.B.copy()
 
     def direction(self, t, x, g):
-        try:
-            return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.B), g)
-        except scipy.linalg.LinAlgError as exc:
-            raise CurvatureError(f"dense approximation lost definiteness: {exc}") from exc
+        return -kernels.dense_solve(self.B, g)
 
     def curvature(self, t, point, point_next):
         phi = weighted_step_norm(self.obj, point, point_next)
         psi = scale_factor(phi, self.cfg.correction, self.obj.info.self_concordant_CM, t)
         self.applied = phi, psi, self.full_basis
-        B_hat = self.B if psi == 1.0 else psi * self.B
+        if psi != 1.0:
+            self.B *= psi
         denom = self.obj.hess_diag(point_next, self.full_basis)
-        index = int(np.argmax(np.diag(B_hat) / denom))
+        index = int(np.argmax(np.diag(self.B) / denom))
         r = self.obj.hess_column(point_next, index)
         s = np.zeros(self.obj.info.dim)
         s[index] = 1.0
-        self.B = kernels.dense_bfgs_update(B_hat, s, r)
+        self.B = kernels.dense_bfgs_update(self.B, s, r, out=self.B)
         return {}
 
 

@@ -254,9 +254,19 @@ class TestBuildMemory:
         assert traced_peak(build_and_read) < 0.1 * 8 * self.n * self.d
 
     def test_synthetic_problem_holds_one_copy_of_the_samples(self):
-        """One n x d array plus the n x d booleans of its finiteness check."""
+        """One n x d array; its finiteness check reads a block of rows at a time."""
         peak = traced_peak(synth_problem, "logistic", n=self.n, d=self.d)
-        assert peak < 1.4 * 8 * self.n * self.d
+        assert peak < 1.15 * 8 * self.n * self.d
+
+    def test_finiteness_check_allocates_a_block_of_rows(self):
+        """Validating dense samples allocates far less than the n x d booleans
+        (1/8 of 8 n d bytes) of a check over all of them at once."""
+        raw = np.random.default_rng(0).standard_normal((self.n, self.d))
+        labels = np.ones(self.n)
+        assert traced_peak(Dataset, raw, labels) < 0.03 * 8 * self.n * self.d
+        raw[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(raw, labels)
 
 
 class TestDatasetValidation:

@@ -5,9 +5,10 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 
-from lgbfgs import kernels, solvers, verify
+from lgbfgs import diagnostics, kernels, solvers, verify
 from lgbfgs.data import synth_problem
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import (
@@ -17,6 +18,7 @@ from lgbfgs.kernels import (
     dense_bfgs_update,
     dense_H_from_pairs,
     dense_inv_bfgs_update,
+    dense_solve,
     two_loop_direction,
 )
 from lgbfgs.pairs import PairStore
@@ -166,6 +168,46 @@ class TestBlockedUpdate:
         dense_bfgs_update(B, s, r)
         np.testing.assert_array_equal(B, before)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("d", [1, BLOCK + 1, 3 * BLOCK + 1])
+    @pytest.mark.parametrize("s_kind", ["unit", "dense"])
+    def test_in_place(self, dtype, d, s_kind):
+        """out=B writes the out-of-place result over B, bit for bit."""
+        B, s, r = update_inputs(d, s_kind)
+        B, r = B.astype(dtype), r.astype(dtype)
+        fresh = dense_bfgs_update(B, s, r)
+        assert dense_bfgs_update(B, s, r, out=B) is B
+        np.testing.assert_array_equal(B, fresh)
+
+    def test_rejects_bad_out(self):
+        B, s, r = update_inputs(5, "dense")
+        before = B.copy()
+        for out in (np.empty((5, 4)), np.empty((5, 5), dtype=np.float32),
+                    np.empty((5, 5), dtype=np.longdouble), B.T, B[:]):
+            with pytest.raises(ValueError, match="out "):
+                dense_bfgs_update(B, s, r, out=out)
+        np.testing.assert_array_equal(B, before)
+
+
+class TestDenseSolve:
+    """The in-place Cholesky solve is cho_solve(cho_factor(B), v) and leaves B as it was."""
+
+    @pytest.mark.parametrize("d", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 1])
+    def test_bitwise_cho_solve(self, d):
+        B, v, _ = update_inputs(d, "dense", seed=2)
+        before = B.copy()
+        expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(B), v)
+        np.testing.assert_array_equal(dense_solve(B, v), expected)
+        np.testing.assert_array_equal(B, before)
+
+    def test_indefinite_raises_with_B_restored(self):
+        B, v, _ = update_inputs(2 * BLOCK + 3, "dense", seed=3)
+        B[BLOCK + 7, BLOCK + 7] = -1.0
+        before = B.copy()
+        with pytest.raises(CurvatureError, match=f"{BLOCK + 8}-th leading minor"):
+            dense_solve(B, v)
+        np.testing.assert_array_equal(B, before)
+
 
 def traced_peak(fn, *args):
     """(result, peak bytes numpy allocated while ``fn`` ran)."""
@@ -187,24 +229,28 @@ class TestUpdateMemory:
         assert peak <= 1.35 * 8 * d * d
 
     def test_greedy_run_peak(self):
-        """A step holds B, the Cholesky factor and the next B, about 2.3 d x d
-        arrays; one more d x d temporary or copy of B breaks the bound."""
+        """A step holds B, factored, scaled and updated in place, and blocks of
+        rows: about 1.4 d x d arrays with the objective's, uncorrected or
+        corrected; one more d x d temporary or copy of B breaks the bound."""
         d = 400
         obj = synth_problem("logistic", d=d, n=1200, mu=1e-3, seed=0)
-        cfg = solvers.SolverConfig(method="greedy_bfgs", max_iters=3, grad_tol=0.0)
-        trace, peak = traced_peak(solvers.run, obj, np.zeros(d), cfg)
-        assert trace.stop_reason == "max_iters"
-        assert peak <= 2.75 * 8 * d * d
+        for correction in ("off", "basic"):
+            cfg = solvers.SolverConfig(method="greedy_bfgs", max_iters=3, grad_tol=0.0,
+                                       correction=correction)
+            trace, peak = traced_peak(solvers.run, obj, np.zeros(d), cfg)
+            assert trace.stop_reason == "max_iters"
+            assert peak <= 1.6 * 8 * d * d, correction
 
 
 class TestDenseTraceEquivalence:
     """Greedy runs give the same iterates with the textbook update patched in."""
 
     @staticmethod
-    def symmetrized_textbook(B, s, r):
-        # the textbook update with the symmetrization the blocked kernel drops
-        out = textbook_direct(B, s, r)
-        return 0.5 * (out + out.T)
+    def symmetrized_textbook(B, s, r, out=None):
+        # the textbook update with the symmetrization the blocked kernel drops,
+        # in a fresh array whatever ``out`` is
+        B_new = textbook_direct(B, s, r)
+        return 0.5 * (B_new + B_new.T)
 
     @staticmethod
     def greedy_iterates():
@@ -217,6 +263,39 @@ class TestDenseTraceEquivalence:
         blocked = self.greedy_iterates()
         monkeypatch.setattr(kernels, "dense_bfgs_update", self.symmetrized_textbook)
         assert self.greedy_iterates() == blocked
+
+    @pytest.mark.parametrize("correction", ["off", "basic"])
+    def test_dense_diagnostics_see_each_step_B(self, monkeypatch, correction):
+        """A step scales and updates B in place; the dense diagnostics of its
+        row must still read the B it started from, as with an update into
+        fresh arrays.  Over the full basis ``beta_tau`` is 1 whatever B is, so
+        the error matrices it is read from are compared too."""
+        condition = diagnostics.relative_condition_numbers
+
+        def rows():
+            errors = []
+
+            def spy(E, subset):
+                errors.append(E.copy())
+                return condition(E, subset)
+
+            monkeypatch.setattr(diagnostics, "relative_condition_numbers", spy)
+            obj = synth_problem("logistic", d=20, n=100, mu=1e-3, seed=1)
+            cfg = solvers.SolverConfig(method="greedy_bfgs", max_iters=6, grad_tol=0.0,
+                                       correction=correction, record_dense_diags=True)
+            trace = solvers.run(obj, np.zeros(20), cfg)
+            assert trace.stop_reason == "max_iters"
+            assert len(errors) == 6
+            return [(r.beta_tau, r.sigma, r.lambda_f) for r in trace.records], errors
+
+        in_place, in_place_errors = rows()
+        update = kernels.dense_bfgs_update
+        monkeypatch.setattr(kernels, "dense_bfgs_update",
+                            lambda B, s, r, out=None: update(B, s, r))
+        fresh, fresh_errors = rows()
+        assert fresh == in_place
+        for E, E_fresh in zip(in_place_errors, fresh_errors):
+            np.testing.assert_array_equal(E, E_fresh)
 
 
 class TestDenseFold:

@@ -411,9 +411,11 @@ class TestPoints:
             [data.draw(st.integers(0, d - 1))], range(d)])
 
     def test_hess_diag_sums_blocks_of_rows(self):
-        """2 * _BLOCK_ROWS + 1 samples: the dense loop sums two full blocks of
-        rows and one of a single row, for every kind of index list."""
-        n, d = 2 * objectives._BLOCK_ROWS + 1, 9
+        """2 * _BLOCK_ROWS * d + 1 samples: the dense loop squares blocks of
+        _BLOCK_ROWS * d entries, so it sums two full blocks of rows and one of
+        a single row for one index, and more blocks for longer lists."""
+        d = 9
+        n = 2 * objectives._BLOCK_ROWS * d + 1
         obj = synth_problem("logistic", d=d, n=n, mu=1e-3, seed=5)
         x = 3.0 * np.random.default_rng(5).standard_normal(d)
         self.assert_hess_diag_is_dense_diagonal(obj, x, [
