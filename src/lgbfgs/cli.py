@@ -15,8 +15,9 @@ Subcommands:
 Exit codes (each error class carries its own; ``main`` prints ``error: ...``
 and returns it): 0 success, 1 verification failure, 2 malformed config,
 problem, solver entry or synth spec, or unwritable output (``ConfigError``),
-3 unreadable or malformed dataset (``DatasetError``), 4 invalid memory size
-(``TauError``).  The environment variable ``LGBFGS_LOG`` sets the log level.
+3 unreadable or malformed dataset (``DatasetError``), 4 a memory size tau < 1
+(``TauError``); an lg_bfgs tau above the dimension runs as the dimension.
+The environment variable ``LGBFGS_LOG`` sets the log level.
 
 Inputs are JSON objects.  Each has a table of required (*) and optional
 fields below; ``_checked`` rejects a missing or unknown field and a value of
@@ -36,7 +37,8 @@ field takes the default in brackets.
 * solver entry: ``method``* string; ``tau`` integer [10] or ``taus``
   nonempty list of integers, not both; ``alpha``, ``h0_scale`` numbers
   [method default, 1/L]; ``correction`` string [``off``]; ``subset_policy``
-  string [``adaptive``]; ``lbfgs_scaling`` string [``fixed``].
+  string [``adaptive``]; ``lbfgs_scaling`` string [``fixed``].  A second
+  cell for one (method, tau) is a ``ConfigError``: CSV rows are keyed by both.
 * synth spec: ``n``*, ``d``* integers >= 1, ``kind`` string [``logistic``],
   ``seed`` integer >= 0 [0], ``output`` string [``synthetic.libsvm``].
 
@@ -209,6 +211,8 @@ def _solver_cells(cfg: ExperimentConfig) -> list[SolverConfig]:
         for tau in entry.pop("taus", None) or [entry.pop("tau", 10)]:
             if tau < 1:
                 raise TauError(f"invalid tau {tau} for solver {entry['method']}")
+            if any((c.method, c.tau) == (entry["method"], tau) for c in cells):
+                raise ConfigError(f"{what}: a second cell for {entry['method']} tau={tau}")
             try:
                 cells.append(SolverConfig(**entry, tau=tau, max_iters=cfg.max_iters,
                                           grad_tol=cfg.grad_tol,
@@ -233,13 +237,6 @@ def run_experiment(cfg: ExperimentConfig) -> str:
     """Execute the sweep and write the CSV trace; returns the output path."""
     cells = _solver_cells(cfg)
     obj = _build_objective(cfg.problem, cfg.seed)
-    for cell in cells:
-        if cell.method == "lg_bfgs" and cell.subset_policy == "fixed_prefix" \
-                and cell.tau > obj.info.dim:
-            raise TauError(
-                f"invalid tau {cell.tau}: exceeds dimension {obj.info.dim} "
-                "under the fixed_prefix policy"
-            )
     x0 = warm_start(obj, np.zeros(obj.info.dim), cfg.warm_start_k0)
     traces = []
     for cell in cells:

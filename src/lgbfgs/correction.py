@@ -4,15 +4,16 @@ Scaling the seed operator down by psi and every stored gradient variation up
 by psi multiplies the implicit direct operator by psi, which is how the
 dominance condition on the Hessian approximation is enforced without ever
 forming it: one in-place multiply of the store's variation array and one
-division of its seed scale.  psi = 1 + CM * phi where phi is the
-curvature-weighted step length; the ``delta`` variant adds a geometrically
-decaying slack term.
+division of its seed scale.  psi = 1 + CM * phi where phi is the step's
+length weighted by the Hessian at its departure point (``weighted_step_norm``);
+the ``delta`` variant adds a geometrically decaying slack term.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import CurvatureError
 from .objectives import Objective, Point
 from .pairs import PairStore
 
@@ -26,16 +27,17 @@ DELTA0 = 0.1
 DECAY = 0.5
 
 
-def weighted_step_norm(obj: Objective, x, x_next) -> float:
-    """Step length weighted by the Hessian at the departure point.
-
-    Either point may be an array or a ``Point`` of ``obj``; the curvature at
-    a departure ``Point`` is reused, not recomputed.
-    """
-    def coords(p):
-        return p.x if isinstance(p, Point) else np.asarray(p, dtype=float)
-
-    return obj.weighted_norm(x, coords(x_next) - coords(x))
+def weighted_step_norm(obj: Objective, point: Point, point_next: Point) -> float:
+    """sqrt(s' * hess(x) * s) for the step s from ``point`` to ``point_next``,
+    two points of ``obj``: the step length weighted by the Hessian at the
+    departure point, whose curvature is reused, not recomputed."""
+    s = point_next.x - point.x
+    rad = float(s @ obj.hess_vec(point, s))
+    if rad < -1e-12 * max(1.0, float(s @ s)):
+        raise CurvatureError(
+            f"negative curvature radicand {rad:.3e}; Hessian contract broken"
+        )
+    return float(np.sqrt(max(rad, 0.0)))
 
 
 def scale_factor(phi: float, mode: str, cm: float, t: int) -> float:

@@ -1,10 +1,10 @@
 """Objective-function contracts plus the two concrete objectives used everywhere.
 
 An objective exposes fused value/gradient evaluation, Hessian-vector and
-Hessian-column products, fused Hessian diagonal entries, and a curvature-weighted
-norm.  Hessians are never materialized outside of the diagnostic helper
-``hess_matrix``.  Instances are immutable after construction and safe to share
-across concurrent runs.
+Hessian-column products and fused Hessian diagonal entries.  Hessians are
+never materialized outside of the diagnostic helper ``hess_matrix``.
+Instances are immutable after construction and safe to share across
+concurrent runs.
 
 ``obj.at(x)`` evaluates what every method needs from x alone once and returns
 it as an immutable ``Point``; each method accepts such a point wherever it
@@ -28,8 +28,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-
-from .errors import CurvatureError
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -128,7 +126,7 @@ class Point:
 
 
 class Objective:
-    """Base class: value/gradient, Hessian products, and weighted norms.
+    """Base class: value/gradient and Hessian products.
 
     Every method takes its point x as an array or as a ``Point`` made by
     this objective's ``at``.
@@ -158,17 +156,6 @@ class Objective:
     def hess_matrix(self, x) -> np.ndarray:
         """Dense Hessian.  Diagnostics and tests only; O(d^2) storage."""
         raise NotImplementedError
-
-    def weighted_norm(self, x, v: np.ndarray) -> float:
-        """sqrt(v' * hess(x) * v); zero iff v = 0 under strong convexity."""
-        p = self._point(x)
-        v = self._check_vector(v)
-        rad = float(v @ self.hess_vec(p, v))
-        if rad < -1e-12 * max(1.0, float(v @ v)):
-            raise CurvatureError(
-                f"negative curvature radicand {rad:.3e}; Hessian contract broken"
-            )
-        return float(np.sqrt(max(rad, 0.0)))
 
     # -- validation helpers -------------------------------------------------
 
@@ -267,7 +254,8 @@ class LogisticObjective(Objective):
 
     The samples are stored dense or as CSR by their density (see the module
     docstring), whatever the layout of ``dataset.features``; a C-contiguous
-    float64 ndarray that stays dense is used without a copy.
+    float64 ndarray that stays dense is used without a copy.  No reference
+    to ``dataset`` is kept, so a CSR input stored dense is freed with it.
 
     With unit-norm rows the gradient-Lipschitz constant is 1/4 + mu; in
     general 0.25 * max_i ||z_i||^2 + mu is used.  The Hessian-Lipschitz
@@ -278,7 +266,6 @@ class LogisticObjective(Objective):
     def __init__(self, dataset: "Dataset", reg_mu: float):
         if not reg_mu > 0:
             raise ValueError(f"reg_mu must be positive, got {reg_mu}")
-        self.dataset = dataset
         self.reg_mu = float(reg_mu)
         features = dataset.features
         n, d = features.shape

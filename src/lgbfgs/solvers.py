@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import aggregation, diagnostics, greedy, kernels
+from . import aggregation, diagnostics, kernels
 from .correction import BASIC, MODES, OFF, apply_scaling, scale_factor, weighted_step_norm
 from .errors import AggregationError, CurvatureError, DiagnosticsError
 from .greedy import ADAPTIVE, POLICIES, greedy_pair, subset_indices
@@ -123,8 +123,6 @@ class IterationRecord:
 class Trace:
     """Full run output: per-iterate records plus the final state."""
 
-    method: str
-    tau: int
     records: list[IterationRecord]
     stop_reason: str
     x_final: np.ndarray
@@ -154,7 +152,6 @@ class _Step:
     def __init__(self, obj: Objective, cfg: SolverConfig):
         self.obj = obj
         self.cfg = cfg
-        self.tau = cfg.tau
         L = obj.info.lipschitz_L
         self.alpha = cfg.alpha if cfg.alpha is not None else (1.0 / L if cfg.method == GD else 1.0)
         self.h0 = cfg.h0_scale if cfg.h0_scale is not None else 1.0 / L
@@ -270,15 +267,13 @@ class _GreedyBfgs(_Step):
 
 class _LgBfgs(_Step):
     """Limited-memory greedy step: two-loop direction, correction scaling,
-    greedy pair selection over the policy subset, and C1/C2/C3 retention."""
+    greedy pair selection over the policy subset, and C1/C2/C3 retention;
+    the store holds min(tau, d) pairs under either policy."""
 
     def __init__(self, obj, cfg):
-        if cfg.subset_policy == greedy.FIXED_PREFIX and cfg.tau > obj.info.dim:
-            raise ValueError("fixed_prefix policy requires tau <= dim")
         super().__init__(obj, cfg)
         self.store = PairStore(dim=obj.info.dim, tau=min(cfg.tau, obj.info.dim),
                                h0_scale=self.h0)
-        self.tau = self.store.tau
 
     def dense_B(self):
         store = self.store
@@ -368,7 +363,7 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
                                        time.perf_counter() - start, **fields))
         if stop_reason is not None:
             break
-    return Trace(cfg.method, method.tau, records, stop_reason, x)
+    return Trace(records, stop_reason, x)
 
 
 def _step_diagnostics(record: IterationRecord, info, cfg: SolverConfig, B, hess, applied,

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -127,11 +128,34 @@ class TestRunExperiment:
         path, _ = write_config(tmp_path, solvers=[{"method": "lg_bfgs", "taus": [0]}])
         assert main(["run", str(path)]) == EXIT_BAD_TAU
 
-    def test_fixed_prefix_tau_above_dimension_exit_code(self, tmp_path, capsys):
-        path, _ = write_config(tmp_path, solvers=[
-            {"method": "lg_bfgs", "taus": [9], "subset_policy": "fixed_prefix"}])
-        assert main(["run", str(path)]) == EXIT_BAD_TAU
-        assert "exceeds dimension 8" in capsys.readouterr().err
+    def test_fixed_prefix_tau_above_dimension_exit_code(self, tmp_path):
+        """tau = d + 5 under fixed_prefix runs as tau = d: exit 0, same rows."""
+        path, cfg = write_config(tmp_path, solvers=[
+            {"method": "lg_bfgs", "taus": [8, 13], "subset_policy": "fixed_prefix"}])
+        assert main(["run", str(path)]) == 0
+        rows = read_rows(cfg["output"])
+        by_tau = [[r[2:-1] for r in rows if r[1] == tau] for tau in ("8", "13")]
+        assert by_tau[0] == by_tau[1] and len(by_tau[0]) == 31
+
+    @pytest.mark.parametrize("solvers, cell", [
+        ([{"method": "lg_bfgs", "tau": 3}, {"method": "lg_bfgs", "tau": 3, "correction": "basic"}],
+         "lg_bfgs tau=3"),
+        ([{"method": "lbfgs", "taus": [5, 3, 5]}], "lbfgs tau=5"),
+    ], ids=["two-entries", "one-taus-list"])
+    def test_repeated_cell_exit_code(self, tmp_path, capsys, solvers, cell):
+        """The CSV keys rows by (solver, tau), so a second cell for a pair is a
+        config error that names it, and nothing is written."""
+        path, _ = write_config(tmp_path, solvers=solvers)
+        assert main(["run", str(path)]) == EXIT_BAD_CONFIG
+        assert f"a second cell for {cell}" in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_output_flag_overrides_config(self, tmp_path):
+        path, cfg = write_config(tmp_path)
+        other = tmp_path / "other.csv"
+        assert main(["run", str(path), "--output", str(other)]) == 0
+        assert len(read_rows(other)) == 2 * 31
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_exit_code_follows_error_type_not_message(self, tmp_path, capsys):
         """An unwritable output whose path names tau is a config error."""
@@ -431,9 +455,13 @@ class TestConfigParsing:
             ExperimentConfig.from_json(str(path))
 
     def test_console_entry_point(self):
+        # the child imports the package under test, also when pytest's
+        # ``pythonpath`` setting put src on sys.path and PYTHONPATH is unset
+        src = os.path.dirname(os.path.dirname(verify.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lgbfgs.cli", "verify", "kernels"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "[PASS]" in proc.stdout

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lgbfgs.correction import apply_scaling, scale_factor, weighted_step_norm
+from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import dense_B_from_pairs, two_loop_direction
 from lgbfgs.objectives import QuadraticObjective
 from lgbfgs.pairs import PairStore
@@ -14,14 +15,22 @@ from lgbfgs.verify import _dense_H, _random_store
 class TestWeightedStepNorm:
     def test_zero_step(self):
         obj = QuadraticObjective(np.array([1.0, 4.0]))
-        x = np.ones(2)
-        assert weighted_step_norm(obj, x, x) == 0.0
+        p = obj.at(np.ones(2))
+        assert weighted_step_norm(obj, p, p) == 0.0
 
     def test_hand_value(self):
         obj = QuadraticObjective(np.array([1.0, 4.0]))
-        assert weighted_step_norm(obj, np.zeros(2), np.ones(2)) == pytest.approx(
-            np.sqrt(5.0)
-        )
+        assert weighted_step_norm(obj, obj.at(np.zeros(2)), obj.at(np.ones(2))) == \
+            pytest.approx(np.sqrt(5.0))
+
+    def test_broken_hessian_raises(self):
+        class Broken(QuadraticObjective):
+            def hess_vec(self, x, v):
+                return -super().hess_vec(x, v)
+
+        obj = Broken(np.array([1.0, 2.0]))
+        with pytest.raises(CurvatureError, match="negative curvature radicand"):
+            weighted_step_norm(obj, obj.at(np.zeros(2)), obj.at(np.ones(2)))
 
 
 class TestScaleFactor:

@@ -197,8 +197,8 @@ class TestSynthProblems:
     def test_determinism(self):
         a = synth_problem("logistic", d=6, n=40, mu=1e-3, seed=7)
         b = synth_problem("logistic", d=6, n=40, mu=1e-3, seed=7)
-        np.testing.assert_array_equal(a.dataset.features, b.dataset.features)
-        np.testing.assert_array_equal(a.dataset.labels, b.dataset.labels)
+        np.testing.assert_array_equal(a._Z, b._Z)
+        np.testing.assert_array_equal(a._y, b._y)
 
     def test_logistic_lipschitz_formula(self):
         obj = synth_problem("logistic", d=50, n=500, mu=1e-4, seed=0)

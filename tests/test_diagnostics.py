@@ -120,7 +120,7 @@ def residual(obj, x, x_next, B, B_after, subset):
     """The contraction slack of a step from x to x_next, every row value formed
     from the matrices as the solver loop forms them."""
     hess, hess_next = obj.hess_matrix(x), obj.hess_matrix(x_next)
-    phi = weighted_step_norm(obj, x, x_next)
+    phi = weighted_step_norm(obj, obj.at(x), obj.at(x_next))
     corr = 1.0 + obj.info.self_concordant_CM * phi
     _, beta = relative_condition_numbers(corr * B - hess_next, subset)
     return contraction_residual(obj.info, B, hess, phi, beta, trace_metric(obj, x, B),

@@ -1,7 +1,10 @@
-"""Objective contracts: values, gradients, Hessian products, weighted norms, points."""
+"""Objective contracts: values, gradients, Hessian products, points, stored samples."""
 
 import dataclasses
+import gc
 import io
+import tracemalloc
+import weakref
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -13,8 +16,8 @@ from scipy.special import expit
 from hypothesis import assume, given, settings
 
 from lgbfgs import objectives
+from lgbfgs.correction import weighted_step_norm
 from lgbfgs.data import Dataset, parse_libsvm, synth_logistic_dataset, synth_problem
-from lgbfgs.errors import CurvatureError
 from lgbfgs.objectives import LogisticObjective, ObjectiveInfo, QuadraticObjective
 
 
@@ -80,14 +83,6 @@ class TestQuadratic:
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         np.testing.assert_allclose(obj.hess_column(np.zeros(2), 1), [0.0, 2.0])
 
-    def test_weighted_norm_diag(self):
-        obj = QuadraticObjective(np.array([1.0, 4.0]))
-        assert obj.weighted_norm(np.zeros(2), np.ones(2)) == pytest.approx(np.sqrt(5))
-
-    def test_zero_vector_norm(self):
-        obj = QuadraticObjective(np.array([1.0, 4.0]))
-        assert obj.weighted_norm(np.zeros(2), np.zeros(2)) == 0.0
-
     def test_dimension_mismatch_raises(self):
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -148,7 +143,7 @@ class TestLogistic:
         benchmark's problems in either layout."""
         with mock.patch.object(objectives, "DENSE_MIN_DENSITY", density):
             obj = synth_problem("logistic", d=d, n=n, mu=1e-4, seed=0)
-        Z = obj.dataset.features
+        Z = synth_logistic_dataset(n, d, seed=0).features
         if density:
             Z = sp.csr_matrix(Z)
             sq = sp.csr_matrix((Z.data**2, Z.indices, Z.indptr), shape=Z.shape)
@@ -250,29 +245,21 @@ class TestDerivativeOracles:
         mu, L = obj.info.mu, obj.info.lipschitz_L
         for _ in range(25):
             x = rng.standard_normal(6)
-            v = rng.standard_normal(6)
+            p, q = obj.at(x), obj.at(x + rng.standard_normal(6))
+            v = q.x - p.x
             quad = float(v @ obj.hess_vec(x, v))
             nsq = float(v @ v)
             assert mu * nsq <= quad * (1 + 1e-12)
             assert quad <= L * nsq * (1 + 1e-12)
-            wn = obj.weighted_norm(x, v)
+            wn = weighted_step_norm(obj, p, q)
             assert np.sqrt(mu) * np.sqrt(nsq) <= wn * (1 + 1e-12)
             assert wn <= np.sqrt(L) * np.sqrt(nsq) * (1 + 1e-12)
 
-    def test_broken_hessian_raises(self):
-        class Broken(QuadraticObjective):
-            def hess_vec(self, x, v):
-                return -super().hess_vec(x, v)
-
-        obj = Broken(np.array([1.0, 2.0]))
-        with pytest.raises(CurvatureError):
-            obj.weighted_norm(np.zeros(2), np.ones(2))
-
 
 @st.composite
-def logistic_problems(draw):
-    """A logistic objective on a small sparse dataset with an all-zero column
-    and an all-zero row, plus a point in its domain."""
+def logistic_datasets(draw):
+    """A small sparse dataset with an all-zero column and an all-zero row, a
+    regularizer, and a point in its domain."""
     n, d = draw(st.integers(2, 7)), draw(st.integers(2, 6))
     entries = draw(hnp.arrays(float, (n, d), elements=st.one_of(
         st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False))))
@@ -280,8 +267,13 @@ def logistic_problems(draw):
     entries[draw(st.integers(0, n - 1)), :] = 0.0
     labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
     mu = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
-    obj = LogisticObjective(Dataset(sp.csr_matrix(entries), labels), reg_mu=mu)
-    return obj, draw(hnp.arrays(float, d, elements=st.floats(-5.0, 5.0)))
+    return Dataset(sp.csr_matrix(entries), labels), mu, draw(
+        hnp.arrays(float, d, elements=st.floats(-5.0, 5.0)))
+
+
+def logistic_problems():
+    """The logistic objective of a ``logistic_datasets`` draw, plus its point."""
+    return logistic_datasets().map(lambda c: (LogisticObjective(c[0], reg_mu=c[1]), c[2]))
 
 
 @st.composite
@@ -342,7 +334,7 @@ class TestFeatureLayout:
             f, g = obj.value_grad(p)
             out = [p.margins, p.weights, np.float64(f), g, obj.hess_vec(p, v),
                    obj.hess_diag(p, range(d)), obj.hess_matrix(p),
-                   np.float64(obj.weighted_norm(p, v))]
+                   np.float64(weighted_step_norm(obj, p, obj.at(x + v)))]
             return out + [obj.hess_column(p, i) for i in range(d)]
 
         for got, want in zip(results(dense), results(sparse)):
@@ -358,6 +350,29 @@ class TestFeatureLayout:
         assert ds.features.nnz == n * d // 100
         obj = LogisticObjective(ds, reg_mu=1e-3)
         assert isinstance(obj._Z, sp.csr_matrix)
+
+    def test_parsed_dataset_is_not_kept(self):
+        """Dense LIBSVM text parses to CSR and is stored as a dense Z; the
+        objective keeps Z alone, so the Dataset dies when the caller drops it
+        and what stays allocated is about Z's bytes."""
+        rng = np.random.default_rng(0)
+        n, d = 400, 50
+        text = "".join(f"{y:+d} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row)) + "\n"
+                       for y, row in zip(rng.choice([-1, 1], n).tolist(),
+                                         rng.uniform(0.5, 1.0, (n, d)).tolist()))
+        LogisticObjective(parse_libsvm(io.StringIO(text)), reg_mu=1e-3)  # fills lazy caches
+        tracemalloc.start()
+        try:
+            ds = parse_libsvm(io.StringIO(text))
+            dropped = weakref.ref(ds)
+            obj = LogisticObjective(ds, reg_mu=1e-3)
+            del ds
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert dropped() is None and stored_dense(obj)
+        assert held <= 1.1 * obj._Z.nbytes
 
     def test_dense_array_is_used_without_a_copy(self):
         ds = synth_logistic_dataset(n=30, d=6, seed=0)
@@ -378,7 +393,7 @@ def method_results(obj, x, v, i, indices):
     """Every objective method at x, as byte strings (bit-for-bit comparison)."""
     f, g = obj.value_grad(x)
     out = [np.float64(f), g, obj.hess_vec(x, v), obj.hess_column(x, i),
-           obj.hess_diag(x, indices), obj.hess_matrix(x), np.float64(obj.weighted_norm(x, v))]
+           obj.hess_diag(x, indices), obj.hess_matrix(x)]
     return [np.asarray(a).tobytes() for a in out]
 
 
@@ -386,13 +401,13 @@ class TestPoints:
     """``obj.at(x)`` is an immutable point; every method accepts it for x."""
 
     @staticmethod
-    def assert_hess_diag_is_dense_diagonal(obj, x, lists):
+    def assert_hess_diag_is_dense_diagonal(ds, mu, x, lists):
         """In both layouts, hess_diag at each index list is the dense diagonal
         indexed: read from the candidates' entries of Z**2 alone, or from all
         of it."""
         for density in (0.0, 2.0):
             with mock.patch.object(objectives, "DENSE_MIN_DENSITY", density):
-                layout = LogisticObjective(obj.dataset, reg_mu=obj.reg_mu)
+                layout = LogisticObjective(ds, reg_mu=mu)
             assert stored_dense(layout) == (density == 0.0)
             full = layout.hess_matrix(x).diagonal()
             for indices in lists:
@@ -400,13 +415,13 @@ class TestPoints:
                                            rtol=1e-14, atol=0)
 
     @settings(max_examples=60, deadline=None)
-    @given(problem=logistic_problems(), data=st.data())
+    @given(problem=logistic_datasets(), data=st.data())
     def test_hess_diag_matches_dense_diagonal(self, problem, data):
         """An unsorted list with repeats (longer than d or not), a single index
         and the whole basis; at most 7 samples, so one block of dense rows."""
-        obj, x = problem
-        d = obj.info.dim
-        self.assert_hess_diag_is_dense_diagonal(obj, x, [
+        ds, mu, x = problem
+        d = ds.n_features
+        self.assert_hess_diag_is_dense_diagonal(ds, mu, x, [
             data.draw(st.lists(st.integers(0, d - 1), max_size=3 * d)),
             [data.draw(st.integers(0, d - 1))], range(d)])
 
@@ -416,9 +431,9 @@ class TestPoints:
         a single row for one index, and more blocks for longer lists."""
         d = 9
         n = 2 * objectives._BLOCK_ROWS * d + 1
-        obj = synth_problem("logistic", d=d, n=n, mu=1e-3, seed=5)
+        ds = synth_logistic_dataset(n, d, seed=5)
         x = 3.0 * np.random.default_rng(5).standard_normal(d)
-        self.assert_hess_diag_is_dense_diagonal(obj, x, [
+        self.assert_hess_diag_is_dense_diagonal(ds, 1e-3, x, [
             [], [4], [7, 2, 2, 8, 0, 7], [8, 0, 5, 5, 1, 2, 3, 3, 6, 4, 7], range(d)])
 
     @settings(max_examples=60, deadline=None)
@@ -433,18 +448,18 @@ class TestPoints:
             method_results(obj, x, v, i, indices)
 
     @settings(max_examples=30, deadline=None)
-    @given(problem=logistic_problems(), other=st.one_of(logistic_problems(), quadratic_problems()))
+    @given(problem=logistic_datasets(), other=st.one_of(logistic_problems(), quadratic_problems()))
     def test_point_of_another_objective_rejected(self, problem, other):
-        obj, x = problem
+        ds, mu, x = problem
         # same data, different instance: still another objective
-        twin = LogisticObjective(obj.dataset, reg_mu=obj.reg_mu)
+        obj, twin = LogisticObjective(ds, reg_mu=mu), LogisticObjective(ds, reg_mu=mu)
         for foreign in (twin.at(x), other[0].at(other[1])):
             for call in (lambda p: obj.value_grad(p),
                          lambda p: obj.hess_vec(p, x),
                          lambda p: obj.hess_column(p, 0),
                          lambda p: obj.hess_diag(p, [0]),
                          lambda p: obj.hess_matrix(p),
-                         lambda p: obj.weighted_norm(p, x)):
+                         lambda p: weighted_step_norm(obj, p, p)):
                 with pytest.raises(ValueError, match="another objective"):
                     call(foreign)
 

@@ -435,6 +435,20 @@ class TestCorrectedRunProperties:
         assert trace.final_grad_norm < 1e-8
 
 
+class TestFullMemoryCorrectedRuns:
+    @pytest.mark.parametrize("correction", ["basic", "delta"])
+    def test_lg_bfgs_at_tau_d_completes_where_dense_greedy_fails(self, correction):
+        """At tau = d the limited-memory step, whose store carries no seed in its
+        floats, runs every corrected step on a problem where the dense greedy
+        baseline loses definiteness at t = 7."""
+        obj = synth_problem("logistic", d=30, n=300, mu=1e-3, seed=4)
+        cfg = SolverConfig(method=LG_BFGS, tau=30, max_iters=40, correction=correction)
+        trace = run(obj, np.ones(30), cfg)
+        assert trace.stop_reason == "max_iters" and len(trace.records) == 41
+        dense = run(obj, np.ones(30), replace(cfg, method=GREEDY_BFGS))
+        assert dense.stop_reason == "curvature_error" and dense.records[-1].t == 7
+
+
 class TestConfigValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -451,8 +465,13 @@ class TestConfigValidation:
                 SolverConfig(**{field: value})
 
     def test_fixed_prefix_tau_exceeding_dim(self):
-        obj = QuadraticObjective(np.array([1.0, 2.0]))
-        cfg = SolverConfig(method="lg_bfgs", tau=5,
-                           subset_policy="fixed_prefix")
-        with pytest.raises(ValueError):
-            run(obj, np.zeros(2), cfg)
+        """The store holds min(tau, d) pairs and fixed_prefix takes the first
+        store.tau coordinates, so tau = d + 5 runs the tau = d trace, bit for bit."""
+        obj = synth_problem("logistic", d=6, n=40, mu=1e-3, seed=1)
+        traces = [run(obj, np.ones(6), SolverConfig(method="lg_bfgs", tau=tau, max_iters=15,
+                                                    grad_tol=0.0, subset_policy="fixed_prefix"))
+                  for tau in (6, 11)]
+        rows = [[replace(r, wall_time_s=0.0) for r in tr.records] for tr in traces]
+        assert rows[0] == rows[1] and len(rows[0]) == 16
+        assert traces[0].x_final.tobytes() == traces[1].x_final.tobytes()
+        assert traces[0].stop_reason == traces[1].stop_reason == "max_iters"
