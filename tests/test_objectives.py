@@ -83,6 +83,17 @@ class TestQuadratic:
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         np.testing.assert_allclose(obj.hess_column(np.zeros(2), 1), [0.0, 2.0])
 
+    def test_weighted_norm_diag(self):
+        """The step (1, 1) weighted by diag(1, 4) has length sqrt(5), from
+        any departure point: the quadratic's curvature is constant."""
+        obj = QuadraticObjective(np.array([1.0, 4.0]))
+        x = np.array([-1.0, 2.0])
+        assert weighted_step_norm(obj, obj.at(x), obj.at(x + 1.0)) == pytest.approx(np.sqrt(5))
+
+    def test_zero_vector_norm(self):
+        obj = QuadraticObjective(np.array([1.0, 4.0]))
+        assert weighted_step_norm(obj, obj.at(np.zeros(2)), obj.at(np.zeros(2))) == 0.0
+
     def test_dimension_mismatch_raises(self):
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
