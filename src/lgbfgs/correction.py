@@ -57,11 +57,18 @@ def apply_scaling(store: PairStore, psi: float) -> None:
     """Rescale the store in place: h0_scale /= psi, every stored r *= psi.
 
     Indices and order are untouched; the implicit direct operator built from
-    the scaled store equals psi times the unscaled one.
+    the scaled store equals psi times the unscaled one.  A scale that would
+    push h0_scale below the normal floats or an r out of float range raises
+    ``CurvatureError`` before anything is written.
     """
     if psi < 1.0:
         raise ValueError(f"psi must be >= 1, got {psi}")
     if psi == 1.0:
         return
+    h0_scale = store.h0_scale / psi
+    if not (h0_scale >= np.finfo(float).tiny
+            and np.isfinite(psi * float(np.abs(store.R).max(initial=0.0)))):
+        raise CurvatureError(f"correction scale {psi:.3e} leaves float range "
+                             f"(h0_scale {store.h0_scale:.3e})")
     store.R[:] *= psi
-    store.h0_scale /= psi
+    store.h0_scale = h0_scale

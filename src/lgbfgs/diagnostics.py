@@ -66,15 +66,16 @@ def trace_metric(obj: Objective, x, B: np.ndarray, chol=None) -> float:
     return float(np.trace(scipy.linalg.cho_solve(chol, B))) - d
 
 
-def relative_condition_numbers(E: np.ndarray, subset) -> tuple[np.ndarray, float]:
-    """Per-index relative condition numbers of E over ``subset`` and their minimum.
-
-    beta(i) = max_k E_kk / E_ii with the max over the full basis.  A tiny or
-    nonpositive diagonal entry means the error matrix already vanished along
-    that direction; such entries map to +inf (they drop out of the minimum).
+def relative_condition_numbers(diag: np.ndarray, subset) -> tuple[np.ndarray, float]:
+    """Per-index relative condition numbers over ``subset``, and their minimum,
+    of an error matrix E with diagonal ``diag``: beta(i) = max_k E_kk / E_ii,
+    the max over the full basis.  A tiny or nonpositive diagonal entry means E
+    already vanished along that direction; such entries map to +inf (they drop
+    out of the minimum).
     """
-    E = np.asarray(E, dtype=float)
-    diag = np.diag(E).astype(float)
+    diag = np.asarray(diag, dtype=float)
+    if diag.ndim != 1:
+        raise ValueError(f"diag must be 1-D, got shape {diag.shape}")
     subset = [int(i) for i in subset]
     if not subset:
         raise ValueError("subset must be nonempty")

@@ -9,16 +9,17 @@ value/gradient evaluation per iterate, the stop rule, the divergence guard,
 the dense diagnostics and the trace; a caller that wants a warm start passes
 the point ``warm_start`` returns.  With ``record_dense_diags`` it forms one
 dense Hessian, one dense approximation and one Cholesky factor per row, and
-fills a greedy step's ``beta_tau`` (and a ``basic``-corrected ``lg_bfgs``
-step's ``contraction`` slack) from the rows at both ends of the step; a step
-whose next row fails the guard gets neither.  A step's other internals are
+fills an ``lg_bfgs`` step's ``beta_tau`` (and, under ``basic``, its
+``contraction`` slack) from the rows at both ends of the step; a step whose
+next row fails the guard gets neither.  A step's other internals are
 read by wrapping the names this module calls: ``weighted_step_norm``,
 ``apply_scaling`` and ``greedy_pair``.  ``run`` builds one objective ``Point``
 per iterate (``obj.at``) and passes it to every objective read at that
 iterate, so what it derives from x alone is computed once.
 
 Every run is strictly sequential, owns its state, and is deterministic for a
-given configuration; traces carry one record per evaluated iterate.  For every
+given configuration, the BLAS thread count included (one and two threads
+round differently); traces carry one record per evaluated iterate.  For every
 method and diagnostics setting, the guard stops the run as ``diverged`` when
 its value grows for too many consecutive iterations or its value, gradient or
 iterate turns non-finite; iterates are checked before the objective sees them,
@@ -136,12 +137,12 @@ class _Step:
     """One method's state between iterates; the base class is gradient descent.
 
     From an iterate x with gradient g, ``run`` moves to
-    x_next = x + alpha * direction(t, x, g).  When x_next is finite, ``run``
-    calls ``curvature(t, point, point_next)`` with the objective points of x
-    and x_next; it returns the record fields of the step.  A greedy step also
-    sets ``applied`` to (phi, psi, candidates): the weighted step length, the
-    correction scale and the index subset of its selection, from which ``run``
-    forms the step's dense diagnostics.  ``run`` then evaluates x_next and
+    x_next = x + alpha * direction(g).  When x_next is finite, ``run`` calls
+    ``curvature(t, point, point_next)`` with the objective points of x and
+    x_next; it returns the record fields of the step.  The ``lg_bfgs`` step
+    also sets ``applied`` to (phi, psi, candidates): the weighted step length,
+    the correction scale and the index subset of its selection, from which
+    ``run`` forms the step's dense diagnostics.  ``run`` then evaluates x_next and
     hands the gradient there to ``update``.  ``pair_count`` is the memory in
     use after the step.
     """
@@ -156,8 +157,8 @@ class _Step:
         self.alpha = cfg.alpha if cfg.alpha is not None else (1.0 / L if cfg.method == GD else 1.0)
         self.h0 = cfg.h0_scale if cfg.h0_scale is not None else 1.0 / L
 
-    def direction(self, t: int, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Search direction at x."""
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """Search direction at the iterate whose gradient is g."""
         return -g
 
     def curvature(self, t: int, point: Point, point_next: Point) -> dict:
@@ -204,7 +205,7 @@ class _Lbfgs(_SecantStep):
         super().__init__(obj, cfg)
         self.pairs: deque = deque(maxlen=cfg.tau)
 
-    def direction(self, t, x, g):
+    def direction(self, g):
         h0 = self.h0
         if self.cfg.lbfgs_scaling == "latest_pair" and self.pairs:
             s_last, r_last = self.pairs[-1]
@@ -223,7 +224,7 @@ class _BfgsDense(_SecantStep):
         super().__init__(obj, cfg)
         self.H = self.h0 * np.eye(obj.info.dim)
 
-    def direction(self, t, x, g):
+    def direction(self, g):
         return -(self.H @ g)
 
     def absorb(self, s, r):
@@ -235,8 +236,8 @@ class _GreedyBfgs(_Step):
 
     The step holds one d x d array, B.  The direction factors B in its own
     storage and restores it (``kernels.dense_solve``); the correction scales B
-    in place and the update writes B+ over B.  ``dense_B`` hands out a copy,
-    since the next step changes B.
+    in place and the update writes B+ over B.  ``dense_B`` hands out B itself,
+    no copy: no row holds it across a step, since this step sets no ``applied``.
     """
 
     def __init__(self, obj, cfg):
@@ -245,15 +246,14 @@ class _GreedyBfgs(_Step):
         self.full_basis = list(range(obj.info.dim))
 
     def dense_B(self):
-        return self.B.copy()
+        return self.B
 
-    def direction(self, t, x, g):
+    def direction(self, g):
         return -kernels.dense_solve(self.B, g)
 
     def curvature(self, t, point, point_next):
         phi = weighted_step_norm(self.obj, point, point_next)
         psi = scale_factor(phi, self.cfg.correction, self.obj.info.self_concordant_CM, t)
-        self.applied = phi, psi, self.full_basis
         if psi != 1.0:
             self.B *= psi
         denom = self.obj.hess_diag(point_next, self.full_basis)
@@ -279,7 +279,7 @@ class _LgBfgs(_Step):
         store = self.store
         return kernels.dense_B_from_pairs(store.indices, store.R, store.h0_scale)
 
-    def direction(self, t, x, g):
+    def direction(self, g):
         return kernels.two_loop_direction(self.store, g)
 
     def curvature(self, t, point, point_next):
@@ -320,7 +320,7 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
     f_prev, increases = np.inf, 0
     point = obj.at(x)
     f, g = obj.value_grad(point)
-    stepped = None  # (B, hess, applied) of the last row's greedy step, dense diagnostics only
+    stepped = None  # (B, hess, applied) of the last row's lg_bfgs step, dense diagnostics only
     for t in range(cfg.max_iters + 1):
         f_t, gnorm = float(f), float(np.linalg.norm(g))
         finite = np.isfinite(f_t) and np.all(np.isfinite(g))
@@ -343,11 +343,11 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
                                       fields["sigma"])
             stepped = None
             if stop_reason is None:
-                x_next = x + method.alpha * method.direction(t, x, g)
+                x_next = x + method.alpha * method.direction(g)
                 if np.all(np.isfinite(x_next)):
                     point_next = obj.at(x_next)
                     fields.update(method.curvature(t, point, point_next))
-                    if B is not None:
+                    if B is not None and method.applied is not None:
                         stepped = B, hess, method.applied
                     f, g_next = obj.value_grad(point_next)
                     method.update(x, g, x_next, g_next)
@@ -368,15 +368,15 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
 
 def _step_diagnostics(record: IterationRecord, info, cfg: SolverConfig, B, hess, applied,
                       hess_next, sigma_next) -> None:
-    """Fill a greedy step's row from the dense values at both of its ends: B and
-    hess at x, the step's ``applied`` (phi, psi, candidates), and the Hessian
-    and trace metric at x_next.  ``beta_tau`` is the least relative condition
-    number of psi * B - hess_next over the candidates; ``contraction`` is
-    recorded for ``basic``-corrected ``lg_bfgs`` steps, the only ones whose psi
-    is the inequality's 1 + CM * phi."""
+    """Fill an ``lg_bfgs`` step's row from the dense values at both of its ends:
+    B and hess at x, the step's ``applied`` (phi, psi, candidates), and the
+    Hessian and trace metric at x_next.  ``beta_tau`` is the least relative
+    condition number of psi * B - hess_next over the candidates; ``contraction``
+    is recorded under ``basic``, the only mode whose psi is 1 + CM * phi."""
     phi, psi, candidates = applied
-    _, record.beta_tau = diagnostics.relative_condition_numbers(psi * B - hess_next, candidates)
-    if cfg.method == LG_BFGS and cfg.correction == BASIC:
+    _, record.beta_tau = diagnostics.relative_condition_numbers(
+        psi * np.diag(B) - np.diag(hess_next), candidates)
+    if cfg.correction == BASIC:
         record.contraction = diagnostics.contraction_residual(
             info, B, hess, phi, record.beta_tau, record.sigma, sigma_next)
 

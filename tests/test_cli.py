@@ -98,6 +98,27 @@ class TestRunExperiment:
         assert f"greedy_bfgs tau=10 stopped at t={greedy[-1]}: CurvatureError" \
             in warning.getMessage()
 
+    def test_correction_out_of_float_range_keeps_the_sweep(self, tmp_path, caplog):
+        """The corrected cell's product of psi leaves float range (CM = 2.45e9);
+        it ends as curvature_error with one warning, and the lbfgs cell's rows
+        are written beside its rows."""
+        path, cfg = write_config(
+            tmp_path, seed=483, warm_start_k0=0, max_iters=60,
+            problem={"kind": "synth_logistic", "n": 145, "d": 19,
+                     "mu": 1.156772841221496e-07},
+            solvers=[{"method": "lg_bfgs", "tau": 11, "correction": "basic",
+                      "subset_policy": "fixed_prefix"},
+                     {"method": "lbfgs", "tau": 5}])
+        with caplog.at_level("WARNING"):
+            assert main(["run", str(path)]) == 0
+        rows = read_rows(cfg["output"])
+        assert [int(r[2]) for r in rows if r[0] == "lbfgs"] == list(range(61))
+        corrected = [int(r[2]) for r in rows if r[0] == "lg_bfgs"]
+        assert corrected == list(range(44))
+        [warning] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert "lg_bfgs tau=11 stopped at t=43: CurvatureError" in warning
+        assert "float range" in warning
+
     def test_dense_diagnostics_failure_keeps_the_sweep(self, tmp_path, caplog):
         """With d > n and mu = 1e-18 the Hessian's Cholesky fails in each cell's
         dense diagnostics; each cell ends there with one warning, and both are

@@ -72,6 +72,21 @@ class TestApplyScaling:
         with pytest.raises(ValueError):
             apply_scaling(store, 0.9)
 
+    @pytest.mark.parametrize("h0, r_scale, psi", [
+        (1e-300, 1.0, 1e10),   # h0_scale / psi below the normal floats
+        (1.0, 1e300, 1e10),    # psi * r overflows
+        (1.0, 1.0, np.inf),
+        (1.0, 1.0, np.nan),
+    ])
+    def test_scale_out_of_float_range_raises_before_writing(self, h0, r_scale, psi):
+        rng = np.random.default_rng(6)
+        store = _random_store(rng, 5, 3, h0=h0)
+        store.R[:] *= r_scale
+        R, h0_scale = store.R.tobytes(), store.h0_scale
+        with pytest.raises(CurvatureError, match="float range"):
+            apply_scaling(store, psi)
+        assert store.R.tobytes() == R and store.h0_scale == h0_scale
+
     def test_hand_case_direct_operator_doubles(self):
         store = PairStore(dim=2, tau=1, h0_scale=1.0)
         store.replace_suffix(0, [0], np.array([[2.0], [0.0]]))

@@ -81,8 +81,7 @@ class TestTraceMetric:
 
 class TestRelativeConditionNumbers:
     def test_hand_case(self):
-        E = np.diag([1.0, 2.0, 4.0])
-        betas, beta_min = relative_condition_numbers(E, [0, 1])
+        betas, beta_min = relative_condition_numbers(np.array([1.0, 2.0, 4.0]), [0, 1])
         np.testing.assert_allclose(betas, [4.0, 2.0])
         assert beta_min == 2.0
 
@@ -102,18 +101,24 @@ class TestRelativeConditionNumbers:
             small = sorted(rng.choice(d, size=3, replace=False).tolist())
             extra = [i for i in range(d) if i not in small]
             big = small + extra[:2]
-            _, beta_small = relative_condition_numbers(E, small)
-            _, beta_big = relative_condition_numbers(E, big)
+            _, beta_small = relative_condition_numbers(np.diag(E), small)
+            _, beta_big = relative_condition_numbers(np.diag(E), big)
             assert beta_small >= beta_big - 1e-12
 
     def test_degenerate_inf_policy(self):
         """A vanished diagonal entry maps to +inf and drops out of the minimum;
         an error matrix with no positive diagonal entry gives +inf throughout."""
-        betas, beta_min = relative_condition_numbers(np.diag([1.0, 0.0]), [0, 1])
+        betas, beta_min = relative_condition_numbers(np.array([1.0, 0.0]), [0, 1])
         assert betas[1] == np.inf
         assert beta_min == 1.0
-        betas, beta_min = relative_condition_numbers(-np.eye(2), [0, 1])
+        betas, beta_min = relative_condition_numbers(-np.ones(2), [0, 1])
         assert np.all(betas == np.inf) and beta_min == np.inf
+
+    def test_matrix_input_rejected(self):
+        """Only the diagonal is read, so a whole error matrix is refused rather
+        than read as a wrong diagonal."""
+        with pytest.raises(ValueError, match="1-D"):
+            relative_condition_numbers(np.diag([1.0, 2.0, 4.0]), [0, 1])
 
 
 def residual(obj, x, x_next, B, B_after, subset):
@@ -122,7 +127,7 @@ def residual(obj, x, x_next, B, B_after, subset):
     hess, hess_next = obj.hess_matrix(x), obj.hess_matrix(x_next)
     phi = weighted_step_norm(obj, obj.at(x), obj.at(x_next))
     corr = 1.0 + obj.info.self_concordant_CM * phi
-    _, beta = relative_condition_numbers(corr * B - hess_next, subset)
+    _, beta = relative_condition_numbers(corr * np.diag(B) - np.diag(hess_next), subset)
     return contraction_residual(obj.info, B, hess, phi, beta, trace_metric(obj, x, B),
                                 trace_metric(obj, x_next, B_after))
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
-from lgbfgs import diagnostics, kernels, solvers, verify
+from lgbfgs import kernels, solvers, verify
 from lgbfgs.data import synth_problem
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import (
@@ -266,36 +266,25 @@ class TestDenseTraceEquivalence:
 
     @pytest.mark.parametrize("correction", ["off", "basic"])
     def test_dense_diagnostics_see_each_step_B(self, monkeypatch, correction):
-        """A step scales and updates B in place; the dense diagnostics of its
-        row must still read the B it started from, as with an update into
-        fresh arrays.  Over the full basis ``beta_tau`` is 1 whatever B is, so
-        the error matrices it is read from are compared too."""
-        condition = diagnostics.relative_condition_numbers
+        """A step scales and updates B in place, and ``dense_B`` hands out B
+        itself; each row's dense diagnostics must still read the B of its own
+        iterate, as with an update into fresh arrays.  No row records a
+        ``beta_tau``: over the full basis it would be 1 whatever B is."""
 
         def rows():
-            errors = []
-
-            def spy(E, subset):
-                errors.append(E.copy())
-                return condition(E, subset)
-
-            monkeypatch.setattr(diagnostics, "relative_condition_numbers", spy)
             obj = synth_problem("logistic", d=20, n=100, mu=1e-3, seed=1)
             cfg = solvers.SolverConfig(method="greedy_bfgs", max_iters=6, grad_tol=0.0,
                                        correction=correction, record_dense_diags=True)
             trace = solvers.run(obj, np.zeros(20), cfg)
             assert trace.stop_reason == "max_iters"
-            assert len(errors) == 6
-            return [(r.beta_tau, r.sigma, r.lambda_f) for r in trace.records], errors
+            assert all(r.beta_tau is None for r in trace.records)
+            return [(r.sigma, r.lambda_f) for r in trace.records]
 
-        in_place, in_place_errors = rows()
+        in_place = rows()
         update = kernels.dense_bfgs_update
         monkeypatch.setattr(kernels, "dense_bfgs_update",
                             lambda B, s, r, out=None: update(B, s, r))
-        fresh, fresh_errors = rows()
-        assert fresh == in_place
-        for E, E_fresh in zip(in_place_errors, fresh_errors):
-            np.testing.assert_array_equal(E, E_fresh)
+        assert rows() == in_place
 
 
 class TestDenseFold:

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 
 from lgbfgs import aggregation, greedy, solvers, verify
+from lgbfgs.correction import MODES
 from lgbfgs.data import synth_problem
 from lgbfgs.errors import AggregationError, CurvatureError
+from lgbfgs.greedy import POLICIES
 from lgbfgs.objectives import QuadraticObjective
 from lgbfgs.solvers import GREEDY_BFGS, LG_BFGS, METHODS, SolverConfig, run, warm_start
 
@@ -447,6 +449,44 @@ class TestFullMemoryCorrectedRuns:
         assert trace.stop_reason == "max_iters" and len(trace.records) == 41
         dense = run(obj, np.ones(30), replace(cfg, method=GREEDY_BFGS))
         assert dense.stop_reason == "curvature_error" and dense.records[-1].t == 7
+
+
+class TestRunEndsInStopReason:
+    STOP_REASONS = {"grad_tol", "max_iters", "diverged", "curvature_error",
+                    "aggregation_failed", "diagnostics_failed"}
+
+    def test_correction_leaving_float_range_is_a_curvature_error(self):
+        """CM = 2.45e9 here, so the product of psi passes 1e306 by t = 40; the
+        scaling then refuses to push h0_scale out of the normal floats, and
+        the run ends as curvature_error with its rows (it used to raise
+        ZeroDivisionError in the compact factor's seed)."""
+        obj = synth_problem("logistic", d=19, n=145, mu=1.156772841221496e-07, seed=483)
+        cfg = SolverConfig(method=LG_BFGS, tau=11, max_iters=60, grad_tol=0.0,
+                           correction="basic", subset_policy="fixed_prefix")
+        trace = run(obj, np.ones(19), cfg)
+        assert trace.stop_reason == "curvature_error"
+        assert len(trace.records) == 42 and trace.records[-1].t == 41
+
+    @settings(max_examples=400, deadline=None)
+    @given(logistic=st.booleans(), d=st.integers(2, 24), n=st.integers(5, 199),
+           log10_mu=st.floats(-8.0, 0.0), log10_top=st.floats(0.0, 4.0),
+           method=st.sampled_from(METHODS), tau=st.integers(1, 24),
+           correction=st.sampled_from(MODES), policy=st.sampled_from(POLICIES),
+           log10_h0=st.none() | st.floats(-12.0, 2.0), log10_x0=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2**16))
+    def test_every_run_ends_in_a_stop_reason(self, logistic, d, n, log10_mu, log10_top,
+                                             method, tau, correction, policy, log10_h0,
+                                             log10_x0, seed):
+        """Small logistic and quadratic problems under every method, correction,
+        policy and seed scale: ``run`` returns a trace with a documented stop
+        reason instead of raising."""
+        obj = (synth_problem("logistic", d=d, n=n, mu=10.0**log10_mu, seed=seed) if logistic
+               else quad_problem(d=d, hi=10.0**log10_top, seed=seed))
+        x0 = 10.0**log10_x0 * np.random.default_rng(seed).standard_normal(d)
+        cfg = SolverConfig(method=method, tau=tau, max_iters=60, grad_tol=0.0,
+                           correction=correction, subset_policy=policy,
+                           h0_scale=None if log10_h0 is None else 10.0**log10_h0)
+        assert run(obj, x0, cfg).stop_reason in self.STOP_REASONS
 
 
 class TestConfigValidation:
