@@ -4,8 +4,8 @@ Everything here is read-only instrumentation: the weighted gradient norm used
 as the convergence criterion, the trace metric measuring Hessian-approximation
 error, relative condition numbers of an error matrix over a basis subset, the
 per-step contraction inequality check, and the product-form rate bound built
-from logged condition numbers.  Dense replays are restricted to
-test/diagnostic scale.
+from logged condition numbers.  The decrement and the trace metric solve with
+a dense Cholesky factor of the Hessian, so they are for desk scale.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import DiagnosticsError
 from .objectives import Objective, ObjectiveInfo
-
-DENSE_SOLVE_LIMIT = 2000
 
 
 def hessian_cholesky(hess: np.ndarray):
@@ -35,24 +32,12 @@ def newton_decrement(obj: Objective, x, grad=None, chol=None) -> float:
     """Gradient norm weighted by the inverse Hessian at x (an array or a point).
 
     A caller that already holds them passes ``grad``, the gradient at x, and
-    ``chol``, the ``hessian_cholesky`` of the dense Hessian at x; a given
-    ``chol`` is always used.  Without one, the decrement is solved by dense
-    Cholesky up to ``DENSE_SOLVE_LIMIT`` dimensions, otherwise by conjugate
-    gradients on Hessian-vector products.
+    ``chol``, the ``hessian_cholesky`` of the dense Hessian at x; without
+    ``chol`` the dense Hessian is formed and factored here.
     """
     g = obj.value_grad(x)[1] if grad is None else grad
-    if chol is not None or obj.info.dim <= DENSE_SOLVE_LIMIT:
-        chol = hessian_cholesky(obj.hess_matrix(x)) if chol is None else chol
-        y = scipy.linalg.cho_solve(chol, g)
-    else:
-        op = scipy.sparse.linalg.LinearOperator(
-            (obj.info.dim, obj.info.dim), matvec=lambda v: obj.hess_vec(x, v)
-        )
-        y, info = scipy.sparse.linalg.cg(op, g, rtol=1e-10, atol=0.0,
-                                         maxiter=50 * obj.info.dim)
-        if info != 0:
-            raise DiagnosticsError(f"conjugate gradients did not converge (info={info})")
-    return float(np.sqrt(max(float(g @ y), 0.0)))
+    chol = hessian_cholesky(obj.hess_matrix(x)) if chol is None else chol
+    return float(np.sqrt(max(float(g @ scipy.linalg.cho_solve(chol, g)), 0.0)))
 
 
 def trace_metric(obj: Objective, x, B: np.ndarray, chol=None) -> float:

@@ -3,7 +3,7 @@
 Dense rank-two updates (direct and inverse form) act as oracles and drive the
 dense baselines; ``dense_solve`` solves with the dense greedy baseline's B
 through a Cholesky factor built in B's own storage.  The two-loop recursion
-and the compact representation are the production paths: they read a
+and the compact diagonal are the production paths: they read a
 :class:`~lgbfgs.pairs.PairStore`'s variation array ``R`` and index list
 directly, or any d x m variation array with its indices, and never
 materialize a d x d matrix.  Folding the inverse update
@@ -193,32 +193,16 @@ def _compact_factor(R: np.ndarray, stored, h0: float, rows) -> np.ndarray:
     return dtrtrs(dgeqrf(stack, overwrite_a=1)[0], V.T, trans=1)[0].T
 
 
-def _seed(store: PairStore, rows: list[int]) -> np.ndarray:
-    """The seed terms [i not stored] / h0 of B's diagonal at ``rows``."""
-    for i in rows:
-        if not 0 <= i < store.dim:
-            raise IndexError(f"basis index {i} out of range [0, {store.dim})")
-    out = np.full(store.dim, 1.0 / store.h0_scale)
-    out[store.indices] = 0.0
-    return out[rows]
-
-
-def compact_B_column(store: PairStore, i: int) -> np.ndarray:
-    """Column B e_i = F F[i, :]' + e_i [i not stored] / h0 of the direct operator."""
-    i = int(i)
-    out = np.zeros(store.dim)
-    out[i] = _seed(store, [i])[0]
-    if store.size:
-        F = _compact_factor(store.R, store.indices, store.h0_scale, np.arange(store.dim))
-        out += F @ F[i]
-    return out
-
-
 def compact_B_diag(store: PairStore, indices) -> np.ndarray:
     """Diagonal entries e_i' B e_i = |F[i, :]|^2 + [i not stored] / h0 for a batch."""
-    indices = [int(i) for i in indices]
-    out = _seed(store, indices)
+    rows = np.asarray(indices, dtype=np.intp)
+    bad = (rows < 0) | (rows >= store.dim)
+    if bad.any():
+        raise IndexError(f"basis index {rows[bad][0]} out of range [0, {store.dim})")
+    seed = np.full(store.dim, 1.0 / store.h0_scale)
+    seed[store.indices] = 0.0
+    out = seed[rows]
     if store.size:
-        F = _compact_factor(store.R, store.indices, store.h0_scale, indices)
+        F = _compact_factor(store.R, store.indices, store.h0_scale, rows)
         out += np.einsum("ij,ij->i", F, F)
     return out

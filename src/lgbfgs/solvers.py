@@ -174,11 +174,12 @@ class _Step:
 
 
 class _SecantStep(_Step):
-    """Methods keeping the difference pair of a step when its curvature is positive."""
+    """Methods keeping the difference pair of a step when its curvature is a
+    positive normal float: a subnormal s'r overflows 1/(s'r)."""
 
     def update(self, x, g, x_next, g_next):
         s, r = x_next - x, g_next - g
-        if float(s @ r) > 0.0:
+        if float(s @ r) >= np.finfo(float).tiny:
             self.absorb(s, r)
 
 
@@ -228,7 +229,10 @@ class _BfgsDense(_SecantStep):
         return -(self.H @ g)
 
     def absorb(self, s, r):
-        self.H = kernels.dense_inv_bfgs_update(self.H, s, r)
+        # the update is invariant under a joint scaling of (s, r); a unit s
+        # keeps the factor (1 + r'Hr/c)/c of its ss' term in float range
+        norm = np.linalg.norm(s)
+        self.H = kernels.dense_inv_bfgs_update(self.H, s / norm, r / norm)
 
 
 class _GreedyBfgs(_Step):

@@ -28,15 +28,15 @@ def grad_norm_not_better(a, b, floor=1e-13):
 
 class TestAcceptance:
     def test_1_kernel_oracle_equivalence(self):
-        """Two-loop and compact columns against the dense fold, 200 instances."""
+        """Two-loop and compact diagonals against the dense fold, 200 instances."""
         start = time.perf_counter()
         two_loop = verify.check_two_loop_vs_dense(cases=200, seed=101)
-        column = verify.check_compact_column_vs_dense(cases=200, seed=101)
+        diag = verify.check_compact_diag_vs_dense(cases=200, seed=101)
         elapsed = time.perf_counter() - start
-        ok = (two_loop.passed and two_loop.worst <= 1e-10 and column.passed
-              and column.worst <= 1e-9 and elapsed < 10.0)
+        ok = (two_loop.passed and two_loop.worst <= 1e-10 and diag.passed
+              and diag.worst <= 1e-9 and elapsed < 10.0)
         line = report(1, ok, f"two_loop {two_loop.worst:.2e} (tol 1e-10), "
-                             f"column {column.worst:.2e} (tol 1e-9), {elapsed:.1f}s")
+                             f"diag {diag.worst:.2e} (tol 1e-9), {elapsed:.1f}s")
         assert ok, line
 
     def test_2_aggregation_equivalence(self):

@@ -45,7 +45,8 @@ def write_config(tmp_path, **overrides):
 
 
 def read_rows(path):
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0].startswith("# schema=")
     assert lines[1] == CSV_HEADER
     return [line.split(",") for line in lines[2:]]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lgbfgs import diagnostics, verify
+from lgbfgs import verify
 from lgbfgs.correction import weighted_step_norm
 from lgbfgs.data import synth_problem
 from lgbfgs.diagnostics import (
@@ -40,29 +40,14 @@ class TestNewtonDecrement:
             assert gn / np.sqrt(L) <= lam * (1 + 1e-10)
             assert lam <= gn / np.sqrt(mu) * (1 + 1e-10)
 
-    def test_dense_and_cg_agree(self, monkeypatch):
-        """Conjugate gradients, taken above ``DENSE_SOLVE_LIMIT`` dimensions,
-        agree with the dense solve taken below it."""
-        rng = np.random.default_rng(1)
-        obj = synth_problem("logistic", d=60, n=200, mu=1e-2, seed=2)
-        xs = [0.3 * rng.standard_normal(60) for _ in range(5)]
-        dense = [newton_decrement(obj, x) for x in xs]
-        monkeypatch.setattr(diagnostics, "DENSE_SOLVE_LIMIT", 59)
-        cg = [newton_decrement(obj, x) for x in xs]
-        assert dense == pytest.approx(cg, rel=1e-8)
-
-    def test_given_cholesky_used_above_limit(self, monkeypatch):
-        """A caller's Cholesky factor replaces conjugate gradients at any dimension."""
+    def test_given_cholesky_used(self, monkeypatch):
+        """A caller's Cholesky factor is used as given: the Hessian is not formed."""
         obj = synth_problem("logistic", d=60, n=200, mu=1e-2, seed=2)
         x = 0.3 * np.random.default_rng(1).standard_normal(60)
         dense = newton_decrement(obj, x)
         chol = hessian_cholesky(obj.hess_matrix(x))
-        calls = []
-        hess_vec = obj.hess_vec
-        monkeypatch.setattr(obj, "hess_vec", lambda *a: calls.append(a) or hess_vec(*a))
-        monkeypatch.setattr(diagnostics, "DENSE_SOLVE_LIMIT", 59)
+        monkeypatch.setattr(obj, "hess_matrix", lambda *a: pytest.fail("Hessian formed"))
         assert newton_decrement(obj, x, chol=chol) == dense
-        assert calls == []
 
 
 class TestTraceMetric:

@@ -12,7 +12,6 @@ from lgbfgs import kernels, solvers, verify
 from lgbfgs.data import synth_problem
 from lgbfgs.errors import CurvatureError
 from lgbfgs.kernels import (
-    compact_B_column,
     compact_B_diag,
     dense_B_from_pairs,
     dense_bfgs_update,
@@ -399,45 +398,24 @@ class TestTwoLoop:
 
 
 class TestCompactRepresentation:
-    def test_empty_store_column(self):
+    def test_empty_store_diag(self):
         store = PairStore(dim=3, tau=2, h0_scale=0.5)
-        np.testing.assert_allclose(compact_B_column(store, 1), [0.0, 2.0, 0.0])
+        np.testing.assert_array_equal(compact_B_diag(store, range(3)), [2.0, 2.0, 2.0])
 
     def test_single_pair_hand_value(self):
         store = single_pair_store()
-        np.testing.assert_allclose(compact_B_column(store, 0), [2.0, 0.0],
-                                   atol=1e-14)
+        np.testing.assert_allclose(compact_B_diag(store, [0, 1]), [2.0, 1.0], atol=1e-14)
 
     def test_matches_dense_inverse_on_random_stores(self):
-        assert verify.check_compact_column_vs_dense(cases=200, seed=8).passed
-
-    def test_column_symmetry(self):
-        """e_k' (B e_i) equals e_i' (B e_k) across random stores."""
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            d = int(rng.integers(3, 12))
-            store = _random_store(rng, d, int(rng.integers(1, min(d, 6))))
-            i, k = rng.choice(d, size=2, replace=False)
-            ci = compact_B_column(store, int(i))
-            ck = compact_B_column(store, int(k))
-            assert ci[k] == pytest.approx(ck[i], abs=1e-10 * max(1, abs(ci[k])))
-
-    def test_diag_matches_columns(self):
-        rng = np.random.default_rng(10)
-        store = _random_store(rng, 7, 4)
-        idx = [0, 2, 5, 6]
-        diag = compact_B_diag(store, idx)
-        for k, i in enumerate(idx):
-            assert diag[k] == pytest.approx(compact_B_column(store, i)[i], rel=1e-10)
+        assert verify.check_compact_diag_vs_dense(cases=200, seed=8).passed
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 20),
            size_frac=st.floats(0.0, 1.0), log10_h0=st.floats(-4.0, 2.0),
            n_cand=st.integers(1, 40))
-    def test_diag_and_column_match_dense_fold(self, seed, d, size_frac, log10_h0,
-                                              n_cand):
-        """Diagonals over unsorted, repeated, stored and unstored candidates and
-        a column match the dense direct fold at seed scales from 1e-4 to 1e2."""
+    def test_diag_matches_dense_fold(self, seed, d, size_frac, log10_h0, n_cand):
+        """Diagonals over unsorted, repeated, stored and unstored candidates
+        match the dense direct fold at seed scales from 1e-4 to 1e2."""
         rng = np.random.default_rng(seed)
         size = 1 + int(size_frac * (min(d, 10) - 1))
         store = _random_store(rng, d, size, h0=10.0**log10_h0)
@@ -445,11 +423,9 @@ class TestCompactRepresentation:
         idx = [int(i) for i in rng.choice(store.indices + list(range(d)), n_cand)]
         diag = compact_B_diag(store, idx)
         assert np.all(np.abs(diag - B[idx, idx]) <= 1e-10 * B[idx, idx])
-        i = idx[0]
-        col = compact_B_column(store, i)
-        assert np.linalg.norm(col - B[:, i]) <= 1e-10 * np.linalg.norm(B[:, i])
 
     def test_out_of_range(self):
-        store = PairStore(dim=3, tau=2)
-        with pytest.raises(IndexError):
-            compact_B_column(store, 3)
+        store = _random_store(np.random.default_rng(11), 3, 2)
+        for indices in ([3], [0, -1], [2, 5, 1]):
+            with pytest.raises(IndexError, match="out of range"):
+                compact_B_diag(store, indices)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import expit
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from lgbfgs import objectives
 from lgbfgs.correction import weighted_step_norm
@@ -323,7 +323,13 @@ class TestFeatureLayout:
 
     @settings(max_examples=80, deadline=None)
     @given(case=layout_datasets(), mu=st.sampled_from([1e-6, 1e-3, 1.0]))
+    @example(case=(np.vstack([[-0.05, 0.05, 0.0], np.zeros((7, 3))]), -np.ones(8),
+                   np.full(3, 0.046875), np.ones(3), 2), mu=1e-6)
     def test_layouts_agree_and_follow_density(self, case, mu):
+        """Both layouts give the same values up to 1e-12 relative, plus 1e-12 of
+        the terms each entry sums: where the terms cancel (the pinned margin is
+        0.0 from CSR and 2.2e-19 from BLAS's fused multiply-add) the result is no
+        scale for the rounding, the terms are."""
         entries, labels, x, v, k = case
         n, d = entries.shape
         as_csr = Dataset(sp.csr_matrix(entries), labels)
@@ -348,9 +354,16 @@ class TestFeatureLayout:
                    np.float64(weighted_step_norm(obj, p, obj.at(x + v)))]
             return out + [obj.hess_column(p, i) for i in range(d)]
 
-        for got, want in zip(results(dense), results(sparse)):
-            np.testing.assert_allclose(got, want, rtol=1e-12,
-                                       atol=1e-12 * float(np.max(np.abs(want))))
+        want = results(sparse)
+        # the magnitudes of the terms summed into the entries of each result
+        Z, s = np.abs(entries), np.abs((x + v) - x)
+        grad = Z.T @ expit(-labels * want[0]) / n + mu * np.abs(x)
+        hess = (Z.T * want[1]) @ Z / n + mu * np.eye(d)
+        terms = [Z @ np.abs(x), want[1], want[2], grad, hess @ np.abs(v), hess.diagonal(),
+                 hess, np.sqrt(s @ hess @ s), *hess]
+        for got, expected, scale in zip(results(dense), want, terms):
+            np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                       atol=1e-12 * float(np.max(scale)))
 
     def test_sparse_libsvm_data_stays_csr(self):
         rng = np.random.default_rng(0)

@@ -467,6 +467,26 @@ class TestRunEndsInStopReason:
         assert trace.stop_reason == "curvature_error"
         assert len(trace.records) == 42 and trace.records[-1].t == 41
 
+    @pytest.mark.parametrize("method, d, seed, hi, scale, options, rows", [
+        ("lbfgs", 2, 64763, 1079.5019918575706, 0.27488288861427207,
+         dict(h0_scale=2.1564607112453845e-07, tau=9), 57),
+        ("bfgs_dense", 4, 32918, 1031.4820447605068, 0.22460365076550795,
+         dict(tau=24, lbfgs_scaling="latest_pair"), 59),
+        ("bfgs_dense", 15, 138, 1.0, 1.0, dict(h0_scale=10.0), 46),
+    ])
+    def test_secant_runs_reach_a_zero_gradient(self, method, d, seed, hi, scale,
+                                               options, rows):
+        """Once |g| is near 1e-150, a step's c = s'r can be positive but
+        subnormal, and dense BFGS's factor (1 + r'Hr/c)/c overflows even from a
+        normal c.  The secant methods keep only pairs with a normal c, and dense
+        BFGS updates from a unit s: these runs reach a zero gradient instead of
+        ending as ``diverged`` on NaN."""
+        obj = synth_problem("quadratic", d=d, spectrum=np.linspace(1.0, hi, d), seed=seed)
+        x0 = scale * np.random.default_rng(seed).standard_normal(d)
+        cfg = SolverConfig(method=method, max_iters=60, grad_tol=0.0, **options)
+        trace = run(obj, x0, cfg)
+        assert trace.stop_reason == "grad_tol" and len(trace.records) == rows
+
     @settings(max_examples=400, deadline=None)
     @given(logistic=st.booleans(), d=st.integers(2, 24), n=st.integers(5, 199),
            log10_mu=st.floats(-8.0, 0.0), log10_top=st.floats(0.0, 4.0),
