@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DiagnosticsError
-from .objectives import Objective, ObjectiveInfo
+from .objectives import ObjectiveInfo
 
 
 def hessian_cholesky(hess: np.ndarray):
@@ -28,27 +28,20 @@ def hessian_cholesky(hess: np.ndarray):
         raise DiagnosticsError(f"Hessian Cholesky failed: {exc}") from exc
 
 
-def newton_decrement(obj: Objective, x, grad=None, chol=None) -> float:
-    """Gradient norm weighted by the inverse Hessian at x (an array or a point).
-
-    A caller that already holds them passes ``grad``, the gradient at x, and
-    ``chol``, the ``hessian_cholesky`` of the dense Hessian at x; without
-    ``chol`` the dense Hessian is formed and factored here.
-    """
-    g = obj.value_grad(x)[1] if grad is None else grad
-    chol = hessian_cholesky(obj.hess_matrix(x)) if chol is None else chol
-    return float(np.sqrt(max(float(g @ scipy.linalg.cho_solve(chol, g)), 0.0)))
+def newton_decrement(grad: np.ndarray, chol) -> float:
+    """The gradient's norm weighted by the inverse Hessian whose factor is ``chol``."""
+    return float(np.sqrt(max(float(grad @ scipy.linalg.cho_solve(chol, grad)), 0.0)))
 
 
-def trace_metric(obj: Objective, x, B: np.ndarray, chol=None) -> float:
-    """Tr(hess(x)^-1 B) - d; nonnegative whenever B dominates the Hessian.
-    ``chol`` is the ``hessian_cholesky`` at x when the caller already holds it."""
-    B = np.asarray(B, dtype=float)
-    d = obj.info.dim
-    if B.shape != (d, d):
-        raise ValueError(f"B has shape {B.shape}, expected ({d}, {d})")
-    chol = hessian_cholesky(obj.hess_matrix(x)) if chol is None else chol
-    return float(np.trace(scipy.linalg.cho_solve(chol, B))) - d
+def trace_metric(B: np.ndarray, chol) -> float:
+    """Tr(hess^-1 B) - d from the ``hessian_cholesky`` of the dense Hessian;
+    nonnegative whenever B dominates the Hessian.  ``DiagnosticsError`` when
+    the trace leaves float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.trace(scipy.linalg.cho_solve(chol, B, check_finite=False))) - len(B)
+    if not math.isfinite(value):
+        raise DiagnosticsError(f"trace metric left float range: {value}")
+    return value
 
 
 def relative_condition_numbers(diag: np.ndarray, subset) -> tuple[np.ndarray, float]:
@@ -96,7 +89,11 @@ def contraction_residual(
     premise; 1e-9 slack).
     """
     min_eig = float(scipy.linalg.eigvalsh(B_before - hess)[0])
-    if min_eig < -1e-9 * (np.linalg.norm(hess) + np.linalg.norm(B_before)):
+    # Frobenius norms by BLAS nrm2, which scales as it sums: no square overflows
+    scale = sum(float(scipy.linalg.blas.dnrm2(a.ravel())) for a in (hess, B_before))
+    if not math.isfinite(scale):
+        raise DiagnosticsError(f"premise scale left float range: {scale}")
+    if min_eig < -1e-9 * scale:
         return None
     d, cm = info.dim, info.self_concordant_CM
     corr = 1.0 + phi * cm

@@ -1,15 +1,15 @@
 """BFGS numerical kernels.
 
-Dense rank-two updates (direct and inverse form) act as oracles and drive the
-dense baselines; ``dense_solve`` solves with the dense greedy baseline's B
-through a Cholesky factor built in B's own storage.  The two-loop recursion
-and the compact diagonal are the production paths: they read a
-:class:`~lgbfgs.pairs.PairStore`'s variation array ``R`` and index list
-directly, or any d x m variation array with its indices, and never
-materialize a d x d matrix.  Folding the inverse update
-over a history (indices, R, h0) in storage order from ``h0 * I`` defines the
-implicit operator every equivalence test refers back to.  The compact
-representation is seed-free, B = (I - S S')/h0 + F F', so no 1/h0 term
+Dense rank-two updates (direct, written over its input, and inverse form) act
+as oracles and drive the dense baselines; ``dense_solve`` solves with the dense
+greedy baseline's B through a Cholesky factor built in B's own storage.  The
+two-loop recursion and the compact diagonal are the production paths: they
+read a :class:`~lgbfgs.pairs.PairStore`'s variation array ``R`` and index list
+directly, or any d x m variation array with its indices, and never materialize
+a d x d matrix; ``compact_B`` does, for the dense diagnostics.  Folding the
+inverse update over a history (indices, R, h0) in storage order from ``h0 * I``
+defines the implicit operator every equivalence test refers back to.  The
+compact representation is seed-free, B = (I - S S')/h0 + F F', so no 1/h0 term
 cancels at a stored index and its entries stay accurate at any seed scale.
 """
 
@@ -35,43 +35,33 @@ def _curvature(s: np.ndarray, r: np.ndarray):
 _BLOCK_ROWS = 64
 
 
-def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Rank-two secant update of a dense Hessian approximation.
+def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Rank-two secant update of a dense Hessian approximation, written over B.
 
     B+ = B + r r'/(r's) - B s s' B/(s'Bs); keeps positive definiteness whenever
     s'r > 0.  Requires B exactly symmetric, as every seed, psi * B and every
-    output of this update is: entry (i, j) is (B_ij + (r_i r_j)/c) - (bs_i bs_j)/sbs,
-    each operation in the dtype the textbook expression gives it, so the result
-    is bit for bit that expression and exactly symmetric.  Filled a block of
-    rows at a time into ``out``, a new d x d array by default.  ``out`` may be
-    B itself, which updates B in place with the same bits (B s is taken before
-    any row is written), but no other array that shares memory with B.
+    output of this update is, and of the dtype ``np.result_type(B, s, r)``:
+    entry (i, j) is (B_ij + (r_i r_j)/c) - (bs_i bs_j)/sbs, each operation in
+    the dtype the textbook expression gives it, so the result is bit for bit
+    that expression and exactly symmetric.  B s is taken before any row is
+    written; B is then filled a block of rows at a time and returned.
     """
-    dtype = np.result_type(B, s, r)
-    if out is None:
-        out = np.empty(B.shape, dtype=dtype)
-    elif out.shape != B.shape or out.dtype != dtype:
-        raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
-                         f"expected {B.shape} and {dtype}")
-    elif out is not B and np.may_share_memory(out, B):
-        raise ValueError("out shares memory with B without being B")
     c = _curvature(s, r)
     bs = B @ s
     sbs = s @ bs
     if sbs <= 0.0:
         raise CurvatureError(f"s'Bs = {sbs:.3e} <= 0: input lost positive definiteness")
     d = B.shape[0]
-    buf = np.empty((min(_BLOCK_ROWS, d), d), dtype=out.dtype)
-    # each quotient keeps its own dtype when B, s and r differ (float64 B, long-double r)
+    buf = np.empty((min(_BLOCK_ROWS, d), d), dtype=B.dtype)
+    # r's quotient keeps its own dtype when it differs from B's (long-double B, float64 r)
     r_type = np.result_type(r, c)
     for lo in range(0, d, _BLOCK_ROWS):
         rows, tmp = slice(lo, lo + _BLOCK_ROWS), buf[: min(_BLOCK_ROWS, d - lo)]
         np.divide(np.multiply.outer(r[rows], r, out=tmp), c, out=tmp, dtype=r_type)
-        np.add(B[rows], tmp, out=out[rows])
+        np.add(B[rows], tmp, out=B[rows])
         np.divide(np.multiply.outer(bs[rows], bs, out=tmp), sbs, out=tmp, dtype=bs.dtype)
-        np.subtract(out[rows], tmp, out=out[rows])
-    return out
+        np.subtract(B[rows], tmp, out=B[rows])
+    return B
 
 
 def dense_solve(B: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -131,9 +121,9 @@ def _inv_fold(H: np.ndarray, indices, R: np.ndarray) -> np.ndarray:
 def dense_B_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:
     """Fold the direct update over the pairs (e_indices[k], R[:, k]) from I / h0."""
     eye = np.eye(R.shape[0])
-    B = (1.0 / h0) * eye
+    B = np.diag(np.full(R.shape[0], 1.0 / h0, dtype=np.result_type(R, h0)))
     for k, i in enumerate(indices):
-        B = dense_bfgs_update(B, eye[i], R[:, k])
+        dense_bfgs_update(B, eye[i], R[:, k])
     return B
 
 
@@ -181,6 +171,8 @@ def _compact_factor(R: np.ndarray, stored, h0: float, rows) -> np.ndarray:
     equations, so F[rows] = V[rows] D^-1/2 T^-1 is one triangular solve.
     """
     m = len(stored)
+    if not m:
+        return np.zeros((len(rows), 0))
     sr = R[stored, :]
     inv_sqrt_d = 1.0 / np.sqrt(sr.diagonal())
     stack = np.zeros((2 * m, m), order="F")
@@ -201,8 +193,14 @@ def compact_B_diag(store: PairStore, indices) -> np.ndarray:
         raise IndexError(f"basis index {rows[bad][0]} out of range [0, {store.dim})")
     seed = np.full(store.dim, 1.0 / store.h0_scale)
     seed[store.indices] = 0.0
-    out = seed[rows]
-    if store.size:
-        F = _compact_factor(store.R, store.indices, store.h0_scale, rows)
-        out += np.einsum("ij,ij->i", F, F)
-    return out
+    F = _compact_factor(store.R, store.indices, store.h0_scale, rows)
+    return seed[rows] + np.einsum("ij,ij->i", F, F)
+
+
+def compact_B(store: PairStore) -> np.ndarray:
+    """The compact form as a dense d x d array, (I - S S')/h0 + F F': the dense
+    diagnostics' approximation of a store, accurate at any seed scale."""
+    seed = np.full(store.dim, 1.0 / store.h0_scale)
+    seed[store.indices] = 0.0
+    F = _compact_factor(store.R, store.indices, store.h0_scale, np.arange(store.dim))
+    return np.diag(seed) + F @ F.T

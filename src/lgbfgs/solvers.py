@@ -8,14 +8,14 @@ step object.  ``run``, the single entry point, owns what they share: one
 value/gradient evaluation per iterate, the stop rule, the divergence guard,
 the dense diagnostics and the trace; a caller that wants a warm start passes
 the point ``warm_start`` returns.  With ``record_dense_diags`` it forms one
-dense Hessian, one dense approximation and one Cholesky factor per row, and
-fills an ``lg_bfgs`` step's ``beta_tau`` (and, under ``basic``, its
-``contraction`` slack) from the rows at both ends of the step; a step whose
-next row fails the guard gets neither.  A step's other internals are
-read by wrapping the names this module calls: ``weighted_step_norm``,
-``apply_scaling`` and ``greedy_pair``.  ``run`` builds one objective ``Point``
-per iterate (``obj.at``) and passes it to every objective read at that
-iterate, so what it derives from x alone is computed once.
+dense Hessian and its Cholesky factor per row, with the method's dense
+approximation if it tracks one, and fills an ``lg_bfgs`` step's ``beta_tau``
+(and, under ``basic``, its ``contraction`` slack) from the rows at both ends
+of the step; a step whose next row fails the guard gets neither.  A step's
+other internals are read by wrapping the names this module calls:
+``weighted_step_norm``, ``apply_scaling`` and ``greedy_pair``.  ``run`` builds
+one objective ``Point`` per iterate (``obj.at``) and passes it to every
+objective read at that iterate, so what it derives from x alone is computed once.
 
 Every run is strictly sequential, owns its state, and is deterministic for a
 given configuration, the BLAS thread count included (one and two threads
@@ -265,7 +265,7 @@ class _GreedyBfgs(_Step):
         r = self.obj.hess_column(point_next, index)
         s = np.zeros(self.obj.info.dim)
         s[index] = 1.0
-        self.B = kernels.dense_bfgs_update(self.B, s, r, out=self.B)
+        kernels.dense_bfgs_update(self.B, s, r)
         return {}
 
 
@@ -280,8 +280,7 @@ class _LgBfgs(_Step):
                                h0_scale=self.h0)
 
     def dense_B(self):
-        store = self.store
-        return kernels.dense_B_from_pairs(store.indices, store.R, store.h0_scale)
+        return kernels.compact_B(self.store)
 
     def direction(self, g):
         return kernels.two_loop_direction(self.store, g)
@@ -336,12 +335,12 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
                        else "max_iters" if t == cfg.max_iters else None)
         try:
             if cfg.record_dense_diags and not diverged:
-                B, chol = method.dense_B(), None
+                hess = obj.hess_matrix(point)
+                chol = diagnostics.hessian_cholesky(hess)
+                fields["lambda_f"] = diagnostics.newton_decrement(g, chol)
+                B = method.dense_B()
                 if B is not None:
-                    hess = obj.hess_matrix(point)
-                    chol = diagnostics.hessian_cholesky(hess)
-                    fields["sigma"] = diagnostics.trace_metric(obj, point, B, chol=chol)
-                fields["lambda_f"] = diagnostics.newton_decrement(obj, point, grad=g, chol=chol)
+                    fields["sigma"] = diagnostics.trace_metric(B, chol)
                 if stepped is not None:
                     _step_diagnostics(records[-1], obj.info, cfg, *stepped, hess,
                                       fields["sigma"])

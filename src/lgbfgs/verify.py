@@ -122,7 +122,7 @@ def check_secant_identities(cases: int = 100, seed: int = 2) -> CheckResult:
         s = rng.standard_normal(d)
         spd = rng.standard_normal((d, d))
         r = (spd @ spd.T + d * np.eye(d)) @ s
-        B_new = kernels.dense_bfgs_update(B, s, r)
+        B_new = kernels.dense_bfgs_update(B.copy(), s, r)
         H_new = kernels.dense_inv_bfgs_update(np.linalg.inv(B), s, r)
         worst = max(
             worst,

@@ -135,6 +135,23 @@ class TestRunExperiment:
         assert len(warnings) == 2
         assert all("stopped at t=" in w and "DiagnosticsError" in w for w in warnings)
 
+    def test_dense_diagnostics_at_tiny_seed_scale(self, tmp_path):
+        """Under basic the lg_bfgs seed scale falls below 1e-154, where the
+        square of 1/h0 overflows; both cells still write every row with its
+        decrement."""
+        output = tmp_path / "trace.csv"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "seed": 0, "problem": {"kind": "synth_logistic", "n": 200, "d": 20},
+            "solvers": [{"method": "lbfgs", "tau": 5},
+                        {"method": "lg_bfgs", "tau": 20, "correction": "basic"}],
+            "max_iters": 100, "record_dense_diags": True, "output": str(output)}))
+        assert main(["run", str(path)]) == 0
+        rows = read_rows(output)
+        for method in ("lbfgs", "lg_bfgs"):
+            assert [int(r[2]) for r in rows if r[0] == method] == list(range(101))
+        assert all(r[5] != "" for r in rows)
+
     def test_unknown_solver_exit_code(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, solvers=[{"method": "bfgsx"}])
         assert main(["run", str(path)]) == EXIT_BAD_CONFIG

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lgbfgs import verify
+from lgbfgs import diagnostics, verify
 from lgbfgs.correction import weighted_step_norm
 from lgbfgs.data import synth_problem
 from lgbfgs.diagnostics import (
@@ -16,17 +16,22 @@ from lgbfgs.diagnostics import (
     trace_metric,
 )
 from lgbfgs.objectives import QuadraticObjective
-from lgbfgs.solvers import SolverConfig, run, warm_start
+from lgbfgs.solvers import METHODS, SolverConfig, run, warm_start
+
+
+def decrement(obj, x):
+    """The decrement at x from the objective's gradient and Hessian there."""
+    return newton_decrement(obj.value_grad(x)[1], hessian_cholesky(obj.hess_matrix(x)))
 
 
 class TestNewtonDecrement:
     def test_zero_at_minimizer(self):
         obj = QuadraticObjective(np.array([2.0, 3.0]))
-        assert newton_decrement(obj, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
+        assert decrement(obj, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
         obj = QuadraticObjective(np.array([1.0, 4.0]))
-        assert newton_decrement(obj, np.ones(2)) == pytest.approx(np.sqrt(5.0))
+        assert decrement(obj, np.ones(2)) == pytest.approx(np.sqrt(5.0))
 
     def test_spectral_bounds(self):
         rng = np.random.default_rng(0)
@@ -36,32 +41,30 @@ class TestNewtonDecrement:
             x = rng.standard_normal(8)
             _, g = obj.value_grad(x)
             gn = np.linalg.norm(g)
-            lam = newton_decrement(obj, x)
+            lam = decrement(obj, x)
             assert gn / np.sqrt(L) <= lam * (1 + 1e-10)
             assert lam <= gn / np.sqrt(mu) * (1 + 1e-10)
 
-    def test_given_cholesky_used(self, monkeypatch):
-        """A caller's Cholesky factor is used as given: the Hessian is not formed."""
+    def test_given_cholesky_used(self):
+        """The decrement solves with the factor it is given: that of 4 H halves it."""
         obj = synth_problem("logistic", d=60, n=200, mu=1e-2, seed=2)
         x = 0.3 * np.random.default_rng(1).standard_normal(60)
-        dense = newton_decrement(obj, x)
-        chol = hessian_cholesky(obj.hess_matrix(x))
-        monkeypatch.setattr(obj, "hess_matrix", lambda *a: pytest.fail("Hessian formed"))
-        assert newton_decrement(obj, x, chol=chol) == dense
+        grad, hess = obj.value_grad(x)[1], obj.hess_matrix(x)
+        assert newton_decrement(grad, hessian_cholesky(4.0 * hess)) == pytest.approx(
+            0.5 * newton_decrement(grad, hessian_cholesky(hess)), rel=1e-12)
 
 
 class TestTraceMetric:
+    CHOL = hessian_cholesky(np.diag([1.0, 2.0]))
+
     def test_zero_at_exact_hessian(self):
-        obj = QuadraticObjective(np.array([1.0, 2.0]))
-        assert trace_metric(obj, np.zeros(2), np.diag([1.0, 2.0])) == pytest.approx(0.0)
+        assert trace_metric(np.diag([1.0, 2.0]), self.CHOL) == pytest.approx(0.0)
 
     def test_doubled_hessian_gives_dimension(self):
-        obj = QuadraticObjective(np.array([1.0, 2.0]))
-        assert trace_metric(obj, np.zeros(2), np.diag([2.0, 4.0])) == pytest.approx(2.0)
+        assert trace_metric(np.diag([2.0, 4.0]), self.CHOL) == pytest.approx(2.0)
 
     def test_hand_value(self):
-        obj = QuadraticObjective(np.array([1.0, 2.0]))
-        assert trace_metric(obj, np.zeros(2), np.diag([2.0, 2.0])) == pytest.approx(1.0)
+        assert trace_metric(np.diag([2.0, 2.0]), self.CHOL) == pytest.approx(1.0)
 
 
 class TestRelativeConditionNumbers:
@@ -113,8 +116,9 @@ def residual(obj, x, x_next, B, B_after, subset):
     phi = weighted_step_norm(obj, obj.at(x), obj.at(x_next))
     corr = 1.0 + obj.info.self_concordant_CM * phi
     _, beta = relative_condition_numbers(corr * np.diag(B) - np.diag(hess_next), subset)
-    return contraction_residual(obj.info, B, hess, phi, beta, trace_metric(obj, x, B),
-                                trace_metric(obj, x_next, B_after))
+    return contraction_residual(obj.info, B, hess, phi, beta,
+                                trace_metric(B, hessian_cholesky(hess)),
+                                trace_metric(B_after, hessian_cholesky(hess_next)))
 
 
 class TestContractionResidual:
@@ -152,23 +156,38 @@ class TestContractionResidual:
             s = np.zeros(d)
             s[pick] = 1.0
             r = obj.hess_column(x, pick)
-            B_after = dense_bfgs_update(B, s, r)
+            B_after = dense_bfgs_update(B.copy(), s, r)
             worst = max(worst, -residual(obj, x, x, B, B_after, subset))
         assert worst <= 1e-9
 
 
 class TestSharedCholesky:
-    def test_factor_stands_in_for_the_hessian(self):
-        """Decrement and trace metric from one shared factor and the caller's
-        gradient equal the ones that form their own, bit for bit."""
+    def test_factor_stands_in_for_the_hessian(self, monkeypatch):
+        """``run`` factors the Hessian once per dense-diagnostics row for every
+        method; each row's decrement and trace metric are those of that factor,
+        bit for bit."""
         obj = synth_problem("logistic", d=8, n=60, mu=1e-2, seed=1)
-        x = np.random.default_rng(6).standard_normal(8)
-        point = obj.at(x)
-        chol = hessian_cholesky(obj.hess_matrix(point))
-        B = 2.0 * obj.hess_matrix(x) + np.eye(8)
-        grad = obj.value_grad(point)[1]
-        assert newton_decrement(obj, point, grad=grad, chol=chol) == newton_decrement(obj, x)
-        assert trace_metric(obj, point, B, chol=chol) == trace_metric(obj, x, B)
+        x0 = np.random.default_rng(6).standard_normal(8)
+        factored = []
+
+        def counting(hess):
+            factored.append(hess)
+            return hessian_cholesky(hess)
+
+        chol = hessian_cholesky(obj.hess_matrix(x0))
+        lambda_0 = newton_decrement(obj.value_grad(x0)[1], chol)
+        # the seed 1/h0 for the default h0 = 1/L, as the steps build it
+        sigma_0 = trace_metric(np.eye(8) / (1.0 / obj.info.lipschitz_L), chol)
+        monkeypatch.setattr(diagnostics, "hessian_cholesky", counting)
+        for method in METHODS:
+            factored.clear()
+            trace = run(obj, x0, SolverConfig(method=method, max_iters=3, grad_tol=0.0,
+                                              record_dense_diags=True))
+            assert len(factored) == len(trace.records) == 4, method
+            first = trace.records[0]
+            assert first.lambda_f == lambda_0, method
+            assert first.sigma == (sigma_0 if method in ("greedy_bfgs", "lg_bfgs")
+                                   else None), method
 
     def test_indefinite_hessian_raises(self):
         with pytest.raises(DiagnosticsError):
@@ -212,7 +231,7 @@ class TestProductBoundOnInstrumentedRuns:
         mu, L = obj.info.mu, obj.info.lipschitz_L
         x0 = warm_start(obj, np.ones(d), 12)
         # deep warm start puts the run inside the locality threshold
-        assert newton_decrement(obj, x0) <= mu * np.log(2.0) / (4 * (2 * d + 1) * L)
+        assert decrement(obj, x0) <= mu * np.log(2.0) / (4 * (2 * d + 1) * L)
         result = verify.check_memory_rate_tradeoff(d=d, hi=4.0, seed=3, k0=12, iters=50,
                                                    taus=(tau,), policies=(policy,))
         assert result.passed, result.render()

@@ -331,16 +331,42 @@ class TestDiagnosticsRecording:
         assert all(psi == 1.0 for psi in psis)  # quadratic: no correction
 
     def test_failed_premise_records_none_and_run_completes(self):
-        """On a basic-corrected logistic problem B can stop dominating the
-        Hessian; those steps record no contraction, and the run still ends at
-        max_iters (a raising residual would abort it)."""
+        """A seed B0 = 1e-3 I below the Hessian fails the contraction's premise
+        at the first step, which records no contraction, and the run still ends
+        at max_iters (a raising residual would abort it)."""
         obj = synth_problem("logistic", d=20, n=200, mu=1e-3, seed=0)
         x0 = warm_start(obj, np.zeros(20), 3)
         cfg = SolverConfig(method="lg_bfgs", tau=20, max_iters=60, grad_tol=0.0,
-                           correction="basic", record_dense_diags=True)
+                           correction="basic", h0_scale=1e3, record_dense_diags=True)
         trace = run(obj, x0, cfg)
         assert trace.stop_reason == "max_iters"
-        assert any(r.contraction is None for r in trace.records[:-1])
+        assert [r.t for r in trace.records[:-1] if r.contraction is None] == [0]
+
+    @pytest.mark.parametrize("h0", [1e-6, 1e-20, 1e-40])
+    def test_lg_bfgs_dense_B_matches_exact_fold(self, h0):
+        """``lg_bfgs``'s dense approximation is the seed-free compact form: it
+        matches the exact rational fold entry by entry at any seed scale, where
+        a float fold from I/h0 loses its digits to the cancelling 1/h0."""
+        rng = np.random.default_rng(0)
+        step = solvers._LgBfgs(quad_problem(d=9), SolverConfig(tau=9))
+        for _ in range(15):
+            d = int(rng.integers(4, 10))
+            step.store = verify._random_store(rng, d, int(rng.integers(1, d + 1)), h0=h0)
+            exact = np.array([[float(v) for v in row] for row in
+                              verify._exact_direct_fold(step.store.indices, step.store.R, h0)])
+            np.testing.assert_allclose(step.dense_B(), exact, rtol=1e-12, atol=0.0)
+
+    def test_lg_bfgs_diagnostics_at_tiny_seed_scale(self):
+        """Under basic the seed scale falls to 3e-155 by row 52 here, where the
+        square of 1/h0 overflows; every row still carries its diagnostics."""
+        obj = synth_problem("logistic", d=20, n=200, mu=1e-4, seed=0)
+        cfg = SolverConfig(method="lg_bfgs", tau=20, max_iters=100, grad_tol=0.0,
+                           correction="basic", record_dense_diags=True)
+        trace = run(obj, np.zeros(20), cfg)
+        assert trace.stop_reason == "max_iters" and len(trace.records) == 101
+        assert all(r.sigma is not None and r.lambda_f is not None for r in trace.records)
+        assert all(r.beta_tau is not None and r.contraction is not None
+                   for r in trace.records[:-1])
 
     @pytest.mark.parametrize("mode", ["off", "delta"])
     def test_contraction_recorded_only_under_basic(self, mode):
@@ -398,13 +424,14 @@ class TestCorrectedRunProperties:
     def test_weighted_step_bounded_by_decrement(self, monkeypatch):
         """Unit quasi-Newton steps under a dominating operator stay inside the
         decrement ball: the weighted step length never exceeds it."""
-        from lgbfgs.diagnostics import newton_decrement
+        from lgbfgs.diagnostics import hessian_cholesky, newton_decrement
 
         steps, step_norm = [], solvers.weighted_step_norm
 
         def recording_norm(objective, point, point_next):
             phi = step_norm(objective, point, point_next)
-            steps.append((phi, newton_decrement(objective, point.x)))
+            chol = hessian_cholesky(objective.hess_matrix(point))
+            steps.append((phi, newton_decrement(objective.value_grad(point)[1], chol)))
             return phi
 
         obj = quad_problem(d=6, hi=9.0, seed=13)
@@ -493,19 +520,20 @@ class TestRunEndsInStopReason:
            method=st.sampled_from(METHODS), tau=st.integers(1, 24),
            correction=st.sampled_from(MODES), policy=st.sampled_from(POLICIES),
            log10_h0=st.none() | st.floats(-12.0, 2.0), log10_x0=st.floats(-2.0, 2.0),
-           seed=st.integers(0, 2**16))
+           seed=st.integers(0, 2**16), diags=st.booleans())
     def test_every_run_ends_in_a_stop_reason(self, logistic, d, n, log10_mu, log10_top,
                                              method, tau, correction, policy, log10_h0,
-                                             log10_x0, seed):
+                                             log10_x0, seed, diags):
         """Small logistic and quadratic problems under every method, correction,
-        policy and seed scale: ``run`` returns a trace with a documented stop
-        reason instead of raising."""
+        policy and seed scale, with and without dense diagnostics: ``run``
+        returns a trace with a documented stop reason instead of raising."""
         obj = (synth_problem("logistic", d=d, n=n, mu=10.0**log10_mu, seed=seed) if logistic
                else quad_problem(d=d, hi=10.0**log10_top, seed=seed))
         x0 = 10.0**log10_x0 * np.random.default_rng(seed).standard_normal(d)
         cfg = SolverConfig(method=method, tau=tau, max_iters=60, grad_tol=0.0,
                            correction=correction, subset_policy=policy,
-                           h0_scale=None if log10_h0 is None else 10.0**log10_h0)
+                           h0_scale=None if log10_h0 is None else 10.0**log10_h0,
+                           record_dense_diags=diags)
         assert run(obj, x0, cfg).stop_reason in self.STOP_REASONS
 
 
