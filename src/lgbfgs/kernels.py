@@ -4,13 +4,12 @@ Dense rank-two updates (direct, written over its input, and inverse form) act
 as oracles and drive the dense baselines; ``dense_solve`` solves with the dense
 greedy baseline's B through a Cholesky factor built in B's own storage.  The
 two-loop recursion and the compact diagonal are the production paths: they
-read a :class:`~lgbfgs.pairs.PairStore`'s variation array ``R`` and index list
-directly, or any d x m variation array with its indices, and never materialize
-a d x d matrix; ``compact_B`` does, for the dense diagnostics.  Folding the
-inverse update over a history (indices, R, h0) in storage order from ``h0 * I``
-defines the implicit operator every equivalence test refers back to.  The
-compact representation is seed-free, B = (I - S S')/h0 + F F', so no 1/h0 term
-cancels at a stored index and its entries stay accurate at any seed scale.
+read a :class:`~lgbfgs.pairs.PairStore`'s ``R`` and index list, or any d x m
+variation array with its indices, and never form a d x d matrix (``compact_B``
+does, for the dense diagnostics).  The inverse update folded over a history
+(indices, R, h0) in storage order from ``h0 * I`` is the implicit operator
+every equivalence test refers back to.  The compact form B = (I - S S')/h0 +
+F F' is seed-free: no 1/h0 term cancels at a stored index.
 """
 
 from __future__ import annotations
@@ -51,12 +50,11 @@ def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray
     sbs = s @ bs
     if sbs <= 0.0:
         raise CurvatureError(f"s'Bs = {sbs:.3e} <= 0: input lost positive definiteness")
-    d = B.shape[0]
-    buf = np.empty((min(_BLOCK_ROWS, d), d), dtype=B.dtype)
+    buf = np.empty_like(B[:_BLOCK_ROWS])
     # r's quotient keeps its own dtype when it differs from B's (long-double B, float64 r)
     r_type = np.result_type(r, c)
-    for lo in range(0, d, _BLOCK_ROWS):
-        rows, tmp = slice(lo, lo + _BLOCK_ROWS), buf[: min(_BLOCK_ROWS, d - lo)]
+    for lo in range(0, len(B), _BLOCK_ROWS):
+        rows, tmp = slice(lo, lo + _BLOCK_ROWS), buf[: len(B) - lo]
         np.divide(np.multiply.outer(r[rows], r, out=tmp), c, out=tmp, dtype=r_type)
         np.add(B[rows], tmp, out=B[rows])
         np.divide(np.multiply.outer(bs[rows], bs, out=tmp), sbs, out=tmp, dtype=bs.dtype)
@@ -185,22 +183,25 @@ def _compact_factor(R: np.ndarray, stored, h0: float, rows) -> np.ndarray:
     return dtrtrs(dgeqrf(stack, overwrite_a=1)[0], V.T, trans=1)[0].T
 
 
+def _seed(store: PairStore) -> np.ndarray:
+    """The diagonal of the seed block (I - S S')/h0: 0 stored, 1/h0 unstored."""
+    return np.where(np.isin(np.arange(store.dim), store.indices), 0.0, 1.0 / store.h0_scale)
+
+
 def compact_B_diag(store: PairStore, indices) -> np.ndarray:
     """Diagonal entries e_i' B e_i = |F[i, :]|^2 + [i not stored] / h0 for a batch."""
     rows = np.asarray(indices, dtype=np.intp)
     bad = (rows < 0) | (rows >= store.dim)
     if bad.any():
         raise IndexError(f"basis index {rows[bad][0]} out of range [0, {store.dim})")
-    seed = np.full(store.dim, 1.0 / store.h0_scale)
-    seed[store.indices] = 0.0
     F = _compact_factor(store.R, store.indices, store.h0_scale, rows)
-    return seed[rows] + np.einsum("ij,ij->i", F, F)
+    return _seed(store)[rows] + np.einsum("ij,ij->i", F, F)
 
 
 def compact_B(store: PairStore) -> np.ndarray:
     """The compact form as a dense d x d array, (I - S S')/h0 + F F': the dense
     diagnostics' approximation of a store, accurate at any seed scale."""
-    seed = np.full(store.dim, 1.0 / store.h0_scale)
-    seed[store.indices] = 0.0
     F = _compact_factor(store.R, store.indices, store.h0_scale, np.arange(store.dim))
-    return np.diag(seed) + F @ F.T
+    B = F @ F.T
+    B[np.diag_indices(store.dim)] += _seed(store)
+    return B

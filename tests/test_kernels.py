@@ -66,7 +66,8 @@ class TestDenseUpdates:
         rng = np.random.default_rng(0)
         B = random_spd(rng, 4)
         s = rng.standard_normal(4)
-        np.testing.assert_allclose(dense_bfgs_update(B, s, B @ s), B, atol=1e-12)
+        before = B.copy()
+        np.testing.assert_allclose(dense_bfgs_update(B, s, B @ s), before, atol=1e-12)
 
     def test_secant_condition_fuzz(self):
         rng = np.random.default_rng(1)
@@ -100,7 +101,7 @@ class TestDenseUpdates:
             B = random_spd(rng, d)
             s = rng.standard_normal(d)
             r = random_spd(rng, d) @ s
-            B_new = dense_bfgs_update(B, s, r)
+            B_new = dense_bfgs_update(B.copy(), s, r)
             H_new = dense_inv_bfgs_update(np.linalg.inv(B), s, r)
             np.testing.assert_allclose(H_new @ r, s, atol=1e-10 * np.linalg.norm(s))
             np.testing.assert_allclose(H_new, np.linalg.inv(B_new), atol=1e-8)
@@ -208,10 +209,12 @@ class TestUpdateMemory:
     """A dense step holds its d x d arrays and one block of rows, no more."""
 
     def test_one_update_allocates_one_output(self):
+        """The output is B itself: the update allocates one block of rows and a
+        few vectors, about 0.19 d x d at d = 512, and no d x d array."""
         d = 512
         B, s, r = update_inputs(d, "dense")
         _, peak = traced_peak(dense_bfgs_update, B, s, r)
-        assert peak <= 1.35 * 8 * d * d
+        assert peak <= 0.25 * 8 * d * d
 
     def test_greedy_run_peak(self):
         """A step holds B, factored, scaled and updated in place, and blocks of
