@@ -4,9 +4,11 @@ Subcommands:
 
 * ``run <config.json>`` -- execute a (solver x tau) sweep on one problem, one
   cell after another, and write a CSV trace of every cell.  A cell whose step
-  or dense diagnostics fail ends there with a logged warning and
-  ``stop_reason`` ``curvature_error``, ``aggregation_failed`` or
-  ``diagnostics_failed``; its rows up to that iterate are written too.
+  or dense diagnostics fail, or whose dense state cannot be allocated, ends
+  there with a logged warning and ``stop_reason`` ``curvature_error``,
+  ``aggregation_failed``, ``diagnostics_failed`` or ``out_of_memory``; its rows
+  up to that iterate are written too.  A warm start that ends so logs a
+  warning, and the cells start from the iterate it reached.
 * ``verify [scope]`` -- run the registered invariant suites; exit 0 iff all
   checks pass.
 * ``synth <spec.json>`` -- generate a synthetic logistic dataset in LIBSVM
@@ -17,7 +19,8 @@ and returns it): 0 success, 1 verification failure, 2 malformed config,
 problem, solver entry or synth spec, or unwritable output (``ConfigError``),
 3 unreadable or malformed dataset (``DatasetError``), 4 a memory size tau < 1
 (``TauError``); an lg_bfgs tau above the dimension runs as the dimension.
-The environment variable ``LGBFGS_LOG`` sets the log level.
+The environment variable ``LGBFGS_LOG`` sets the log level; an unknown level
+is a ``ConfigError``.
 
 Inputs are JSON objects.  Each has a table of required (*) and optional
 fields below; ``_checked`` rejects a missing or unknown field and a value of
@@ -324,12 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("LGBFGS_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("LGBFGS_LOG", "WARNING").upper()
+        # a level name maps to its number; basicConfig checks only a fresh root logger
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError(f"unknown LGBFGS_LOG level {level!r}")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except (ConfigError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

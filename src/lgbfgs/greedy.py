@@ -34,7 +34,7 @@ def subset_indices(mode: str, store: PairStore) -> list[int]:
 
 def greedy_pair(
     obj: Objective,
-    x_next: np.ndarray | Point,
+    x_next: Point,
     store: PairStore,
     candidates,
 ) -> tuple[int, np.ndarray]:
@@ -42,9 +42,8 @@ def greedy_pair(
 
     Maximizes e_i'Be_i / e_i'hess(x_next)e_i over the candidates; numerators
     come from the compact representation, denominators from fused Hessian
-    diagonal entries.  The returned column is the gradient variation of the
-    new pair.  Passing x_next as a ``Point`` lets both Hessian reads share its
-    curvature weights.
+    diagonal entries, both Hessian reads at the point x_next made by
+    ``obj.at``.  The returned column is the gradient variation of the new pair.
     """
     cand = sorted(int(i) for i in candidates)
     if not cand:

@@ -39,10 +39,9 @@ def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray
 
     B+ = B + r r'/(r's) - B s s' B/(s'Bs); keeps positive definiteness whenever
     s'r > 0.  Requires B exactly symmetric, as every seed, psi * B and every
-    output of this update is, and of the dtype ``np.result_type(B, s, r)``:
-    entry (i, j) is (B_ij + (r_i r_j)/c) - (bs_i bs_j)/sbs, each operation in
-    the dtype the textbook expression gives it, so the result is bit for bit
-    that expression and exactly symmetric.  B s is taken before any row is
+    output of this update is, and B, s and r of one dtype: entry (i, j) is
+    (B_ij + (r_i r_j)/c) - (bs_i bs_j)/sbs, so the result is bit for bit the
+    textbook expression and exactly symmetric.  B s is taken before any row is
     written; B is then filled a block of rows at a time and returned.
     """
     c = _curvature(s, r)
@@ -51,13 +50,11 @@ def dense_bfgs_update(B: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray
     if sbs <= 0.0:
         raise CurvatureError(f"s'Bs = {sbs:.3e} <= 0: input lost positive definiteness")
     buf = np.empty_like(B[:_BLOCK_ROWS])
-    # r's quotient keeps its own dtype when it differs from B's (long-double B, float64 r)
-    r_type = np.result_type(r, c)
     for lo in range(0, len(B), _BLOCK_ROWS):
         rows, tmp = slice(lo, lo + _BLOCK_ROWS), buf[: len(B) - lo]
-        np.divide(np.multiply.outer(r[rows], r, out=tmp), c, out=tmp, dtype=r_type)
+        np.divide(np.multiply.outer(r[rows], r, out=tmp), c, out=tmp)
         np.add(B[rows], tmp, out=B[rows])
-        np.divide(np.multiply.outer(bs[rows], bs, out=tmp), sbs, out=tmp, dtype=bs.dtype)
+        np.divide(np.multiply.outer(bs[rows], bs, out=tmp), sbs, out=tmp)
         np.subtract(B[rows], tmp, out=B[rows])
     return B
 
@@ -118,8 +115,8 @@ def _inv_fold(H: np.ndarray, indices, R: np.ndarray) -> np.ndarray:
 
 def dense_B_from_pairs(indices, R: np.ndarray, h0: float) -> np.ndarray:
     """Fold the direct update over the pairs (e_indices[k], R[:, k]) from I / h0."""
-    eye = np.eye(R.shape[0])
     B = np.diag(np.full(R.shape[0], 1.0 / h0, dtype=np.result_type(R, h0)))
+    eye = np.eye(R.shape[0], dtype=B.dtype)
     for k, i in enumerate(indices):
         dense_bfgs_update(B, eye[i], R[:, k])
     return B

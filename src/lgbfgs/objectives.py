@@ -7,9 +7,9 @@ Instances are immutable after construction and safe to share across
 concurrent runs.
 
 ``obj.at(x)`` evaluates what every method needs from x alone once and returns
-it as an immutable ``Point``; each method accepts such a point wherever it
-takes x, and turns an array x into one on entry.  A run that builds one point
-per iterate computes the logistic margins ``Z @ x`` once per iterate.
+it as an immutable ``Point``; each method takes such a point, and nothing else,
+wherever it takes x.  A run that builds one point per iterate computes the
+logistic margins ``Z @ x`` once per iterate.
 
 The logistic objective picks its feature storage from the density of the
 samples alone: at least ``DENSE_MIN_DENSITY`` of the entries nonzero gives
@@ -128,8 +128,8 @@ class Point:
 class Objective:
     """Base class: value/gradient and Hessian products.
 
-    Every method takes its point x as an array or as a ``Point`` made by
-    this objective's ``at``.
+    Every method takes its point x as a ``Point`` made by this objective's
+    ``at``, the one place an array becomes a point.
     """
 
     info: ObjectiveInfo
@@ -160,11 +160,9 @@ class Objective:
     # -- validation helpers -------------------------------------------------
 
     def _point(self, x) -> Point:
-        """x as a point of this objective; an array goes through ``at``."""
-        if not isinstance(x, Point):
-            return self.at(x)
-        if x.objective is not self:
-            raise ValueError("point was made by another objective")
+        """x, if it is a point made by this objective's ``at``."""
+        if not isinstance(x, Point) or x.objective is not self:
+            raise ValueError("point was made by another objective or is not a Point")
         return x
 
     def _check_point(self, x) -> np.ndarray:

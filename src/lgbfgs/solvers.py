@@ -26,8 +26,11 @@ iterate turns non-finite; iterates are checked before the objective sees them,
 and diagnostics are computed only for rows that pass the guard.  A step that
 raises ``CurvatureError`` or ``AggregationError``, or a row whose dense
 diagnostics raise ``DiagnosticsError``, ends its run as ``curvature_error``,
-``aggregation_failed`` or ``diagnostics_failed``: the trace keeps its rows up
-to that iterate, and the error is logged as a warning.
+``aggregation_failed`` or ``diagnostics_failed``; a ``MemoryError``, such as a
+d x d state or dense diagnostic that cannot be allocated, ends it as
+``out_of_memory``.  The step's state is built at t = 0 inside the same guard,
+so the trace keeps its rows up to that iterate, the t = 0 row at least, and the
+error is logged as a warning.
 """
 
 from __future__ import annotations
@@ -298,11 +301,14 @@ class _LgBfgs(_Step):
         return {"case_tag": case}
 
 
-# the stop reason of a run that a step or a row's dense diagnostics end by raising
+# the stop reason of a run that a step or a row's dense diagnostics end by
+# raising one of these types or a subclass (numpy's failed allocation raises a
+# subclass of MemoryError)
 _FAILURES = {
     CurvatureError: "curvature_error",
     AggregationError: "aggregation_failed",
     DiagnosticsError: "diagnostics_failed",
+    MemoryError: "out_of_memory",
 }
 
 _STEPS = {
@@ -316,7 +322,7 @@ _STEPS = {
 
 def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
     """Run the configured method from x0."""
-    method = _STEPS[cfg.method](obj, cfg)
+    method = _Step(obj, cfg)  # holds no state; the method's own step is built at t = 0
     x = np.asarray(x0, dtype=float)
     records: list[IterationRecord] = []
     start = time.perf_counter()
@@ -334,6 +340,8 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
         stop_reason = ("diverged" if diverged else "grad_tol" if gnorm <= cfg.grad_tol
                        else "max_iters" if t == cfg.max_iters else None)
         try:
+            if t == 0:
+                method = _STEPS[cfg.method](obj, cfg)
             if cfg.record_dense_diags and not diverged:
                 hess = obj.hess_matrix(point)
                 chol = diagnostics.hessian_cholesky(hess)
@@ -359,9 +367,9 @@ def run(obj: Objective, x0, cfg: SolverConfig) -> Trace:
                     stop_reason = "diverged"
                 x = x_next
         except tuple(_FAILURES) as exc:
-            stop_reason = _FAILURES[type(exc)]
-            logger.warning("%s tau=%d stopped at t=%d: %s: %s", cfg.method, cfg.tau, t,
-                           type(exc).__name__, exc)
+            stop_reason = next(r for kind, r in _FAILURES.items() if isinstance(exc, kind))
+            logger.warning("%s tau=%d stopped at t=%d: %s: %s (stop reason %s)", cfg.method,
+                           cfg.tau, t, type(exc).__name__, exc, stop_reason)
         records.append(IterationRecord(t, f_t, gnorm, method.pair_count,
                                        time.perf_counter() - start, **fields))
         if stop_reason is not None:
@@ -386,9 +394,15 @@ def _step_diagnostics(record: IterationRecord, info, cfg: SolverConfig, B, hess,
 
 def warm_start(obj: Objective, x0, k0: int) -> np.ndarray:
     """Iterate the uncorrected dense greedy baseline k0 times from x0, with unit
-    steps and seed scale 1/L, and return the result."""
+    steps and seed scale 1/L, and return the iterate it reached.  A run that
+    ends on anything but ``max_iters`` or ``grad_tol`` logs one warning naming
+    its stop reason."""
     if k0 < 0:
         raise ValueError(f"k0 must be >= 0, got {k0}")
     if k0 == 0:
         return np.array(x0, dtype=float)
-    return run(obj, x0, SolverConfig(method=GREEDY_BFGS, max_iters=k0, grad_tol=0.0)).x_final
+    trace = run(obj, x0, SolverConfig(method=GREEDY_BFGS, max_iters=k0, grad_tol=0.0))
+    if trace.stop_reason not in ("max_iters", "grad_tol"):
+        logger.warning("warm start stopped at t=%d (stop reason %s); returning the "
+                       "iterate it reached", trace.records[-1].t, trace.stop_reason)
+    return trace.x_final

@@ -135,6 +135,23 @@ class TestRunExperiment:
         assert len(warnings) == 2
         assert all("stopped at t=" in w and "DiagnosticsError" in w for w in warnings)
 
+    def test_unallocatable_dense_state_keeps_the_sweep(self, tmp_path, caplog):
+        """With d = 5,000,000 neither the warm start's nor the greedy_bfgs
+        cell's d x d B can be allocated: each ends out_of_memory with a warning,
+        the cells start from the warm start's iterate, and both are written."""
+        data = tmp_path / "wide.libsvm"
+        data.write_text("+1 1:1.0 5000000:0.5\n-1 2:1.0\n+1 3:0.5 4:1.0\n-1 5000000:1.0\n")
+        path, cfg = write_config(tmp_path, warm_start_k0=1, max_iters=1,
+                                 problem={"kind": "libsvm", "path": str(data)},
+                                 solvers=[{"method": "gd"}, {"method": "greedy_bfgs"}])
+        with caplog.at_level("WARNING"):
+            assert main(["run", str(path)]) == 0
+        rows = read_rows(cfg["output"])
+        assert [(r[0], r[2]) for r in rows] == [("gd", "0"), ("gd", "1"), ("greedy_bfgs", "0")]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 3 and all("out_of_memory" in w for w in warnings)
+        assert sum(w.startswith("warm start stopped at t=0") for w in warnings) == 1
+
     def test_dense_diagnostics_at_tiny_seed_scale(self, tmp_path):
         """Under basic the lg_bfgs seed scale falls below 1e-154, where the
         square of 1/h0 overflows; both cells still write every row with its
@@ -484,6 +501,15 @@ class TestConfigParsing:
         [line] = err.splitlines()
         assert line.startswith("error: ") and re.search(rf"\b{field}\b", line)
         assert not out.exists()
+
+    def test_unknown_log_level_is_a_config_error(self, monkeypatch, capsys):
+        """Checked by ``main`` itself: ``logging.basicConfig`` checks the level
+        only while the root logger has no handler."""
+        monkeypatch.setenv("LGBFGS_LOG", "bogus")
+        assert main(["verify", "kernels"]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unknown LGBFGS_LOG level 'BOGUS'"]
 
     def test_unknown_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -191,7 +191,7 @@ class TestSynthProblems:
 
     def test_quadratic_rotation_preserves_spectrum(self):
         obj = synth_problem("quadratic", d=5, spectrum=(1.0, 9.0), seed=1, rotate=True)
-        eigs = np.linalg.eigvalsh(obj.hess_matrix(np.zeros(5)))
+        eigs = np.linalg.eigvalsh(obj.hess_matrix(obj.at(np.zeros(5))))
         np.testing.assert_allclose(eigs, np.linspace(1.0, 9.0, 5), atol=1e-10)
 
     def test_determinism(self):

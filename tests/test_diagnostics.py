@@ -21,7 +21,8 @@ from lgbfgs.solvers import METHODS, SolverConfig, run, warm_start
 
 def decrement(obj, x):
     """The decrement at x from the objective's gradient and Hessian there."""
-    return newton_decrement(obj.value_grad(x)[1], hessian_cholesky(obj.hess_matrix(x)))
+    p = obj.at(x)
+    return newton_decrement(obj.value_grad(p)[1], hessian_cholesky(obj.hess_matrix(p)))
 
 
 class TestNewtonDecrement:
@@ -39,7 +40,7 @@ class TestNewtonDecrement:
         mu, L = obj.info.mu, obj.info.lipschitz_L
         for _ in range(20):
             x = rng.standard_normal(8)
-            _, g = obj.value_grad(x)
+            _, g = obj.value_grad(obj.at(x))
             gn = np.linalg.norm(g)
             lam = decrement(obj, x)
             assert gn / np.sqrt(L) <= lam * (1 + 1e-10)
@@ -48,7 +49,7 @@ class TestNewtonDecrement:
     def test_given_cholesky_used(self):
         """The decrement solves with the factor it is given: that of 4 H halves it."""
         obj = synth_problem("logistic", d=60, n=200, mu=1e-2, seed=2)
-        x = 0.3 * np.random.default_rng(1).standard_normal(60)
+        x = obj.at(0.3 * np.random.default_rng(1).standard_normal(60))
         grad, hess = obj.value_grad(x)[1], obj.hess_matrix(x)
         assert newton_decrement(grad, hessian_cholesky(4.0 * hess)) == pytest.approx(
             0.5 * newton_decrement(grad, hessian_cholesky(hess)), rel=1e-12)
@@ -112,8 +113,9 @@ class TestRelativeConditionNumbers:
 def residual(obj, x, x_next, B, B_after, subset):
     """The contraction slack of a step from x to x_next, every row value formed
     from the matrices as the solver loop forms them."""
-    hess, hess_next = obj.hess_matrix(x), obj.hess_matrix(x_next)
-    phi = weighted_step_norm(obj, obj.at(x), obj.at(x_next))
+    p, p_next = obj.at(x), obj.at(x_next)
+    hess, hess_next = obj.hess_matrix(p), obj.hess_matrix(p_next)
+    phi = weighted_step_norm(obj, p, p_next)
     corr = 1.0 + obj.info.self_concordant_CM * phi
     _, beta = relative_condition_numbers(corr * np.diag(B) - np.diag(hess_next), subset)
     return contraction_residual(obj.info, B, hess, phi, beta,
@@ -155,7 +157,7 @@ class TestContractionResidual:
             pick = subset[int(np.argmax(ratios))]
             s = np.zeros(d)
             s[pick] = 1.0
-            r = obj.hess_column(x, pick)
+            r = obj.hess_column(obj.at(x), pick)
             B_after = dense_bfgs_update(B.copy(), s, r)
             worst = max(worst, -residual(obj, x, x, B, B_after, subset))
         assert worst <= 1e-9
@@ -174,8 +176,9 @@ class TestSharedCholesky:
             factored.append(hess)
             return hessian_cholesky(hess)
 
-        chol = hessian_cholesky(obj.hess_matrix(x0))
-        lambda_0 = newton_decrement(obj.value_grad(x0)[1], chol)
+        p0 = obj.at(x0)
+        chol = hessian_cholesky(obj.hess_matrix(p0))
+        lambda_0 = newton_decrement(obj.value_grad(p0)[1], chol)
         # the seed 1/h0 for the default h0 = 1/L, as the steps build it
         sigma_0 = trace_metric(np.eye(8) / (1.0 / obj.info.lipschitz_L), chol)
         monkeypatch.setattr(diagnostics, "hessian_cholesky", counting)

@@ -39,7 +39,7 @@ class TestGreedyPair:
         """Seed operator diag(3,3) against Hessian diag(1,2): ratios 3 vs 1.5."""
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         store = PairStore(dim=2, tau=2, h0_scale=1.0 / 3.0)
-        index, r = greedy_pair(obj, np.zeros(2), store, [0, 1])
+        index, r = greedy_pair(obj, obj.at(np.zeros(2)), store, [0, 1])
         assert index == 0
         np.testing.assert_allclose(r, [1.0, 0.0])
 
@@ -48,7 +48,7 @@ class TestGreedyPair:
         A = np.diag([1.0, 2.0, 4.0])
         obj = QuadraticObjective(np.array([1.0, 2.0, 4.0]))
         store = store_with([0, 1, 2], d=3, tau=3, h0=1.0, matrix=A)
-        index, _ = greedy_pair(obj, np.zeros(3), store, [1, 2, 0])
+        index, _ = greedy_pair(obj, obj.at(np.zeros(3)), store, [1, 2, 0])
         assert index == 0
 
     def test_scale_invariance_of_argmax(self):
@@ -61,8 +61,8 @@ class TestGreedyPair:
             store = PairStore(dim=d, tau=d, h0_scale=1.0)
             scaled = PairStore(dim=d, tau=d, h0_scale=1.0 / 7.0)
             cands = list(range(d))
-            i1, _ = greedy_pair(obj, np.zeros(d), store, cands)
-            i2, _ = greedy_pair(obj, np.zeros(d), scaled, cands)
+            i1, _ = greedy_pair(obj, obj.at(np.zeros(d)), store, cands)
+            i2, _ = greedy_pair(obj, obj.at(np.zeros(d)), scaled, cands)
             assert i1 == i2
 
     def test_chosen_index_always_in_candidates(self):
@@ -73,25 +73,27 @@ class TestGreedyPair:
             obj = QuadraticObjective(diag)
             store = PairStore(dim=d, tau=d, h0_scale=1.0)
             cands = sorted(rng.choice(d, size=int(rng.integers(1, d)), replace=False))
-            index, r = greedy_pair(obj, np.zeros(d), store, cands)
+            x = obj.at(np.zeros(d))
+            index, r = greedy_pair(obj, x, store, cands)
             assert index in cands
-            np.testing.assert_allclose(r, obj.hess_column(np.zeros(d), index))
+            np.testing.assert_allclose(r, obj.hess_column(x, index))
 
     def test_returned_r_is_hessian_action(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((4, 4))
         obj = QuadraticObjective(a @ a.T + 4 * np.eye(4))
         store = PairStore(dim=4, tau=4, h0_scale=0.1)
-        index, r = greedy_pair(obj, np.zeros(4), store, [0, 1, 2, 3])
+        x = obj.at(np.zeros(4))
+        index, r = greedy_pair(obj, x, store, [0, 1, 2, 3])
         e = np.zeros(4)
         e[index] = 1.0
-        np.testing.assert_allclose(r, obj.hess_vec(np.zeros(4), e), atol=1e-12)
+        np.testing.assert_allclose(r, obj.hess_vec(x, e), atol=1e-12)
 
     def test_empty_candidates_rejected(self):
         obj = QuadraticObjective(np.array([1.0, 2.0]))
         store = PairStore(dim=2, tau=2)
         with pytest.raises(ValueError):
-            greedy_pair(obj, np.zeros(2), store, [])
+            greedy_pair(obj, obj.at(np.zeros(2)), store, [])
 
     def test_nonpositive_hessian_diagonal_rejected(self):
         class Broken(QuadraticObjective):
@@ -101,4 +103,4 @@ class TestGreedyPair:
         obj = Broken(np.array([1.0, 2.0]))
         store = PairStore(dim=2, tau=2)
         with pytest.raises(CurvatureError):
-            greedy_pair(obj, np.zeros(2), store, [0, 1])
+            greedy_pair(obj, obj.at(np.zeros(2)), store, [0, 1])

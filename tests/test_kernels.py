@@ -149,18 +149,6 @@ class TestBlockedUpdate:
         np.testing.assert_array_equal(direct, textbook_direct(B, s, r))
         np.testing.assert_array_equal(direct, direct.T)
 
-    @pytest.mark.parametrize("b_dtype, r_dtype", [(np.longdouble, np.float64)])
-    @pytest.mark.parametrize("s_kind", ["unit", "dense"])
-    def test_mixed_precision(self, b_dtype, r_dtype, s_kind):
-        """Each quotient keeps the dtype the expression gives it (B's term in
-        B's, r's in r's), and the sum is in B's long double."""
-        B, s, r = update_inputs(2 * BLOCK + 3, s_kind, seed=1)
-        B, r = B.astype(b_dtype), r.astype(r_dtype)
-        direct = dense_bfgs_update(B.copy(), s, r)
-        assert direct.dtype == np.longdouble
-        np.testing.assert_array_equal(direct, textbook_direct(B, s, r))
-        np.testing.assert_array_equal(direct, direct.T)
-
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("d", [1, BLOCK + 1, 3 * BLOCK + 1])
     @pytest.mark.parametrize("s_kind", ["unit", "dense"])

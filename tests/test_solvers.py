@@ -1,5 +1,6 @@
 """Solver drivers: step correctness, stopping rules, traces, equivalences."""
 
+import io
 from collections import Counter
 from dataclasses import replace
 
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 
 from lgbfgs import aggregation, greedy, solvers, verify
 from lgbfgs.correction import MODES
-from lgbfgs.data import synth_problem
+from lgbfgs.data import normalize_rows, parse_libsvm, synth_problem
 from lgbfgs.errors import AggregationError, CurvatureError
 from lgbfgs.greedy import POLICIES
-from lgbfgs.objectives import QuadraticObjective
+from lgbfgs.objectives import LogisticObjective, QuadraticObjective
 from lgbfgs.solvers import GREEDY_BFGS, LG_BFGS, METHODS, SolverConfig, run, warm_start
 
 
@@ -273,8 +274,8 @@ class TestWarmStart:
         for seed in range(4):
             obj = synth_problem("logistic", d=8, n=50, mu=1e-2, seed=seed)
             x0 = np.zeros(8)
-            _, g0 = obj.value_grad(x0)
-            _, g1 = obj.value_grad(warm_start(obj, x0, 5))
+            _, g0 = obj.value_grad(obj.at(x0))
+            _, g1 = obj.value_grad(obj.at(warm_start(obj, x0, 5)))
             assert np.linalg.norm(g1) <= np.linalg.norm(g0)
 
 
@@ -535,6 +536,35 @@ class TestRunEndsInStopReason:
                            h0_scale=None if log10_h0 is None else 10.0**log10_h0,
                            record_dense_diags=diags)
         assert run(obj, x0, cfg).stop_reason in self.STOP_REASONS
+
+
+# four samples whose largest feature index is 5,000,000: a d x d float64 array
+# (182 TiB) exceeds the 128 TiB x86-64 user address space, so allocating one
+# fails at once under any overcommit setting
+WIDE_LIBSVM = "+1 1:1.0 5000000:0.5\n-1 2:1.0\n+1 3:0.5 4:1.0\n-1 5000000:1.0\n"
+
+
+class TestUnallocatableDenseState:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return LogisticObjective(normalize_rows(parse_libsvm(io.StringIO(WIDE_LIBSVM))),
+                                 reg_mu=1e-4)
+
+    @pytest.mark.parametrize("method, diags", [("greedy_bfgs", False), ("bfgs_dense", False),
+                                               ("gd", True)])
+    def test_run_ends_out_of_memory(self, wide, method, diags, caplog):
+        """The dense B or H of the step, or the Hessian of the t = 0 row's dense
+        diagnostics, cannot be allocated: the run ends as out_of_memory with its
+        t = 0 row and one warning naming the stop reason."""
+        x0 = np.zeros(wide.info.dim)
+        cfg = SolverConfig(method=method, max_iters=5, grad_tol=0.0, record_dense_diags=diags)
+        with caplog.at_level("WARNING", logger="lgbfgs.solvers"):
+            trace = run(wide, x0, cfg)
+        assert trace.stop_reason == "out_of_memory"
+        [row] = trace.records
+        assert row.t == 0 and row.f_value == wide.value_grad(wide.at(x0))[0]
+        [warning] = caplog.records
+        assert "MemoryError" in warning.getMessage() and "out_of_memory" in warning.getMessage()
 
 
 class TestConfigValidation:
